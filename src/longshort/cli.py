@@ -25,7 +25,12 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__, dynamics, optimizer, portfolio, returns
-from .errors import DomainError, InternalConsistencyError, InvalidParameterError
+from .errors import (
+    DomainError,
+    InternalConsistencyError,
+    InvalidParameterError,
+    LengthMismatchError,
+)
 from .montecarlo import DEFAULT_N_PATHS, McGainEstimator
 from .portfolio import PORTFOLIO_DEFAULT_N_PATHS
 
@@ -95,10 +100,6 @@ def _model_from_args(args) -> returns.ReturnModel:
 
 def _moments_from_args(args) -> tuple[float, float, float]:
     """(mu, sigma2, k_max) for closed-form commands, without forcing a model."""
-    if getattr(args, "prices", None):
-        model = _model_from_args(args)
-        k_max = args.k_max if args.k_max is not None else model.k_max
-        return model.mu, model.sigma2, k_max
     if args.mu is None or args.sigma is None:
         raise InvalidParameterError("supply either --prices or both --mu and --sigma")
     if args.k_max is not None:
@@ -108,6 +109,15 @@ def _moments_from_args(args) -> tuple[float, float, float]:
     else:
         k_max = 1.0  # degenerate moments pin no upper support bound
     return args.mu, args.sigma * args.sigma, k_max
+
+
+def _refuse_k_max_with_prices(args) -> None:
+    # With --prices the gain ceiling is the price data's min(1, 1/x_max); a
+    # --k-max that no computation reads would still land in the manifest.
+    if args.prices and args.k_max is not None:
+        raise InvalidParameterError(
+            "--k-max applies to --mu/--sigma only; with --prices the data fix the gain ceiling"
+        )
 
 
 def _result_payload(res: optimizer.OptimalGainResult) -> dict:
@@ -139,6 +149,7 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_curve(args) -> int:
+    _refuse_k_max_with_prices(args)
     seed = args.seed if args.seed is not None else _default_seed()
     if args.prices:
         model = _model_from_args(args)
@@ -173,6 +184,7 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    _refuse_k_max_with_prices(args)
     seed = args.seed if args.seed is not None else _default_seed()
     if args.prices:
         series = returns.load_prices_csv(args.prices, column=args.price_column)
@@ -371,19 +383,24 @@ def _backtest_portfolio(args, seed: int) -> int:
     n_paths = args.n_paths if args.n_paths is not None else PORTFOLIO_DEFAULT_N_PATHS
     tol = args.tol if args.tol is not None else optimizer.DEFAULT_MC_TOL
 
-    names, pmfs, targets, test_paths_list = [], [], [], []
-    stage = None
-    for i, asset in enumerate(assets):
+    names, pmfs, targets, test_paths_list, train_stages = [], [], [], [], []
+    for asset in assets:
         column = asset.get("price_column", returns.DEFAULT_PRICE_COLUMN)
         train = returns.load_prices_csv(asset["train_prices"], column=column)
         train_returns = returns.returns_from_prices(train)
-        if stage is None:
-            stage = int(train_returns.size)
+        train_stages.append(int(train_returns.size))
         pmfs.append(returns.pmf_from_returns(train_returns))
         targets.append(float(asset["target_std"]))
         names.append(asset.get("name", train.ticker))
         test = returns.load_prices_csv(asset["test_prices"], column=column)
         test_paths_list.append(returns.returns_from_prices(test))
+    # Every asset is fitted at one stage, so the training series must agree.
+    if len(set(train_stages)) != 1:
+        raise LengthMismatchError(
+            f"{args.portfolio_config}: training series have differing numbers of "
+            f"returns {sorted(set(train_stages))}"
+        )
+    stage = train_stages[0]
 
     results = portfolio.optimize_portfolio(
         list(zip(pmfs, targets)), v0, stage, tol=tol, n_paths=n_paths, seed=seed
@@ -563,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--grid", type=int, default=200, help="number of gain grid points")
     p_curve.add_argument(
         "--k-max", type=float, default=None,
-        help="override the gain ceiling (closed-form mode; empirical mode derives it)",
+        help="override the gain ceiling (moment flags only; refused with --prices)",
     )
     p_curve.add_argument("--n-paths", type=int, default=DEFAULT_N_PATHS)
     p_curve.add_argument("--out", default="curve.csv", help="output CSV path")
@@ -573,7 +590,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p_opt)
     p_opt.add_argument("--target-std", type=float, required=True)
     p_opt.add_argument("--stage", type=int, default=None, help="target stage k (default: train length)")
-    p_opt.add_argument("--k-max", type=float, default=None)
+    p_opt.add_argument(
+        "--k-max", type=float, default=None,
+        help="override the gain ceiling (moment flags only; refused with --prices)",
+    )
     p_opt.add_argument("--tol", type=float, default=None)
     p_opt.add_argument("--n-paths", type=int, default=DEFAULT_N_PATHS)
     p_opt.add_argument("--out", default="optimal_gain.json")

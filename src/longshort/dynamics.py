@@ -196,18 +196,33 @@ def terminal_gains(alpha: float, k_gain: float, v0: float, paths) -> np.ndarray:
     if not (0.0 <= k_gain <= 1.0):
         raise InadmissibleGainError(f"k_gain={k_gain} outside [0, 1]")
     _check_path(k_gain, x)
+    return _terminal_gains(alpha, k_gain, v0, x)
 
+
+def _terminal_gains(alpha: float, k_gain: float, v0: float, x: np.ndarray) -> np.ndarray:
+    """The recursion behind :func:`terminal_gains`, on already-checked inputs.
+
+    Each step computes ``v + x * (K * v)`` with the same roundings as
+    :func:`simulate`, written into reused buffers; a stage-major (Fortran
+    order) ``x`` makes every column read contiguous.
+    """
     v_long = np.full(x.shape[0], alpha * v0)
     v_short = np.full(x.shape[0], (1.0 - alpha) * v0)
+    step = np.empty(x.shape[0])
     with np.errstate(over="ignore"):  # overflow is detected and raised below
         for k in range(x.shape[1]):
             col = x[:, k]
-            v_long = v_long + col * (k_gain * v_long)
-            v_short = v_short + col * (-k_gain * v_short)
-        total = v_long + v_short
-    if not np.all(np.isfinite(total)):
+            np.multiply(v_long, k_gain, out=step)
+            step *= col
+            v_long += step
+            np.multiply(v_short, -k_gain, out=step)
+            step *= col
+            v_short += step
+        v_long += v_short
+    if not np.all(np.isfinite(v_long)):
         raise SimulationOverflowError("account value overflowed double precision")
-    return total - v0
+    v_long -= v0
+    return v_long
 
 
 def audit_cash_financing(traj: AccountTrajectory, k_gain: float) -> CashFinancingAudit:

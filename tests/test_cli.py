@@ -122,6 +122,20 @@ class TestOptimizeCommand:
         payload = json.loads(out.read_text())
         assert payload["stage"] == 59
 
+    @pytest.mark.parametrize("command", ["optimize", "curve"])
+    def test_k_max_refused_with_prices(self, tmp_path, capsys, command):
+        prices = tmp_path / "prices.csv"
+        _write_prices(prices, _geometric_prices(1, 60))
+        out = tmp_path / "out"
+        flags = ["--target-std", "0.01"] if command == "optimize" else ["--stage", "20"]
+        rc = cli.main(
+            [command, "--prices", str(prices), *flags, "--k-max", "0.3",
+             "--n-paths", "200", "--out", str(out)]
+        )
+        assert rc == 3
+        assert "--k-max" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_no_trade_zero_stats(self, tmp_path):
@@ -244,6 +258,27 @@ class TestBacktestCommand:
         per_asset = [float(rows[-1][f"gain_a{i}"]) for i in range(3)]
         assert sum(per_asset) == pytest.approx(summary["terminal_gain"], abs=1e-12)
         assert summary["max_leverage_ratio"] <= 1.0 + 1e-12
+
+    def test_portfolio_train_lengths_must_agree(self, tmp_path, capsys):
+        assets = []
+        for i, n_prices in enumerate((90, 61)):
+            train = tmp_path / f"train{i}.csv"
+            test = tmp_path / f"test{i}.csv"
+            _write_prices(train, _geometric_prices(30 + i, n_prices))
+            _write_prices(test, _geometric_prices(40 + i, 50))
+            assets.append(
+                {"train_prices": str(train), "test_prices": str(test), "target_std": 1.0}
+            )
+        config_path = tmp_path / "portfolio.json"
+        config_path.write_text(json.dumps({"v0": 100.0, "assets": assets}))
+        prefix = tmp_path / "uneven"
+        rc = cli.main(
+            ["backtest", "--portfolio-config", str(config_path),
+             "--n-paths", "200", "--out-prefix", str(prefix)]
+        )
+        assert rc == 3
+        assert "[60, 89]" in capsys.readouterr().err
+        assert not (tmp_path / "uneven_summary.json").exists()
 
 
 class TestReproCommand:

@@ -16,8 +16,10 @@ from longshort import (
     estimate_gain_stats,
     expected_gain,
     pmf_from_returns,
+    terminal_gains,
     variance_gain,
 )
+from longshort.montecarlo import BATCH_SIZE, GUIDE_BUCKETS, _atom_indices
 
 
 @pytest.fixture
@@ -72,6 +74,111 @@ class TestEstimateGainStats:
         estimator = McGainEstimator(model, 10, 20_000, seed=9)
         frac_up = float(np.mean(estimator.paths == 0.2))
         assert frac_up == pytest.approx(0.75, abs=0.01)
+
+
+def _reference_bank(model, n_paths, stage, seed):
+    """The path bank as ``Generator.choice`` draws it: row-major, one
+    ``rng.choice`` call per (seed, batch)."""
+    values = model.pmf.values
+    out = np.empty((n_paths, stage))
+    for batch, start in enumerate(range(0, n_paths, BATCH_SIZE)):
+        stop = min(start + BATCH_SIZE, n_paths)
+        rng = np.random.default_rng([seed, batch])
+        idx = rng.choice(values.size, size=(stop - start, stage), p=model.pmf.weights)
+        out[start:stop] = values[idx]
+    return out
+
+
+def _clustered_pmf():
+    # 20 atoms of weight 1e-6 sit side by side in one guide bucket, so a
+    # uniform above them in that bucket steps through all of them.
+    big = np.random.default_rng(4).uniform(0.5, 1.5, 60)
+    big *= (1.0 - 20e-6) / big.sum()
+    weights = np.concatenate([big[:30], np.full(20, 1e-6), big[30:]])
+    weights[0] += 1.0 - weights.sum()
+    return EmpiricalPMF(np.linspace(-0.3, 0.4, weights.size), weights)
+
+
+BANK_MODELS = {
+    "equal_125": lambda: ReturnModel.from_pmf(pmf_from_returns(np.linspace(-0.2, 0.25, 125))),
+    "clustered": lambda: ReturnModel.from_pmf(_clustered_pmf()),
+    "two_point": lambda: ReturnModel.two_point(-0.1, 0.2, 0.75),
+    "uniform_grid": lambda: ReturnModel.uniform_grid(-0.2, 0.3, 10),
+}
+
+
+class TestBankMatchesChoice:
+    """The bank equals what ``Generator.choice`` draws, value for value.
+
+    This pins the seeded outputs of every Monte-Carlo command, and fails
+    first if a numpy release changes how ``Generator.choice`` samples.
+    """
+
+    @pytest.mark.parametrize("n_paths", [1_000, 20_000, 50_000])
+    @pytest.mark.parametrize("name", sorted(BANK_MODELS))
+    def test_bank_and_estimates_are_bitwise_equal(self, name, n_paths):
+        model = BANK_MODELS[name]()
+        stage, seed = 40, 17
+        estimator = McGainEstimator(model, stage, n_paths, seed)
+        reference = _reference_bank(model, n_paths, stage, seed)
+        assert np.array_equal(estimator.paths, reference)
+        if name == "clustered":  # the cluster really shares one guide bucket
+            cdf = model.pmf.weights.cumsum()
+            assert np.bincount((cdf * GUIDE_BUCKETS).astype(int)).max() >= 20
+        for k_gain in (0.0, 0.1 * model.k_max, model.k_max):
+            gains = terminal_gains(0.5, k_gain, 1.0, reference)
+            variance = float(gains.var(ddof=1))
+            est = estimator.estimate(0.5, k_gain, 1.0)
+            assert est.mean == float(gains.mean())
+            assert est.variance == variance
+            assert est.std == math.sqrt(variance)
+
+    def test_lookup_exact_at_cdf_values_and_bucket_edges(self):
+        # Ties in the cdf (a weight below its ulp) and uniforms that hit a
+        # cdf value or a bucket edge exactly, or one ulp either side.
+        weights = np.array([0.25, 1e-18, 0.25, 0.5 - 1e-18])
+        for cdf in (weights.cumsum(), _clustered_pmf().weights.cumsum()):
+            cdf /= cdf[-1]
+            edges = np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS
+            points = np.concatenate([cdf[:-1], edges, [np.nextafter(1.0, 0.0)]])
+            u = np.concatenate(
+                [points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)]
+            )
+            u = u[(u >= 0.0) & (u < 1.0)]
+            got = _atom_indices(cdf, u)
+            assert np.array_equal(got, cdf.searchsorted(u, side="right"))
+
+    def test_bank_is_read_only(self, two_point_model):
+        estimator = McGainEstimator(two_point_model, 3, 100, seed=0)
+        with pytest.raises(ValueError):
+            estimator.paths[0, 0] = 0.5
+
+
+class TestEstimateRefusals:
+    """``estimate`` refuses what :func:`terminal_gains` refuses, with the same types."""
+
+    @pytest.fixture
+    def estimator(self, two_point_model):
+        return McGainEstimator(two_point_model, 4, 200, seed=0)
+
+    @pytest.mark.parametrize("alpha", [-0.1, 1.1, float("nan")])
+    def test_alpha_outside_unit_interval(self, estimator, alpha):
+        with pytest.raises(InvalidParameterError, match="alpha"):
+            estimator.estimate(alpha, 0.5, 1.0)
+
+    @pytest.mark.parametrize("v0", [0.0, -1.0])
+    def test_nonpositive_v0(self, estimator, v0):
+        with pytest.raises(InvalidParameterError, match="v0"):
+            estimator.estimate(0.5, 0.5, v0)
+
+    @pytest.mark.parametrize("k_gain", [-0.1, 1.0 + 1e-12, float("nan")])
+    def test_gain_outside_admissible_range(self, estimator, k_gain):
+        with pytest.raises(InadmissibleGainError):
+            estimator.estimate(0.5, k_gain, 1.0)
+
+    def test_edges_accepted(self, estimator):
+        estimator.estimate(0.0, 0.0, 1e-9)
+        estimator.estimate(1.0, 1.0, 1.0)
 
 
 class TestExactEnumeration:
