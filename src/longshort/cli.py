@@ -26,7 +26,9 @@ from dataclasses import dataclass
 
 from . import __version__, dynamics, optimizer, portfolio, returns
 from .errors import (
+    ConfigKeyError,
     DomainError,
+    InputFileError,
     InternalConsistencyError,
     InvalidParameterError,
     LengthMismatchError,
@@ -373,11 +375,60 @@ def _cmd_backtest(args) -> int:
     return EXIT_OK
 
 
+_REQUIRED = object()
+_JSON_TYPES = {
+    "number": ((int, float), "a number"),
+    "string": (str, "a string"),
+    "list": (list, "a list"),
+}
+
+
+def _config_value(path, where: str, mapping: dict, key: str, kind: str, default=_REQUIRED):
+    """``mapping[key]`` if it has JSON type ``kind``; ``default`` if absent and optional."""
+    if key not in mapping:
+        if default is _REQUIRED:
+            raise ConfigKeyError(f"{path}: {where}missing key {key!r}")
+        return default
+    value = mapping[key]
+    types, noun = _JSON_TYPES[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigKeyError(f"{path}: {where}key {key!r} must be {noun}, got {value!r}")
+    return value
+
+
+def _read_portfolio_config(path, default_v0: float) -> tuple[float, list[dict]]:
+    """(v0, assets) from a portfolio JSON file, every key present and typed."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            spec = json.load(fh)
+    except OSError as exc:
+        raise InputFileError(f"{path}: cannot read portfolio config ({exc.strerror})") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InputFileError(f"{path}: malformed portfolio config ({exc})") from None
+    if not isinstance(spec, dict):
+        raise ConfigKeyError(f"{path}: expected a JSON object, got {spec!r}")
+    v0 = float(_config_value(path, "", spec, "v0", "number", default_v0))
+    assets = []
+    for i, asset in enumerate(_config_value(path, "", spec, "assets", "list")):
+        where = f"asset {i}: "
+        if not isinstance(asset, dict):
+            raise ConfigKeyError(f"{path}: {where}expected a JSON object, got {asset!r}")
+        assets.append(
+            {
+                "train_prices": _config_value(path, where, asset, "train_prices", "string"),
+                "test_prices": _config_value(path, where, asset, "test_prices", "string"),
+                "target_std": float(_config_value(path, where, asset, "target_std", "number")),
+                "name": _config_value(path, where, asset, "name", "string", None),
+                "price_column": _config_value(
+                    path, where, asset, "price_column", "string", returns.DEFAULT_PRICE_COLUMN
+                ),
+            }
+        )
+    return v0, assets
+
+
 def _backtest_portfolio(args, seed: int) -> int:
-    with open(args.portfolio_config, encoding="utf-8") as fh:
-        spec = json.load(fh)
-    v0 = float(spec.get("v0", args.v0))
-    assets = spec["assets"]
+    v0, assets = _read_portfolio_config(args.portfolio_config, args.v0)
     if not assets:
         raise InvalidParameterError(f"{args.portfolio_config}: no assets listed")
     n_paths = args.n_paths if args.n_paths is not None else PORTFOLIO_DEFAULT_N_PATHS
@@ -385,13 +436,13 @@ def _backtest_portfolio(args, seed: int) -> int:
 
     names, pmfs, targets, test_paths_list, train_stages = [], [], [], [], []
     for asset in assets:
-        column = asset.get("price_column", returns.DEFAULT_PRICE_COLUMN)
+        column = asset["price_column"]
         train = returns.load_prices_csv(asset["train_prices"], column=column)
         train_returns = returns.returns_from_prices(train)
         train_stages.append(int(train_returns.size))
         pmfs.append(returns.pmf_from_returns(train_returns))
-        targets.append(float(asset["target_std"]))
-        names.append(asset.get("name", train.ticker))
+        targets.append(asset["target_std"])
+        names.append(asset["name"] if asset["name"] is not None else train.ticker)
         test = returns.load_prices_csv(asset["test_prices"], column=column)
         test_paths_list.append(returns.returns_from_prices(test))
     # Every asset is fitted at one stage, so the training series must agree.

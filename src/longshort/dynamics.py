@@ -16,7 +16,6 @@ range, and an overflow check raises rather than returning infinities.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from .errors import (
     ReturnOutOfBoundsError,
     SimulationOverflowError,
 )
-from .returns import ReturnBounds, ReturnModel, _frozen_array
+from .returns import ReturnBounds, ReturnModel, _frozen_array, _write_csv
 
 
 @dataclass(frozen=True)
@@ -100,23 +99,12 @@ class AccountTrajectory:
 
     def write_csv(self, path) -> None:
         """Columns: k, v_long, v_short, v_total, gain_loss, u_long, u_short."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["k", "v_long", "v_short", "v_total", "gain_loss", "u_long", "u_short"]
-            )
-            for k in range(self.v_total.size):
-                writer.writerow(
-                    [
-                        k,
-                        repr(float(self.v_long[k])),
-                        repr(float(self.v_short[k])),
-                        repr(float(self.v_total[k])),
-                        repr(float(self.gain_loss[k])),
-                        repr(float(self.u_long[k])),
-                        repr(float(self.u_short[k])),
-                    ]
-                )
+        _write_csv(
+            path,
+            ["k", "v_long", "v_short", "v_total", "gain_loss", "u_long", "u_short"],
+            [self.v_long, self.v_short, self.v_total, self.gain_loss, self.u_long, self.u_short],
+            index=True,
+        )
 
 
 @dataclass(frozen=True)
@@ -148,22 +136,25 @@ def simulate(config: ControllerConfig, path) -> AccountTrajectory:
         raise InvalidParameterError("path must be a 1-d sequence of returns")
     _check_path(config.k_gain, x)
 
+    # Python floats are IEEE doubles like numpy's float64 scalars, and their
+    # overflow gives inf rather than raising, so this loop rounds exactly as
+    # an elementwise numpy recursion would, at a fraction of the cost.
     n = x.size
-    k_gain = config.k_gain
-    v_long = np.empty(n + 1)
-    v_short = np.empty(n + 1)
-    u_long = np.empty(n + 1)
-    u_short = np.empty(n + 1)
-    v_long[0] = config.alpha * config.v0
-    v_short[0] = (1.0 - config.alpha) * config.v0
-    with np.errstate(over="ignore"):  # overflow is detected and raised below
-        for k in range(n):
-            u_long[k] = k_gain * v_long[k]
-            u_short[k] = -k_gain * v_short[k]
-            v_long[k + 1] = v_long[k] + x[k] * u_long[k]
-            v_short[k + 1] = v_short[k] + x[k] * u_short[k]
-        u_long[n] = k_gain * v_long[n]
-        u_short[n] = -k_gain * v_short[n]
+    k_gain = float(config.k_gain)
+    neg_gain = -k_gain
+    v_long, v_short, u_long, u_short = (np.empty(n + 1) for _ in range(4))
+    vl_out, vs_out, ul_out, us_out = map(memoryview, (v_long, v_short, u_long, u_short))
+    v_l = vl_out[0] = float(config.alpha * config.v0)
+    v_s = vs_out[0] = float((1.0 - config.alpha) * config.v0)
+    k = 0
+    for x_k in memoryview(x):
+        u_l = ul_out[k] = k_gain * v_l
+        u_s = us_out[k] = neg_gain * v_s
+        k += 1
+        v_l = vl_out[k] = v_l + x_k * u_l
+        v_s = vs_out[k] = v_s + x_k * u_s
+    ul_out[n] = k_gain * v_l
+    us_out[n] = neg_gain * v_s
 
     if not (np.all(np.isfinite(v_long)) and np.all(np.isfinite(v_short))):
         raise SimulationOverflowError(

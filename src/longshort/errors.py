@@ -23,6 +23,16 @@ class InvalidParameterError(DomainError):
     """Generic out-of-domain parameter (alpha, v0, stage, mu, sigma2...)."""
 
 
+# --- input files ---
+
+class InputFileError(DomainError):
+    """An input file (prices or configuration) is missing, unreadable or malformed."""
+
+
+class ConfigKeyError(DomainError):
+    """A configuration file lacks a required key or gives it the wrong type."""
+
+
 # --- price and return ingestion ---
 
 class NonPositivePriceError(DomainError):

@@ -15,7 +15,6 @@ defined.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,7 +32,7 @@ from .errors import (
     ZeroVolatilityError,
 )
 from .montecarlo import DEFAULT_N_PATHS, McGainEstimator
-from .returns import EmpiricalPMF, ReturnModel, _frozen_array
+from .returns import EmpiricalPMF, ReturnModel, _frozen_array, _write_csv
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MC_TOL = 1e-3
@@ -73,11 +72,7 @@ class MeanStdCurve:
 
     def write_csv(self, path) -> None:
         """Columns: k_gain, std, mean."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["k_gain", "std", "mean"])
-            for k_gain, std, mean in self.points:
-                writer.writerow([repr(k_gain), repr(std), repr(mean)])
+        _write_csv(path, ["k_gain", "std", "mean"], [self.k_grid, self.stds, self.means])
 
 
 @dataclass(frozen=True)
@@ -105,8 +100,9 @@ def build_curve(
     if grid_size < 2:
         raise InvalidParameterError(f"grid_size must be >= 2, got {grid_size}")
     grid = np.linspace(0.0, k_max, grid_size)
-    stds = np.array([analytics.std_gain(0.5, k, stage, mu, sigma2, v0) for k in grid])
-    means = np.array([analytics.expected_gain(0.5, k, stage, mu, v0) for k in grid])
+    ks = grid.tolist()  # Python floats: the same doubles, evaluated faster
+    stds = np.array([analytics.std_gain(0.5, k, stage, mu, sigma2, v0) for k in ks])
+    means = np.array([analytics.expected_gain(0.5, k, stage, mu, v0) for k in ks])
     return MeanStdCurve(
         k_grid=grid, stds=stds, means=means, stage=int(stage), mu=mu, sigma2=sigma2, v0=v0
     )

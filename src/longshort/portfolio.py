@@ -11,7 +11,6 @@ sub-account.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -25,7 +24,7 @@ from .errors import (
     PortfolioAssetError,
 )
 from .optimizer import DEFAULT_MC_TOL, OptimalGainResult, solve_optimal_gain_empirical
-from .returns import EmpiricalPMF, ReturnModel, _frozen_array
+from .returns import EmpiricalPMF, ReturnModel, _frozen_array, _write_csv
 
 PORTFOLIO_DEFAULT_N_PATHS = 20_000
 
@@ -90,21 +89,12 @@ class PortfolioTrajectory:
             labels = [f"asset{i + 1}" for i in range(m)]
         if len(labels) != m:
             raise InvalidParameterError("need exactly one label per asset")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["k"]
-                + [f"gain_{label}" for label in labels]
-                + ["total_gain_loss", "leverage_ratio"]
-            )
-            for k in range(self.total_gain_loss.size):
-                row = [k]
-                row += [repr(float(traj.gain_loss[k])) for traj in self.per_asset]
-                row += [
-                    repr(float(self.total_gain_loss[k])),
-                    repr(float(self.leverage[k])),
-                ]
-                writer.writerow(row)
+        _write_csv(
+            path,
+            ["k"] + [f"gain_{label}" for label in labels] + ["total_gain_loss", "leverage_ratio"],
+            [traj.gain_loss for traj in self.per_asset] + [self.total_gain_loss, self.leverage],
+            index=True,
+        )
 
 
 def run_portfolio(config: PortfolioConfig, paths: Sequence) -> PortfolioTrajectory:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import os
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from .errors import (
     EmptyReturnsError,
+    InputFileError,
     InvalidBoundsError,
     InvalidParameterError,
     InvalidPmfError,
@@ -40,11 +42,32 @@ _KINDS = (KIND_EMPIRICAL, KIND_TWO_POINT, KIND_UNIFORM_GRID)
 
 DEFAULT_PRICE_COLUMN = "adj_close"
 
+_CSV_BLOCK_ROWS = 4096
+
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
     out = np.asarray(values, dtype=dtype)
     out.flags.writeable = False
     return out
+
+
+def _write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray], *, index=False) -> None:
+    """Write equal-length float columns under a header, led by a row index if asked.
+
+    Cells are ``repr`` of each value, the bytes ``csv.writer`` gives for
+    ``repr`` strings (they never need quoting); the header goes through
+    ``csv.writer`` so that labels with commas or quotes are quoted. Rows are
+    formatted a block at a time, so memory holds one block's strings only.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        n = len(columns[0])
+        for start in range(0, n, _CSV_BLOCK_ROWS):
+            stop = min(start + _CSV_BLOCK_ROWS, n)
+            cells = [map(repr, col[start:stop].tolist()) for col in columns]
+            if index:
+                cells.insert(0, map(str, range(start, stop)))
+            fh.writelines([",".join(row) + "\n" for row in zip(*cells)])
 
 
 @dataclass(frozen=True)
@@ -281,28 +304,46 @@ def load_prices_csv(path, column: str = DEFAULT_PRICE_COLUMN) -> PriceSeries:
 
     The named column supplies prices; a column literally named ``date``
     (any case) supplies dates when present. Rows are kept in file order.
+    As with ``csv.DictReader``, blank lines are skipped and not counted as
+    rows, and when a header name repeats, its last column is the one read.
+    A row too short to reach the price or date column is refused.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or column not in reader.fieldnames:
-            have = ", ".join(reader.fieldnames or [])
-            raise MissingColumnError(f"{path}: no column {column!r} (have: {have})")
-        date_col = next((c for c in reader.fieldnames if c.lower() == "date"), None)
-        prices: list[float] = []
-        dates: list[str] = []
-        for i, row in enumerate(reader, start=2):  # header is line 1
-            raw = row.get(column)
-            try:
-                price = float(raw)
-            except (TypeError, ValueError):
-                raise PriceParseError(
-                    f"{path}: row {i}, column {column!r}: cannot parse {raw!r}"
-                ) from None
-            if price <= 0.0:
-                raise NonPositivePriceError(f"{path}: row {i}: price {price!r} is not positive")
-            prices.append(price)
-            if date_col is not None:
-                dates.append(row[date_col])
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or column not in header:
+                have = ", ".join(header or [])
+                raise MissingColumnError(f"{path}: no column {column!r} (have: {have})")
+            last = {name: j for j, name in enumerate(header)}
+            price_at = last[column]
+            date_col = next((c for c in header if c.lower() == "date"), None)
+            date_at = last[date_col] if date_col is not None else None
+            prices = array("d")
+            dates: list[str] = []
+            i = 1  # header is line 1
+            for row in reader:
+                if not row:
+                    continue
+                i += 1
+                try:
+                    price = float(row[price_at])
+                except (IndexError, ValueError):
+                    raw = row[price_at] if price_at < len(row) else None
+                    raise PriceParseError(
+                        f"{path}: row {i}, column {column!r}: cannot parse {raw!r}"
+                    ) from None
+                if price <= 0.0:
+                    raise NonPositivePriceError(f"{path}: row {i}: price {price!r} is not positive")
+                prices.append(price)
+                if date_at is not None:
+                    if date_at >= len(row):
+                        raise PriceParseError(f"{path}: row {i}, column {date_col!r}: no date")
+                    dates.append(row[date_at])
+    except OSError as exc:
+        raise InputFileError(f"{path}: cannot read price file ({exc.strerror})") from None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InputFileError(f"{path}: malformed price file ({exc})") from None
     ticker = os.path.splitext(os.path.basename(os.fspath(path)))[0]
     return PriceSeries(
         ticker=ticker,

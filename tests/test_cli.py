@@ -325,6 +325,81 @@ class TestExitCodes:
         assert "internal consistency" in capsys.readouterr().err
 
 
+class TestInputFiles:
+    """Unreadable or malformed input files are typed refusals (exit 3), not tracebacks."""
+
+    def _portfolio(self, tmp_path, capsys, config, text=None):
+        path = tmp_path / "portfolio.json"
+        path.write_text(json.dumps(config) if text is None else text)
+        rc = cli.main(
+            ["backtest", "--portfolio-config", str(path), "--out-prefix", str(tmp_path / "p")]
+        )
+        return rc, capsys.readouterr().err
+
+    def _asset(self, tmp_path):
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        _write_prices(train, _geometric_prices(1, 40))
+        _write_prices(test, _geometric_prices(2, 40))
+        return {"train_prices": str(train), "test_prices": str(test), "target_std": 0.5}
+
+    def test_missing_price_file(self, tmp_path, capsys):
+        missing = tmp_path / "nope.csv"
+        rc = cli.main(
+            ["optimize", "--prices", str(missing), "--target-std", "0.1",
+             "--out", str(tmp_path / "o.json")]
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{missing}: cannot read price file" in err
+
+    def test_missing_train_file_in_backtest(self, tmp_path, capsys):
+        test = tmp_path / "test.csv"
+        _write_prices(test, _geometric_prices(2, 40))
+        rc = cli.main(
+            ["backtest", "--train-prices", str(tmp_path / "gone.csv"), "--test-prices",
+             str(test), "--target-std", "0.1", "--out-prefix", str(tmp_path / "b")]
+        )
+        assert rc == 3
+        assert "gone.csv: cannot read price file" in capsys.readouterr().err
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        rc = cli.main(["backtest", "--portfolio-config", str(missing)])
+        assert rc == 3
+        assert f"error: {missing}: cannot read portfolio config" in capsys.readouterr().err
+
+    def test_malformed_config_file(self, tmp_path, capsys):
+        rc, err = self._portfolio(tmp_path, capsys, None, text='{"assets": [')
+        assert rc == 3
+        assert "malformed portfolio config" in err
+
+    def test_config_without_assets(self, tmp_path, capsys):
+        rc, err = self._portfolio(tmp_path, capsys, {"v0": 10.0})
+        assert rc == 3
+        assert "portfolio.json: missing key 'assets'" in err
+
+    def test_asset_without_test_prices(self, tmp_path, capsys):
+        asset = self._asset(tmp_path)
+        del asset["test_prices"]
+        rc, err = self._portfolio(tmp_path, capsys, {"assets": [asset]})
+        assert rc == 3
+        assert "portfolio.json: asset 0: missing key 'test_prices'" in err
+
+    @pytest.mark.parametrize(
+        "key, value", [("target_std", "0.5"), ("target_std", True), ("train_prices", 5)]
+    )
+    def test_wrongly_typed_asset_key(self, tmp_path, capsys, key, value):
+        asset = self._asset(tmp_path)
+        rc, err = self._portfolio(tmp_path, capsys, {"assets": [asset, {**asset, key: value}]})
+        assert rc == 3
+        assert f"asset 1: key {key!r} must be" in err
+
+    def test_config_not_an_object(self, tmp_path, capsys):
+        rc, err = self._portfolio(tmp_path, capsys, [1, 2])
+        assert rc == 3
+        assert "expected a JSON object" in err
+
+
 class TestSeedEnvOverride:
     def test_env_var_supplies_default_seed(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.SEED_ENV_VAR, "123")

@@ -1,11 +1,14 @@
 """Tests for the account recursion, admissibility, and the cash-financing audit."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from longshort import (
+    AccountTrajectory,
     ControllerConfig,
     InadmissibleGainError,
     InvalidParameterError,
@@ -21,6 +24,27 @@ from longshort import (
 
 def _config(alpha=0.5, k_gain=0.5, v0=1.0, k_max=1.0):
     return ControllerConfig(alpha=alpha, k_gain=k_gain, v0=v0, k_max=k_max)
+
+
+# Values whose repr is easy to get wrong: a signed zero, the smallest
+# subnormal, a tiny and a huge normal, and a non-terminating binary fraction.
+AWKWARD_FLOATS = np.array([-0.0, 5e-324, 1e-300, 1e16, 0.1])
+
+
+def awkward_columns(n, m, seed):
+    """``m`` columns of length ``n`` mixing wide magnitudes and AWKWARD_FLOATS.
+
+    Column j starts with AWKWARD_FLOATS rolled by j, so that even one row
+    holds a different awkward value in every column.
+    """
+    rng = np.random.default_rng(seed)
+    cols = []
+    for j in range(m):
+        col = rng.standard_normal(n) * 10.0 ** rng.integers(-310, 300, n)
+        head = np.roll(AWKWARD_FLOATS, -j)[:n]
+        col[: head.size] = head
+        cols.append(col)
+    return cols
 
 
 class TestControllerConfig:
@@ -143,6 +167,57 @@ class TestSimulate:
         assert traj.v_long[2] > 0.0
 
 
+def _reference_simulate(config, x):
+    """The recursion as a loop over numpy float64 scalars, stage by stage."""
+    n = x.size
+    k_gain = config.k_gain
+    v_long = np.empty(n + 1)
+    v_short = np.empty(n + 1)
+    u_long = np.empty(n + 1)
+    u_short = np.empty(n + 1)
+    v_long[0] = config.alpha * config.v0
+    v_short[0] = (1.0 - config.alpha) * config.v0
+    for k in range(n):
+        u_long[k] = k_gain * v_long[k]
+        u_short[k] = -k_gain * v_short[k]
+        v_long[k + 1] = v_long[k] + x[k] * u_long[k]
+        v_short[k + 1] = v_short[k] + x[k] * u_short[k]
+    u_long[n] = k_gain * v_long[n]
+    u_short[n] = -k_gain * v_short[n]
+    v_total = v_long + v_short
+    return {
+        "v_long": v_long,
+        "v_short": v_short,
+        "u_long": u_long,
+        "u_short": u_short,
+        "v_total": v_total,
+        "gain_loss": v_total - config.v0,
+    }
+
+
+class TestReplayBitwise:
+    @pytest.mark.parametrize("n", [1, 125, 50_000])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_matches_numpy_scalar_loop(self, n, alpha):
+        rng = np.random.default_rng(n)
+        x = rng.uniform(-0.04, 0.05, size=n)
+        x[n // 2] = 1.6  # puts k_max at 1/1.6
+        if n > 1:
+            x[n // 3] = -0.6
+        bounds = ReturnBounds(float(min(x.min(), -0.6)), float(x.max()))
+        for k_gain in (0.0, bounds.k_max):
+            config = ControllerConfig.for_bounds(bounds, alpha=alpha, k_gain=k_gain, v0=2.5)
+            traj = simulate(config, x)
+            expected = _reference_simulate(config, x)
+            for name, want in expected.items():
+                assert np.array_equal(getattr(traj, name), want), name
+
+    @pytest.mark.parametrize("alpha, x", [(1.0, 0.9), (0.0, -0.9), (0.5, 0.9)])
+    def test_overflow_still_raises(self, alpha, x):
+        with pytest.raises(SimulationOverflowError):
+            simulate(_config(alpha=alpha, k_gain=1.0), np.full(1200, x))
+
+
 class TestTerminalGains:
     def test_matches_simulate_bitwise(self):
         rng = np.random.default_rng(3)
@@ -199,6 +274,32 @@ class TestTrajectoryExport:
         first = lines[1].split(",")
         assert first[0] == "0"
         assert float(first[1]) == 0.5
+
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 10_000])
+    def test_bytes_match_csv_writer_rows(self, tmp_path, n):
+        cols = awkward_columns(n, 7, seed=n)
+        traj = AccountTrajectory(*cols)
+        out = tmp_path / "traj.csv"
+        traj.write_csv(out)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(
+                ["k", "v_long", "v_short", "v_total", "gain_loss", "u_long", "u_short"]
+            )
+            for k in range(traj.v_total.size):
+                writer.writerow(
+                    [
+                        k,
+                        repr(float(traj.v_long[k])),
+                        repr(float(traj.v_short[k])),
+                        repr(float(traj.v_total[k])),
+                        repr(float(traj.gain_loss[k])),
+                        repr(float(traj.u_long[k])),
+                        repr(float(traj.u_short[k])),
+                    ]
+                )
+        assert out.read_bytes() == ref.read_bytes()
 
     def test_arrays_are_immutable(self):
         traj = simulate(_config(), [0.1])

@@ -6,12 +6,15 @@ solver's own output; the worked-example reference values live in the
 acceptance suite.
 """
 
+import csv
+
 import numpy as np
 import pytest
 
 from longshort import (
     InternalConsistencyError,
     InvalidParameterError,
+    MeanStdCurve,
     NonMonotoneEstimateError,
     ReturnModel,
     StageTooSmallError,
@@ -28,6 +31,7 @@ from longshort import (
     std_gain,
 )
 from longshort.optimizer import _bisect_std
+from test_dynamics import AWKWARD_FLOATS, awkward_columns
 
 TOY = dict(mu=-0.1, sigma2=0.0225, v0=1.0, k_max=1.0)
 
@@ -72,6 +76,34 @@ class TestBuildCurve:
         assert len(lines) == 6
         k, s, m = lines[1].split(",")
         assert (float(k), float(s), float(m)) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("stage", [10, 90, 1000])
+    def test_values_match_numpy_scalar_evaluation(self, stage):
+        curve = build_curve(**TOY, stage=stage, grid_size=2001)
+        grid = np.linspace(0.0, TOY["k_max"], 2001)
+        mu, sigma2, v0 = TOY["mu"], TOY["sigma2"], TOY["v0"]
+        stds = np.array([std_gain(0.5, k, stage, mu, sigma2, v0) for k in grid])
+        means = np.array([expected_gain(0.5, k, stage, mu, v0) for k in grid])
+        assert isinstance(grid[1], np.float64)
+        assert np.array_equal(curve.stds, stds)
+        assert np.array_equal(curve.means, means)
+
+    @pytest.mark.parametrize("n", [2, 4095, 4096, 4097, 10_000])
+    def test_csv_bytes_match_csv_writer_rows(self, tmp_path, n):
+        stds, means = awkward_columns(n, 2, seed=n)
+        # the gain grid must rise from 0; the positive awkward values lead it
+        rising = np.sort(AWKWARD_FLOATS[AWKWARD_FLOATS > 0.0])
+        k_grid = np.concatenate([[0.0], rising, 1e17 + 64.0 * np.arange(n)])[:n]
+        curve = MeanStdCurve(k_grid, stds, means, stage=10, mu=0.01, sigma2=0.02, v0=1.0)
+        out = tmp_path / "curve.csv"
+        curve.write_csv(out)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["k_gain", "std", "mean"])
+            for k_gain, std, mean in curve.points:
+                writer.writerow([repr(k_gain), repr(std), repr(mean)])
+        assert out.read_bytes() == ref.read_bytes()
 
 
 class TestSolveOptimalGain:

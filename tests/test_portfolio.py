@@ -1,20 +1,25 @@
 """Tests for the multi-asset portfolio layer."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from longshort import (
+    AccountTrajectory,
     ControllerConfig,
     InvalidParameterError,
     LengthMismatchError,
     PortfolioAssetError,
     PortfolioConfig,
+    PortfolioTrajectory,
     ReturnModel,
     derive_asset_seed,
     optimize_portfolio,
     run_portfolio,
     simulate,
 )
+from test_dynamics import awkward_columns
 
 MODEL_A = ReturnModel.two_point(-0.1, 0.12, 0.5)
 MODEL_B = ReturnModel.two_point(-0.2, 0.25, 0.4)
@@ -104,6 +109,34 @@ class TestRunPortfolio:
         lines = out.read_text().splitlines()
         assert lines[0] == "k,gain_aaa,gain_bbb,total_gain_loss,leverage_ratio"
         assert len(lines) == 7
+
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 10_000])
+    def test_bytes_match_csv_writer_rows(self, tmp_path, n):
+        gains = awkward_columns(n, 2, seed=n)
+        per_asset = tuple(AccountTrajectory(*[g] * 7) for g in gains)
+        total, leverage = awkward_columns(n, 4, seed=n + 1)[2:]
+        traj = PortfolioTrajectory(per_asset, total, leverage)
+        labels = ["a,b", 'q"x']  # a comma and a quote: the header must quote both
+        out = tmp_path / "portfolio.csv"
+        traj.write_csv(out, labels=labels)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(
+                ["k"]
+                + [f"gain_{label}" for label in labels]
+                + ["total_gain_loss", "leverage_ratio"]
+            )
+            for k in range(traj.total_gain_loss.size):
+                row = [k]
+                row += [repr(float(t.gain_loss[k])) for t in traj.per_asset]
+                row += [
+                    repr(float(traj.total_gain_loss[k])),
+                    repr(float(traj.leverage[k])),
+                ]
+                writer.writerow(row)
+        assert out.read_bytes() == ref.read_bytes()
+        assert out.read_text().startswith('k,"gain_a,b","gain_q""x",total_gain_loss')
 
 
 class TestOptimizePortfolio:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from longshort import (
     EmpiricalPMF,
     EmptyReturnsError,
+    InputFileError,
     InvalidBoundsError,
     InvalidParameterError,
     InvalidPmfError,
@@ -233,6 +234,55 @@ class TestLoadPricesCsv:
         f.write_text("date,adj_close\n2019-01-02,310.12\n2019-01-03,300.36\n")
         series = load_prices_csv(f)
         assert series.prices.tolist() == [310.12, 300.36]
+
+    def test_blank_line_skipped_and_not_counted(self, tmp_path):
+        f = tmp_path / "gap.csv"
+        f.write_text("date,close\n2019-01-02,100\n\n2019-01-03,101\n2019-01-04,x\n")
+        # file line 5, but the blank line is not a row: row 4 as counted over rows
+        with pytest.raises(PriceParseError, match=r"row 4, column 'close'"):
+            load_prices_csv(f, column="close")
+        f.write_text("date,close\n2019-01-02,100\n\n2019-01-03,101\n")
+        series = load_prices_csv(f, column="close")
+        assert series.prices.tolist() == [100.0, 101.0]
+        assert series.dates == ("2019-01-02", "2019-01-03")
+
+    def test_short_row_is_parse_error(self, tmp_path):
+        f = tmp_path / "short.csv"
+        f.write_text("date,close\n2019-01-02,100\n2019-01-03\n")
+        with pytest.raises(PriceParseError, match=r"row 3, column 'close': cannot parse None"):
+            load_prices_csv(f, column="close")
+
+    def test_row_short_of_date_is_parse_error(self, tmp_path):
+        f = tmp_path / "short_date.csv"
+        f.write_text("close,date\n100,2019-01-02\n101\n")
+        with pytest.raises(PriceParseError, match=r"row 3, column 'date'"):
+            load_prices_csv(f, column="close")
+
+    def test_unreadable_file_is_input_file_error(self, tmp_path):
+        with pytest.raises(InputFileError, match=r"nope\.csv: cannot read price file"):
+            load_prices_csv(tmp_path / "nope.csv")
+        f = tmp_path / "binary.csv"
+        f.write_bytes(b"adj_close\n\xff\xfe\n")
+        with pytest.raises(InputFileError, match=r"binary\.csv: malformed price file"):
+            load_prices_csv(f)
+
+    def test_first_offending_row_reported(self, tmp_path):
+        f = tmp_path / "two_faults.csv"
+        f.write_text("close\n100\n-1\n102\nnope\n")
+        with pytest.raises(NonPositivePriceError, match=r"row 3: price -1.0 is not positive"):
+            load_prices_csv(f, column="close")
+
+    def test_duplicated_column_last_wins(self, tmp_path):
+        f = tmp_path / "dup.csv"
+        f.write_text("close,date,close\n1,2019-01-02,100\n2,2019-01-03,101\n")
+        series = load_prices_csv(f, column="close")
+        assert series.prices.tolist() == [100.0, 101.0]
+
+    def test_date_header_matched_case_insensitively(self, tmp_path):
+        f = tmp_path / "cased.csv"
+        f.write_text("Date,close\n2019-01-02,100\n2019-01-03,101\n")
+        series = load_prices_csv(f, column="close")
+        assert series.dates == ("2019-01-02", "2019-01-03")
 
 
 @pytest.mark.parametrize("seed", [11, 12])
