@@ -6,14 +6,24 @@ Monte-Carlo-estimates gain statistics, ``backtest`` fits on one price
 segment and replays another, and ``repro`` bundles the worked-example
 parameter sets as named presets (price files are always user-supplied).
 
+Every fit and curve is closed-form. The paper's expressions for E[G] and
+Var[G] depend on the returns only through (mu, sigma2), so with ``--prices``
+they are exact for independent draws from the empirical PMF: the price file
+only decides where (mu, sigma2, k_max) come from. Only ``simulate`` samples
+paths; ``--n-paths`` is accepted by the fitting commands and ignored there.
+The library keeps the paper's Monte-Carlo procedures
+(``solve_optimal_gain_empirical``, ``build_curve_empirical``,
+``optimize_portfolio``) as cross-checks.
+
 Scalar results go to JSON, series to CSV, and every run writes a manifest
 recording the command, parameters, seed, and output paths, so any output can
 be regenerated byte-for-byte. Exit codes: 0 success, 2 usage error, 3 domain
-or precondition error, 4 internal-consistency violation (a bug, not bad
-input).
+or precondition error (bad input, or an output directory that does not
+exist), 4 internal-consistency violation (a bug, not bad input).
 
 The default seed is 0, overridable by the LONGSHORT_SEED environment
-variable and then by --seed.
+variable and then by --seed. Commands given ``--prices`` or price files
+record the resolved seed even where nothing is sampled.
 """
 
 from __future__ import annotations
@@ -32,9 +42,10 @@ from .errors import (
     InternalConsistencyError,
     InvalidParameterError,
     LengthMismatchError,
+    OutputFileError,
+    PortfolioAssetError,
 )
 from .montecarlo import DEFAULT_N_PATHS, McGainEstimator
-from .portfolio import PORTFOLIO_DEFAULT_N_PATHS
 
 SEED_ENV_VAR = "LONGSHORT_SEED"
 
@@ -44,12 +55,8 @@ EXIT_DOMAIN = 3
 EXIT_INTERNAL = 4
 
 TOY_PRESET = {"mu": -0.1, "sigma": 0.15, "v0": 1.0, "target_std": 0.3, "stages": (10, 30, 60, 90)}
-TSLA_PRESET = {"target_std": 0.08, "v0": 1.0, "n_paths": DEFAULT_N_PATHS}
-THREE_STOCK_PRESET = {
-    "target_stds": (0.08, 0.01, 0.02),
-    "v0": 100.0,
-    "n_paths": PORTFOLIO_DEFAULT_N_PATHS,
-}
+TSLA_PRESET = {"target_std": 0.08, "v0": 1.0}
+THREE_STOCK_PRESET = {"target_stds": (0.08, 0.01, 0.02), "v0": 100.0}
 
 
 @dataclass(frozen=True)
@@ -79,6 +86,17 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
+def _check_output_dirs(*paths) -> None:
+    """Refuse outputs whose directory does not exist, before anything is written."""
+    for path in paths:
+        if path is None:
+            continue
+        parent = os.path.dirname(os.fspath(path))
+        if parent and not os.path.isdir(parent):
+            why = "is not a directory" if os.path.exists(parent) else "does not exist"
+            raise OutputFileError(f"{path}: output directory {parent} {why}")
+
+
 def _default_seed() -> int:
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:
@@ -89,12 +107,26 @@ def _default_seed() -> int:
         raise InvalidParameterError(f"{SEED_ENV_VAR}={raw!r} is not an integer") from None
 
 
+def _load_pmf(path, column: str) -> tuple[returns.PriceSeries, returns.EmpiricalPMF]:
+    series = returns.load_prices_csv(path, column=column)
+    return series, returns.pmf_from_returns(returns.returns_from_prices(series))
+
+
+def _fit_model(pmf: returns.EmpiricalPMF, stage: int, target_std: float) -> returns.ReturnModel:
+    """The PMF's model, once the gain solve's domain checks pass.
+
+    The checks come first, as in ``optimizer.solve_optimal_gain_empirical``:
+    a flat or one-signed PMF is refused for its drift or volatility before
+    its support bounds are.
+    """
+    optimizer._check_solve_domain(pmf.mean(), pmf.variance(), stage, target_std)
+    return returns.ReturnModel.from_pmf(pmf)
+
+
 def _model_from_args(args) -> returns.ReturnModel:
     """Build the return model from --prices or from --mu/--sigma."""
     if getattr(args, "prices", None):
-        series = returns.load_prices_csv(args.prices, column=args.price_column)
-        pmf = returns.pmf_from_returns(returns.returns_from_prices(series))
-        return returns.ReturnModel.from_pmf(pmf)
+        return returns.ReturnModel.from_pmf(_load_pmf(args.prices, args.price_column)[1])
     if args.mu is None or args.sigma is None:
         raise InvalidParameterError("supply either --prices or both --mu and --sigma")
     return returns.ReturnModel.from_moments(args.mu, args.sigma)
@@ -155,14 +187,11 @@ def _cmd_curve(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     if args.prices:
         model = _model_from_args(args)
-        curve = optimizer.build_curve_empirical(
-            model, args.v0, args.stage, args.grid, args.n_paths, seed
-        )
-        seed_used = seed
+        mu, sigma2, k_max = model.mu, model.sigma2, model.k_max
     else:
         mu, sigma2, k_max = _moments_from_args(args)
-        curve = optimizer.build_curve(mu, sigma2, args.v0, args.stage, k_max, args.grid)
-        seed_used = None
+    curve = optimizer.build_curve(mu, sigma2, args.v0, args.stage, k_max, args.grid)
+    _check_output_dirs(args.out)
     curve.write_csv(args.out)
     manifest = RunManifest(
         command="curve",
@@ -175,9 +204,9 @@ def _cmd_curve(args) -> int:
             "stage": args.stage,
             "grid": args.grid,
             "k_max": args.k_max,
-            "n_paths": args.n_paths if args.prices else None,
+            "n_paths": None,
         },
-        seed=seed_used,
+        seed=seed if args.prices else None,
         outputs=[str(args.out)],
     )
     manifest.write(str(args.out) + ".manifest.json")
@@ -189,25 +218,21 @@ def _cmd_optimize(args) -> int:
     _refuse_k_max_with_prices(args)
     seed = args.seed if args.seed is not None else _default_seed()
     if args.prices:
-        series = returns.load_prices_csv(args.prices, column=args.price_column)
-        pmf = returns.pmf_from_returns(returns.returns_from_prices(series))
+        series, pmf = _load_pmf(args.prices, args.price_column)
         stage = args.stage if args.stage is not None else len(series) - 1
-        tol = args.tol if args.tol is not None else optimizer.DEFAULT_MC_TOL
-        res = optimizer.solve_optimal_gain_empirical(
-            pmf, args.v0, stage, args.target_std, tol=tol, n_paths=args.n_paths, seed=seed
-        )
-        seed_used = seed
+        model = _fit_model(pmf, stage, args.target_std)
+        mu, sigma2, k_max = model.mu, model.sigma2, model.k_max
     else:
         if args.stage is None:
             raise InvalidParameterError("--stage is required with moment flags")
-        mu, sigma2, k_max = _moments_from_args(args)
-        tol = args.tol if args.tol is not None else optimizer.DEFAULT_TOL
-        res = optimizer.solve_optimal_gain(
-            mu, sigma2, args.v0, args.stage, k_max, args.target_std, tol=tol
-        )
         stage = args.stage
-        seed_used = None
+        mu, sigma2, k_max = _moments_from_args(args)
+    tol = args.tol if args.tol is not None else optimizer.DEFAULT_TOL
+    res = optimizer.solve_optimal_gain(
+        mu, sigma2, args.v0, stage, k_max, args.target_std, tol=tol
+    )
     payload = _result_payload(res)
+    _check_output_dirs(args.out)
     _write_json(args.out, payload)
     manifest = RunManifest(
         command="optimize",
@@ -221,9 +246,9 @@ def _cmd_optimize(args) -> int:
             "target_std": args.target_std,
             "tol": tol,
             "k_max": args.k_max,
-            "n_paths": args.n_paths if args.prices else None,
+            "n_paths": None,
         },
-        seed=seed_used,
+        seed=seed if args.prices else None,
         outputs=[str(args.out)],
     )
     manifest.write(str(args.out) + ".manifest.json")
@@ -251,6 +276,7 @@ def _cmd_simulate(args) -> int:
         "k_gain": args.k_gain,
         "v0": args.v0,
     }
+    _check_output_dirs(args.out, args.trajectory_out)
     _write_json(args.out, payload)
     outputs = [str(args.out)]
     if args.trajectory_out:
@@ -288,23 +314,20 @@ def _backtest_single(
     target_std: float,
     v0: float,
     tol: float,
-    n_paths: int,
     seed: int,
     out_prefix: str,
 ) -> tuple[dict, list[str]]:
-    train = returns.load_prices_csv(train_path, column=price_column)
-    train_returns = returns.returns_from_prices(train)
-    pmf = returns.pmf_from_returns(train_returns)
-    stage = int(train_returns.size)
-    res = optimizer.solve_optimal_gain_empirical(
-        pmf, v0, stage, target_std, tol=tol, n_paths=n_paths, seed=seed
+    train, pmf = _load_pmf(train_path, price_column)
+    stage = len(train) - 1
+    model = _fit_model(pmf, stage, target_std)
+    res = optimizer.solve_optimal_gain(
+        model.mu, model.sigma2, v0, stage, model.k_max, target_std, tol=tol
     )
 
     test = returns.load_prices_csv(test_path, column=price_column)
     test_returns = returns.returns_from_prices(test)
     # Replay admissibility is checked against the realized test path by the
     # simulator itself; out-of-sample data may exceed the training support.
-    model = returns.ReturnModel.from_pmf(pmf)
     config = dynamics.ControllerConfig.for_model(
         model, alpha=0.5, k_gain=res.k_star, v0=v0
     )
@@ -313,6 +336,7 @@ def _backtest_single(
 
     traj_path = f"{out_prefix}_trajectory.csv"
     summary_path = f"{out_prefix}_summary.json"
+    _check_output_dirs(out_prefix)
     traj.write_csv(traj_path)
     terminal_gain = float(traj.gain_loss[-1])
     summary = {
@@ -339,8 +363,7 @@ def _cmd_backtest(args) -> int:
         raise InvalidParameterError(
             "single-asset backtest needs --train-prices, --test-prices and --target-std"
         )
-    n_paths = args.n_paths if args.n_paths is not None else DEFAULT_N_PATHS
-    tol = args.tol if args.tol is not None else optimizer.DEFAULT_MC_TOL
+    tol = args.tol if args.tol is not None else optimizer.DEFAULT_TOL
     summary, outputs = _backtest_single(
         args.train_prices,
         args.test_prices,
@@ -348,7 +371,6 @@ def _cmd_backtest(args) -> int:
         args.target_std,
         args.v0,
         tol,
-        n_paths,
         seed,
         args.out_prefix,
     )
@@ -361,7 +383,7 @@ def _cmd_backtest(args) -> int:
             "target_std": args.target_std,
             "v0": args.v0,
             "tol": tol,
-            "n_paths": n_paths,
+            "n_paths": None,
         },
         seed=seed,
         outputs=outputs,
@@ -431,16 +453,14 @@ def _backtest_portfolio(args, seed: int) -> int:
     v0, assets = _read_portfolio_config(args.portfolio_config, args.v0)
     if not assets:
         raise InvalidParameterError(f"{args.portfolio_config}: no assets listed")
-    n_paths = args.n_paths if args.n_paths is not None else PORTFOLIO_DEFAULT_N_PATHS
-    tol = args.tol if args.tol is not None else optimizer.DEFAULT_MC_TOL
+    tol = args.tol if args.tol is not None else optimizer.DEFAULT_TOL
 
     names, pmfs, targets, test_paths_list, train_stages = [], [], [], [], []
     for asset in assets:
         column = asset["price_column"]
-        train = returns.load_prices_csv(asset["train_prices"], column=column)
-        train_returns = returns.returns_from_prices(train)
-        train_stages.append(int(train_returns.size))
-        pmfs.append(returns.pmf_from_returns(train_returns))
+        train, pmf = _load_pmf(asset["train_prices"], column)
+        train_stages.append(len(train) - 1)
+        pmfs.append(pmf)
         targets.append(asset["target_std"])
         names.append(asset["name"] if asset["name"] is not None else train.ticker)
         test = returns.load_prices_csv(asset["test_prices"], column=column)
@@ -453,20 +473,30 @@ def _backtest_portfolio(args, seed: int) -> int:
         )
     stage = train_stages[0]
 
-    results = portfolio.optimize_portfolio(
-        list(zip(pmfs, targets)), v0, stage, tol=tol, n_paths=n_paths, seed=seed
-    )
+    # Each asset is fitted on its own PMF with capital v0/m, refusals tagged
+    # by asset as in portfolio.optimize_portfolio.
+    if v0 <= 0.0:
+        raise InvalidParameterError(f"v0 must be positive, got {v0}")
+    models, results = [], []
+    for i, (pmf, target_std) in enumerate(zip(pmfs, targets)):
+        try:
+            model = _fit_model(pmf, stage, target_std)
+            res = optimizer.solve_optimal_gain(
+                model.mu, model.sigma2, v0 / len(pmfs), stage, model.k_max, target_std, tol=tol
+            )
+        except DomainError as exc:
+            raise PortfolioAssetError(i, str(exc)) from exc
+        models.append(model)
+        results.append(res)
     config = portfolio.PortfolioConfig(
-        assets=tuple(
-            (returns.ReturnModel.from_pmf(pmf), res.k_star)
-            for pmf, res in zip(pmfs, results)
-        ),
+        assets=tuple((model, res.k_star) for model, res in zip(models, results)),
         v0=v0,
     )
     traj = portfolio.run_portfolio(config, test_paths_list)
 
     traj_path = f"{args.out_prefix}_trajectory.csv"
     summary_path = f"{args.out_prefix}_summary.json"
+    _check_output_dirs(args.out_prefix)
     traj.write_csv(traj_path, labels=names)
     terminal_gain = float(traj.total_gain_loss[-1])
     summary = {
@@ -489,7 +519,7 @@ def _backtest_portfolio(args, seed: int) -> int:
             "portfolio_config": args.portfolio_config,
             "v0": v0,
             "tol": tol,
-            "n_paths": n_paths,
+            "n_paths": None,
         },
         seed=seed,
         outputs=[traj_path, summary_path],
@@ -555,8 +585,7 @@ def _repro_tsla(args, seed: int) -> int:
         args.price_column,
         p["target_std"],
         p["v0"],
-        optimizer.DEFAULT_MC_TOL,
-        p["n_paths"],
+        optimizer.DEFAULT_TOL,
         seed,
         prefix,
     )
@@ -606,7 +635,6 @@ def _repro_three_stock(args, seed: int) -> int:
     inner = argparse.Namespace(
         portfolio_config=config_path,
         v0=p["v0"],
-        n_paths=p["n_paths"],
         tol=None,
         seed=seed,
         out_prefix=os.path.join(args.out_dir, "three_stock"),
@@ -615,6 +643,8 @@ def _repro_three_stock(args, seed: int) -> int:
 
 
 # --- parser wiring ---
+
+_FIT_N_PATHS_HELP = "ignored: fits are exact from the return moments; paths apply to simulate only"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -633,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--k-max", type=float, default=None,
         help="override the gain ceiling (moment flags only; refused with --prices)",
     )
-    p_curve.add_argument("--n-paths", type=int, default=DEFAULT_N_PATHS)
+    p_curve.add_argument("--n-paths", type=int, default=None, help=_FIT_N_PATHS_HELP)
     p_curve.add_argument("--out", default="curve.csv", help="output CSV path")
     p_curve.set_defaults(func=_cmd_curve)
 
@@ -646,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the gain ceiling (moment flags only; refused with --prices)",
     )
     p_opt.add_argument("--tol", type=float, default=None)
-    p_opt.add_argument("--n-paths", type=int, default=DEFAULT_N_PATHS)
+    p_opt.add_argument("--n-paths", type=int, default=None, help=_FIT_N_PATHS_HELP)
     p_opt.add_argument("--out", default="optimal_gain.json")
     p_opt.set_defaults(func=_cmd_optimize)
 
@@ -655,7 +685,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--alpha", type=float, default=0.5)
     p_sim.add_argument("--k-gain", type=float, required=True)
     p_sim.add_argument("--stage", type=int, required=True)
-    p_sim.add_argument("--n-paths", type=int, default=DEFAULT_N_PATHS)
+    p_sim.add_argument(
+        "--n-paths", type=int, default=DEFAULT_N_PATHS,
+        help=f"Monte-Carlo paths (default {DEFAULT_N_PATHS})",
+    )
     p_sim.add_argument("--out", default="mc_estimate.json")
     p_sim.add_argument(
         "--trajectory-out", default=None,
@@ -675,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_back.add_argument("--v0", type=float, default=1.0)
     p_back.add_argument("--tol", type=float, default=None)
-    p_back.add_argument("--n-paths", type=int, default=None)
+    p_back.add_argument("--n-paths", type=int, default=None, help=_FIT_N_PATHS_HELP)
     p_back.add_argument("--seed", type=int, default=None)
     p_back.add_argument("--out-prefix", default="backtest")
     p_back.set_defaults(func=_cmd_backtest)

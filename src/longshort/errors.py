@@ -23,10 +23,14 @@ class InvalidParameterError(DomainError):
     """Generic out-of-domain parameter (alpha, v0, stage, mu, sigma2...)."""
 
 
-# --- input files ---
+# --- input and output files ---
 
 class InputFileError(DomainError):
     """An input file (prices or configuration) is missing, unreadable or malformed."""
+
+
+class OutputFileError(DomainError):
+    """An output path lies in a directory that does not exist."""
 
 
 class ConfigKeyError(DomainError):

@@ -420,3 +420,176 @@ class TestSeedEnvOverride:
         )
         assert rc == 0
         assert json.loads(out.read_text())["seed"] == 7
+
+
+def _heavy_tailed_prices(seed, n_returns=125, vol=0.035, drift=-0.0008, clip=0.45):
+    """Prices whose returns are clipped Student-t (3 dof) draws, as daily stock returns."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_t(3, n_returns) / np.sqrt(3.0)
+    steps = 1.0 + np.clip(drift + vol * x, -clip, clip)
+    return 100.0 * np.concatenate([[1.0], np.cumprod(steps)])
+
+
+def _exact_std(path, k_gain, stage, v0=1.0):
+    """std(G) at alpha = 1/2 in Fraction arithmetic, for i.i.d. draws from the file's PMF.
+
+    With E[x] = mu and E[x^2] = m2 per period, the long and short factors
+    P = prod(1 + K x) and Q = prod(1 - K x) have E[P^2] = (1 + 2Kmu + K^2 m2)^k,
+    E[Q^2] = (1 - 2Kmu + K^2 m2)^k and E[PQ] = (1 - K^2 m2)^k; only the final
+    square root rounds.
+    """
+    from fractions import Fraction
+
+    from longshort import load_prices_csv, returns_from_prices
+
+    rets = [Fraction(x) for x in returns_from_prices(load_prices_csv(path)).tolist()]
+    mu = sum(rets) / len(rets)
+    m2 = sum(x * x for x in rets) / len(rets)
+    k, v, half = Fraction(k_gain), Fraction(v0), Fraction(1, 2)
+    km, kk = k * mu, k * k * m2
+    mean = half * (1 + km) ** stage + half * (1 - km) ** stage
+    second = (
+        half * half * ((1 + 2 * km + kk) ** stage + (1 - 2 * km + kk) ** stage)
+        + 2 * half * half * (1 - kk) ** stage
+    )
+    return float(v * v * (second - mean * mean)) ** 0.5
+
+
+def _pmf_moments(path):
+    from longshort import ReturnModel, load_prices_csv, pmf_from_returns, returns_from_prices
+
+    return ReturnModel.from_pmf(pmf_from_returns(returns_from_prices(load_prices_csv(path))))
+
+
+class TestExactFits:
+    """--prices fits and curves use the closed form at the PMF's exact moments."""
+
+    def test_optimize_prices_honours_budget_exactly(self, tmp_path):
+        prices = tmp_path / "heavy.csv"
+        _write_prices(prices, _heavy_tailed_prices(2019))
+        for target in (0.08, 0.02, 0.01):
+            out = tmp_path / f"fit_{target}.json"
+            rc = cli.main(
+                ["optimize", "--prices", str(prices), "--target-std", repr(target),
+                 "--seed", "4", "--out", str(out)]
+            )
+            assert rc == 0
+            fit = json.loads(out.read_text())
+            assert fit["stage"] == 125
+            exact = _exact_std(prices, fit["k_star"], 125)
+            assert target - 1e-9 <= exact <= target + 1e-9
+            assert abs(fit["achieved_std"] - exact) <= 1e-9 * exact
+            manifest = json.loads((tmp_path / f"fit_{target}.json.manifest.json").read_text())
+            assert manifest["seed"] == 4
+            assert manifest["parameters"]["n_paths"] is None
+
+    def test_backtest_fit_equals_optimize_prices(self, tmp_path):
+        from longshort import solve_optimal_gain
+
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        _write_prices(train, _heavy_tailed_prices(7))
+        _write_prices(test, _heavy_tailed_prices(8, n_returns=60))
+        prefix = str(tmp_path / "bt")
+        assert cli.main(
+            ["backtest", "--train-prices", str(train), "--test-prices", str(test),
+             "--target-std", "0.02", "--n-paths", "1000", "--out-prefix", prefix]
+        ) == 0
+        out = tmp_path / "opt.json"
+        assert cli.main(
+            ["optimize", "--prices", str(train), "--target-std", "0.02", "--out", str(out)]
+        ) == 0
+        fit = json.loads((tmp_path / "bt_summary.json").read_text())["fit"]
+        assert fit == json.loads(out.read_text())
+        model = _pmf_moments(train)
+        res = solve_optimal_gain(model.mu, model.sigma2, 1.0, 125, model.k_max, 0.02)
+        assert (fit["k_star"], fit["achieved_std"]) == (res.k_star, res.achieved_std)
+        manifest = json.loads((tmp_path / "bt.manifest.json").read_text())
+        assert manifest["parameters"]["n_paths"] is None
+
+    def test_portfolio_fit_equals_optimize_prices_at_split_capital(self, tmp_path):
+        targets = (0.1, 0.2, 0.4)
+        assets = []
+        for i, target in enumerate(targets):
+            train, test = tmp_path / f"train{i}.csv", tmp_path / f"test{i}.csv"
+            _write_prices(train, _heavy_tailed_prices(30 + i, vol=0.015 + 0.01 * i))
+            _write_prices(test, _heavy_tailed_prices(40 + i, n_returns=80))
+            assets.append(
+                {"name": f"a{i}", "train_prices": str(train), "test_prices": str(test),
+                 "target_std": target}
+            )
+        config = tmp_path / "portfolio.json"
+        config.write_text(json.dumps({"v0": 30.0, "assets": assets}))
+        assert cli.main(
+            ["backtest", "--portfolio-config", str(config), "--out-prefix", str(tmp_path / "pf")]
+        ) == 0
+        summary = json.loads((tmp_path / "pf_summary.json").read_text())
+        for i, asset in enumerate(assets):
+            out = tmp_path / f"opt{i}.json"
+            assert cli.main(
+                ["optimize", "--prices", asset["train_prices"], "--target-std",
+                 repr(asset["target_std"]), "--v0", repr(30.0 / 3), "--out", str(out)]
+            ) == 0
+            assert summary["assets"][i]["fit"] == json.loads(out.read_text())
+
+    def test_curve_prices_bytes_equal_closed_form_curve(self, tmp_path):
+        from longshort import build_curve
+
+        prices = tmp_path / "heavy.csv"
+        _write_prices(prices, _heavy_tailed_prices(11))
+        out = tmp_path / "curve.csv"
+        assert cli.main(
+            ["curve", "--prices", str(prices), "--stage", "125", "--grid", "33",
+             "--seed", "3", "--out", str(out)]
+        ) == 0
+        model = _pmf_moments(prices)
+        want = tmp_path / "want.csv"
+        build_curve(model.mu, model.sigma2, 1.0, 125, model.k_max, 33).write_csv(want)
+        assert out.read_bytes() == want.read_bytes()
+        manifest = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
+        assert manifest["seed"] == 3 and manifest["parameters"]["n_paths"] is None
+
+
+class TestOutputDirectories:
+    """An output inside a missing directory is a typed refusal that writes nothing."""
+
+    def test_out_in_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "x.json"
+        rc = cli.main(
+            ["optimize", *TOY_FLAGS, "--stage", "10", "--target-std", "0.1", "--out", str(out)]
+        )
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error: {out}: output directory {out.parent} does not exist\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+        out.parent.write_text("a file, not a directory")
+        rc = cli.main(
+            ["optimize", *TOY_FLAGS, "--stage", "10", "--target-std", "0.1", "--out", str(out)]
+        )
+        assert rc == 3
+        assert "is not a directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [out.parent]
+
+    def test_out_prefix_in_missing_directory(self, tmp_path, capsys):
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        _write_prices(train, _geometric_prices(3, 60))
+        _write_prices(test, _geometric_prices(4, 60))
+        prefix = tmp_path / "nodir" / "bt"
+        rc = cli.main(
+            ["backtest", "--train-prices", str(train), "--test-prices", str(test),
+             "--target-std", "0.01", "--out-prefix", str(prefix)]
+        )
+        assert rc == 3
+        assert f"error: {prefix}: output directory" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["test.csv", "train.csv"]
+
+    def test_trajectory_out_in_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "est.json"
+        traj = tmp_path / "nodir" / "one_path.csv"
+        rc = cli.main(
+            ["simulate", *TOY_FLAGS, "--k-gain", "0.3", "--stage", "12",
+             "--n-paths", "2000", "--out", str(out), "--trajectory-out", str(traj)]
+        )
+        assert rc == 3
+        assert f"error: {traj}: output directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
