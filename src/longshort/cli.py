@@ -10,16 +10,18 @@ Every fit and curve is closed-form. The paper's expressions for E[G] and
 Var[G] depend on the returns only through (mu, sigma2), so with ``--prices``
 they are exact for independent draws from the empirical PMF: the price file
 only decides where (mu, sigma2, k_max) come from. Only ``simulate`` samples
-paths; ``--n-paths`` is accepted by the fitting commands and ignored there.
-The library keeps the paper's Monte-Carlo procedures
+paths, streaming them through ``montecarlo.estimate_gain_stats`` so that no
+path bank is held; ``--n-paths`` is accepted by the fitting commands and
+ignored there. The library keeps the paper's Monte-Carlo procedures
 (``solve_optimal_gain_empirical``, ``build_curve_empirical``,
 ``optimize_portfolio``) as cross-checks.
 
 Scalar results go to JSON, series to CSV, and every run writes a manifest
 recording the command, parameters, seed, and output paths, so any output can
 be regenerated byte-for-byte. Exit codes: 0 success, 2 usage error, 3 domain
-or precondition error (bad input, or an output directory that does not
-exist), 4 internal-consistency violation (a bug, not bad input).
+or precondition error (bad input, or an output path that cannot be written:
+a missing directory, or a file that is a directory), 4 internal-consistency
+violation (a bug, not bad input).
 
 The default seed is 0, overridable by the LONGSHORT_SEED environment
 variable and then by --seed. Commands given ``--prices`` or price files
@@ -45,7 +47,7 @@ from .errors import (
     OutputFileError,
     PortfolioAssetError,
 )
-from .montecarlo import DEFAULT_N_PATHS, McGainEstimator
+from .montecarlo import DEFAULT_N_PATHS, estimate_gain_stats
 
 SEED_ENV_VAR = "LONGSHORT_SEED"
 
@@ -86,8 +88,13 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _check_output_dirs(*paths) -> None:
-    """Refuse outputs whose directory does not exist, before anything is written."""
+def _check_output_dirs(*paths, files=()) -> None:
+    """Refuse outputs that cannot be written, before anything is written.
+
+    Each of ``paths``, an output flag's value, must lie in an existing
+    directory, and none of ``files``, the files the command writes, may be
+    an existing directory.
+    """
     for path in paths:
         if path is None:
             continue
@@ -95,6 +102,26 @@ def _check_output_dirs(*paths) -> None:
         if parent and not os.path.isdir(parent):
             why = "is not a directory" if os.path.exists(parent) else "does not exist"
             raise OutputFileError(f"{path}: output directory {parent} {why}")
+    for path in files:
+        if path is not None and os.path.isdir(path):
+            raise OutputFileError(f"{path}: output file is an existing directory")
+
+
+def _make_out_dir(out_dir, *names) -> None:
+    """Create ``out_dir`` for the files ``names``, refusing first what cannot be written.
+
+    ``out_dir`` and its missing parents are created, so the nearest of them
+    that exists must be a directory; if ``out_dir`` exists, none of
+    ``names`` may be a directory inside it.
+    """
+    existing = os.fspath(out_dir)
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        raise OutputFileError(f"{out_dir}: output directory {existing} is not a directory")
+    if os.path.isdir(out_dir):
+        _check_output_dirs(files=[os.path.join(out_dir, name) for name in names])
+    os.makedirs(out_dir, exist_ok=True)
 
 
 def _default_seed() -> int:
@@ -191,7 +218,8 @@ def _cmd_curve(args) -> int:
     else:
         mu, sigma2, k_max = _moments_from_args(args)
     curve = optimizer.build_curve(mu, sigma2, args.v0, args.stage, k_max, args.grid)
-    _check_output_dirs(args.out)
+    manifest_path = f"{args.out}.manifest.json"
+    _check_output_dirs(args.out, files=(args.out, manifest_path))
     curve.write_csv(args.out)
     manifest = RunManifest(
         command="curve",
@@ -209,7 +237,7 @@ def _cmd_curve(args) -> int:
         seed=seed if args.prices else None,
         outputs=[str(args.out)],
     )
-    manifest.write(str(args.out) + ".manifest.json")
+    manifest.write(manifest_path)
     print(f"wrote {args.out} ({args.grid} points, stage {args.stage})")
     return EXIT_OK
 
@@ -232,7 +260,8 @@ def _cmd_optimize(args) -> int:
         mu, sigma2, args.v0, stage, k_max, args.target_std, tol=tol
     )
     payload = _result_payload(res)
-    _check_output_dirs(args.out)
+    manifest_path = f"{args.out}.manifest.json"
+    _check_output_dirs(args.out, files=(args.out, manifest_path))
     _write_json(args.out, payload)
     manifest = RunManifest(
         command="optimize",
@@ -251,7 +280,7 @@ def _cmd_optimize(args) -> int:
         seed=seed if args.prices else None,
         outputs=[str(args.out)],
     )
-    manifest.write(str(args.out) + ".manifest.json")
+    manifest.write(manifest_path)
     print(
         f"k_star={res.k_star:.6f} achieved_std={res.achieved_std:.6f} "
         f"expected_gain={res.expected_gain:.6f}"
@@ -262,8 +291,9 @@ def _cmd_optimize(args) -> int:
 def _cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     model = _model_from_args(args)
-    estimator = McGainEstimator(model, args.stage, args.n_paths, seed)
-    est = estimator.estimate(args.alpha, args.k_gain, args.v0)
+    est = estimate_gain_stats(
+        model, args.alpha, args.k_gain, args.v0, args.stage, args.n_paths, seed
+    )
     payload = {
         "mean": est.mean,
         "variance": est.variance,
@@ -276,7 +306,10 @@ def _cmd_simulate(args) -> int:
         "k_gain": args.k_gain,
         "v0": args.v0,
     }
-    _check_output_dirs(args.out, args.trajectory_out)
+    manifest_path = f"{args.out}.manifest.json"
+    _check_output_dirs(
+        args.out, args.trajectory_out, files=(args.out, args.trajectory_out, manifest_path)
+    )
     _write_json(args.out, payload)
     outputs = [str(args.out)]
     if args.trajectory_out:
@@ -302,7 +335,7 @@ def _cmd_simulate(args) -> int:
         seed=seed,
         outputs=outputs,
     )
-    manifest.write(str(args.out) + ".manifest.json")
+    manifest.write(manifest_path)
     print(f"mean={est.mean:.6f} std={est.std:.6f} (n={est.n_paths}, seed={est.seed})")
     return EXIT_OK
 
@@ -316,7 +349,12 @@ def _backtest_single(
     tol: float,
     seed: int,
     out_prefix: str,
+    manifest_path: str,
 ) -> tuple[dict, list[str]]:
+    """Fit on the training file, replay the test file, write trajectory and summary.
+
+    ``manifest_path``, which the caller writes, is checked with the outputs.
+    """
     train, pmf = _load_pmf(train_path, price_column)
     stage = len(train) - 1
     model = _fit_model(pmf, stage, target_std)
@@ -336,7 +374,7 @@ def _backtest_single(
 
     traj_path = f"{out_prefix}_trajectory.csv"
     summary_path = f"{out_prefix}_summary.json"
-    _check_output_dirs(out_prefix)
+    _check_output_dirs(out_prefix, files=(traj_path, summary_path, manifest_path))
     traj.write_csv(traj_path)
     terminal_gain = float(traj.gain_loss[-1])
     summary = {
@@ -364,6 +402,7 @@ def _cmd_backtest(args) -> int:
             "single-asset backtest needs --train-prices, --test-prices and --target-std"
         )
     tol = args.tol if args.tol is not None else optimizer.DEFAULT_TOL
+    manifest_path = f"{args.out_prefix}.manifest.json"
     summary, outputs = _backtest_single(
         args.train_prices,
         args.test_prices,
@@ -373,6 +412,7 @@ def _cmd_backtest(args) -> int:
         tol,
         seed,
         args.out_prefix,
+        manifest_path,
     )
     manifest = RunManifest(
         command="backtest",
@@ -388,7 +428,7 @@ def _cmd_backtest(args) -> int:
         seed=seed,
         outputs=outputs,
     )
-    manifest.write(f"{args.out_prefix}.manifest.json")
+    manifest.write(manifest_path)
     print(
         f"k_star={summary['fit']['k_star']:.6f} "
         f"terminal_gain={summary['terminal_gain']:.6f} "
@@ -496,7 +536,8 @@ def _backtest_portfolio(args, seed: int) -> int:
 
     traj_path = f"{args.out_prefix}_trajectory.csv"
     summary_path = f"{args.out_prefix}_summary.json"
-    _check_output_dirs(args.out_prefix)
+    manifest_path = f"{args.out_prefix}.manifest.json"
+    _check_output_dirs(args.out_prefix, files=(traj_path, summary_path, manifest_path))
     traj.write_csv(traj_path, labels=names)
     terminal_gain = float(traj.total_gain_loss[-1])
     summary = {
@@ -524,7 +565,7 @@ def _backtest_portfolio(args, seed: int) -> int:
         seed=seed,
         outputs=[traj_path, summary_path],
     )
-    manifest.write(f"{args.out_prefix}.manifest.json")
+    manifest.write(manifest_path)
     print(
         f"k_star={[round(r.k_star, 4) for r in results]} "
         f"terminal_gain={terminal_gain:.4f} max_leverage={summary['max_leverage_ratio']:.4f}"
@@ -543,7 +584,12 @@ def _cmd_repro(args) -> int:
 
 def _repro_toy(args, seed: int) -> int:
     p = TOY_PRESET
-    os.makedirs(args.out_dir, exist_ok=True)
+    _make_out_dir(
+        args.out_dir,
+        *(f"toy_curve_k{stage}.csv" for stage in p["stages"]),
+        "toy_results.json",
+        "manifest.json",
+    )
     sigma2 = p["sigma"] ** 2
     outputs = []
     solutions = []
@@ -577,7 +623,7 @@ def _repro_tsla(args, seed: int) -> int:
     if not (args.train_prices and args.test_prices):
         raise InvalidParameterError("repro tsla needs --train-prices and --test-prices")
     p = TSLA_PRESET
-    os.makedirs(args.out_dir, exist_ok=True)
+    _make_out_dir(args.out_dir)
     prefix = os.path.join(args.out_dir, "tsla")
     summary, outputs = _backtest_single(
         args.train_prices[0],
@@ -588,6 +634,7 @@ def _repro_tsla(args, seed: int) -> int:
         optimizer.DEFAULT_TOL,
         seed,
         prefix,
+        os.path.join(args.out_dir, "manifest.json"),
     )
     RunManifest(
         command="repro tsla",
@@ -615,7 +662,13 @@ def _repro_three_stock(args, seed: int) -> int:
         raise InvalidParameterError(
             "repro three-stock needs --train-prices and --test-prices three times each"
         )
-    os.makedirs(args.out_dir, exist_ok=True)
+    _make_out_dir(
+        args.out_dir,
+        "three_stock_config.json",
+        "three_stock_trajectory.csv",
+        "three_stock_summary.json",
+        "three_stock.manifest.json",
+    )
     config = {
         "v0": p["v0"],
         "assets": [

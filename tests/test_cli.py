@@ -187,6 +187,35 @@ class TestSimulateCommand:
         assert str(traj) in manifest["outputs"]
 
 
+    def test_prices_payload_equals_the_bank_estimate(self, tmp_path):
+        from longshort import (
+            McGainEstimator, ReturnModel, load_prices_csv, pmf_from_returns, returns_from_prices,
+        )
+
+        prices, out = tmp_path / "prices.csv", tmp_path / "est.json"
+        _write_prices(prices, _heavy_tailed_prices(12))
+        rc = cli.main(
+            ["simulate", "--prices", str(prices), "--alpha", "0.25", "--k-gain", "0.5",
+             "--stage", "125", "--v0", "2", "--n-paths", "20000", "--seed", "6",
+             "--out", str(out)]
+        )
+        assert rc == 0
+        pmf = pmf_from_returns(returns_from_prices(load_prices_csv(prices)))
+        est = McGainEstimator(ReturnModel.from_pmf(pmf), 125, 20000, 6).estimate(0.25, 0.5, 2.0)
+        assert json.loads(out.read_text()) == {
+            "mean": est.mean,
+            "variance": est.variance,
+            "std": est.std,
+            "std_error_of_mean": est.std_error_of_mean,
+            "n_paths": 20000,
+            "seed": 6,
+            "stage": 125,
+            "alpha": 0.25,
+            "k_gain": 0.5,
+            "v0": 2.0,
+        }
+
+
 class TestBacktestCommand:
     def test_fit_and_replay(self, tmp_path):
         train = tmp_path / "train.csv"
@@ -550,7 +579,8 @@ class TestExactFits:
 
 
 class TestOutputDirectories:
-    """An output inside a missing directory is a typed refusal that writes nothing."""
+    """An output that cannot be written (its directory is missing, or it is a
+    directory) is a typed refusal that writes nothing."""
 
     def test_out_in_missing_directory(self, tmp_path, capsys):
         out = tmp_path / "nodir" / "x.json"
@@ -593,3 +623,58 @@ class TestOutputDirectories:
         assert rc == 3
         assert f"error: {traj}: output directory" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_out_naming_a_directory(self, tmp_path, capsys):
+        args = ["optimize", *TOY_FLAGS, "--stage", "10", "--target-std", "0.1"]
+        out = tmp_path / "somedir"
+        out.mkdir()
+        assert cli.main([*args, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {out}: output file is an existing directory\n"
+        manifest = tmp_path / "x.json.manifest.json"
+        manifest.mkdir()
+        assert cli.main([*args, "--out", str(tmp_path / "x.json")]) == 3
+        assert f"error: {manifest}: output file" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == [out.name, manifest.name]
+
+    def test_out_prefix_file_naming_a_directory(self, tmp_path, capsys):
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        _write_prices(train, _geometric_prices(3, 60))
+        _write_prices(test, _geometric_prices(4, 60))
+        prefix = tmp_path / "bt"
+        (tmp_path / "bt_summary.json").mkdir()
+        rc = cli.main(
+            ["backtest", "--train-prices", str(train), "--test-prices", str(test),
+             "--target-std", "0.01", "--out-prefix", str(prefix)]
+        )
+        assert rc == 3
+        assert f"error: {prefix}_summary.json: output file" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == [
+            "bt_summary.json", "test.csv", "train.csv"
+        ]
+
+    def test_trajectory_out_naming_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "est.json"
+        traj = tmp_path / "one_path.csv"
+        traj.mkdir()
+        rc = cli.main(
+            ["simulate", *TOY_FLAGS, "--k-gain", "0.3", "--stage", "12",
+             "--n-paths", "2000", "--out", str(out), "--trajectory-out", str(traj)]
+        )
+        assert rc == 3
+        assert f"error: {traj}: output file" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == [traj]
+
+    def test_out_dir_that_is_not_a_directory(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("a file, not a directory")
+        for out_dir in (afile, afile / "sub"):
+            assert cli.main(["repro", "toy", "--out-dir", str(out_dir)]) == 3
+            assert capsys.readouterr().err == (
+                f"error: {out_dir}: output directory {afile} is not a directory\n"
+            )
+        out_dir = tmp_path / "out"
+        (out_dir / "toy_results.json").mkdir(parents=True)
+        assert cli.main(["repro", "toy", "--out-dir", str(out_dir)]) == 3
+        assert f"error: {out_dir / 'toy_results.json'}: output file" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["afile", "out", "toy_results.json"]
+        assert afile.read_text() == "a file, not a directory"

@@ -1,6 +1,7 @@
 """Tests for the Monte-Carlo estimator and the exact enumeration oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from longshort import (
     EnumerationTooLargeError,
     InadmissibleGainError,
     InvalidParameterError,
+    LongShortError,
     McGainEstimator,
     ReturnModel,
     estimate_exact_small,
@@ -19,7 +21,8 @@ from longshort import (
     terminal_gains,
     variance_gain,
 )
-from longshort.montecarlo import BATCH_SIZE, GUIDE_BUCKETS, _atom_indices
+from longshort import montecarlo
+from longshort.montecarlo import BATCH_SIZE, CHUNK_ROWS, GUIDE_BUCKETS, _atom_indices
 
 
 @pytest.fixture
@@ -152,6 +155,118 @@ class TestBankMatchesChoice:
         estimator = McGainEstimator(two_point_model, 3, 100, seed=0)
         with pytest.raises(ValueError):
             estimator.paths[0, 0] = 0.5
+
+
+STREAM_MODELS = ("two_point", "uniform_grid", "clustered")
+
+
+class TestStreamMatchesBank:
+    """The streamed one-shot estimate equals a probe of the stored bank, bit for bit.
+
+    Path counts straddle the chunk and batch sizes, so blocks that end a
+    batch early and batches that hold one chunk or a part of one are drawn.
+    """
+
+    @pytest.mark.parametrize("stage", [1, 125])
+    @pytest.mark.parametrize(
+        "n_paths",
+        [2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, BATCH_SIZE, BATCH_SIZE + 1, 50_000],
+    )
+    @pytest.mark.parametrize("name", STREAM_MODELS)
+    def test_estimates_are_bitwise_equal(self, name, n_paths, stage):
+        model = BANK_MODELS[name]()
+        seed = 23
+        estimator = McGainEstimator(model, stage, n_paths, seed)
+        if n_paths <= BATCH_SIZE + 1:
+            assert np.array_equal(estimator.paths, _reference_bank(model, n_paths, stage, seed))
+        for k_gain in (0.0, 0.1 * model.k_max, model.k_max):
+            for alpha in (0.0, 0.5, 1.0):
+                streamed = estimate_gain_stats(model, alpha, k_gain, 1.0, stage, n_paths, seed)
+                assert streamed == estimator.estimate(alpha, k_gain, 1.0)
+
+    def test_blocks_are_the_bank_in_order(self):
+        model = BANK_MODELS["clustered"]()
+        n_paths, stage = BATCH_SIZE + CHUNK_ROWS + 5, 7
+        reference = _reference_bank(model, n_paths, stage, 4)
+        starts = []
+        for start, block in montecarlo._path_chunks(model, n_paths, stage, 4):
+            assert block.flags.f_contiguous and block.shape[0] <= CHUNK_ROWS
+            assert np.array_equal(block, reference[start : start + block.shape[0]])
+            starts.append(start)
+        assert starts == [*range(0, BATCH_SIZE, CHUNK_ROWS), BATCH_SIZE, BATCH_SIZE + CHUNK_ROWS]
+
+
+def _raised(call):
+    try:
+        call()
+    except LongShortError as exc:
+        return type(exc)
+    return None
+
+
+class TestStreamRefusals:
+    """The stream refuses what the bank and its probe refuse, with the same types,
+    and before it draws a path."""
+
+    CASES = [
+        {"stage": 0}, {"stage": -3},
+        {"n_paths": 1}, {"n_paths": 0},
+        {"k_gain": -0.1}, {"k_gain": 1.0 + 1e-12}, {"k_gain": float("nan")},
+        {"alpha": -0.1}, {"alpha": 1.1}, {"alpha": float("nan")},
+        {"v0": 0.0}, {"v0": -1.0},
+        {"stage": 0, "k_gain": 2.0}, {"k_gain": 2.0, "alpha": 2.0, "v0": 0.0},
+        {"alpha": 2.0, "v0": 0.0},
+    ]
+
+    @pytest.mark.parametrize("bad", CASES)
+    def test_same_type_as_the_bank(self, two_point_model, bad, monkeypatch):
+        args = {"alpha": 0.5, "k_gain": 0.5, "v0": 1.0, "stage": 4, "n_paths": 200, **bad}
+
+        def bank():
+            estimator = McGainEstimator(two_point_model, args["stage"], args["n_paths"], 0)
+            estimator.estimate(args["alpha"], args["k_gain"], args["v0"])
+
+        want = _raised(bank)
+        assert want is not None
+
+        def no_draw(*_):
+            raise AssertionError("drew paths before refusing")
+
+        monkeypatch.setattr(montecarlo, "_path_chunks", no_draw)
+        got = _raised(lambda: estimate_gain_stats(two_point_model, seed=0, **args))
+        assert got is want
+
+
+class TestMemory:
+    """Guards the streaming: a one-shot estimate holds no bank, and drawing
+    the bank holds little beside it."""
+
+    N_PATHS, STAGE = 50_000, 125
+
+    @staticmethod
+    def _peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    def test_streamed_estimate_holds_no_bank(self):
+        model = BANK_MODELS["equal_125"]()
+        peak, _ = self._peak(
+            lambda: estimate_gain_stats(
+                model, 0.5, 0.5 * model.k_max, 1.0, self.STAGE, self.N_PATHS, 1
+            )
+        )
+        assert peak < 16 * 2**20  # the bank alone is 47.7 MiB
+
+    def test_bank_draw_holds_little_beside_the_bank(self):
+        model = BANK_MODELS["equal_125"]()
+        peak, estimator = self._peak(
+            lambda: McGainEstimator(model, self.STAGE, self.N_PATHS, 1)
+        )
+        assert peak < estimator.paths.nbytes + 16 * 2**20
 
 
 class TestEstimateRefusals:
