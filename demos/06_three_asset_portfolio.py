@@ -60,11 +60,11 @@ config = PortfolioConfig(
 traj = run_portfolio(config, replay_paths)
 
 print(f"\nout-of-sample replay over {traj.n_stages} stages:")
-for label, asset_traj in zip(labels, traj.per_asset):
-    print(f"  {label:9s} terminal gain {asset_traj.gain_loss[-1]:+8.4f}")
+for label, gain_loss in zip(labels, traj.asset_gain_loss):
+    print(f"  {label:9s} terminal gain {gain_loss[-1]:+8.4f}")
 print(f"  {'total':9s} terminal gain {traj.total_gain_loss[-1]:+8.4f}")
 
-split = sum(t.gain_loss[-1] for t in traj.per_asset)
+split = sum(gain_loss[-1] for gain_loss in traj.asset_gain_loss)
 print(f"\nadditivity: sum of per-asset gains = {split:+.10f} (exact match: "
       f"{split == traj.total_gain_loss[-1]})")
 print(f"max leverage ratio sum|u_i|/V: {traj.leverage.max():.4f}")

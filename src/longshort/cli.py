@@ -20,8 +20,8 @@ Scalar results go to JSON, series to CSV, and every run writes a manifest
 recording the command, parameters, seed, and output paths, so any output can
 be regenerated byte-for-byte. Exit codes: 0 success, 2 usage error, 3 domain
 or precondition error (bad input, or an output path that cannot be written:
-a missing directory, or a file that is a directory), 4 internal-consistency
-violation (a bug, not bad input).
+an empty path, a missing directory, or a file that is a directory), 4
+internal-consistency violation (a bug, not bad input).
 
 The default seed is 0, overridable by the LONGSHORT_SEED environment
 variable and then by --seed. Commands given ``--prices`` or price files
@@ -93,7 +93,7 @@ def _check_output_dirs(*paths, files=()) -> None:
 
     Each of ``paths``, an output flag's value, must lie in an existing
     directory, and none of ``files``, the files the command writes, may be
-    an existing directory.
+    empty or an existing directory.
     """
     for path in paths:
         if path is None:
@@ -103,6 +103,8 @@ def _check_output_dirs(*paths, files=()) -> None:
             why = "is not a directory" if os.path.exists(parent) else "does not exist"
             raise OutputFileError(f"{path}: output directory {parent} {why}")
     for path in files:
+        if path == "":
+            raise OutputFileError("output file path is empty")
         if path is not None and os.path.isdir(path):
             raise OutputFileError(f"{path}: output file is an existing directory")
 
@@ -110,11 +112,13 @@ def _check_output_dirs(*paths, files=()) -> None:
 def _make_out_dir(out_dir, *names) -> None:
     """Create ``out_dir`` for the files ``names``, refusing first what cannot be written.
 
-    ``out_dir`` and its missing parents are created, so the nearest of them
-    that exists must be a directory; if ``out_dir`` exists, none of
-    ``names`` may be a directory inside it.
+    ``out_dir`` must not be empty. It and its missing parents are created,
+    so the nearest of them that exists must be a directory; if ``out_dir``
+    exists, none of ``names`` may be a directory inside it.
     """
     existing = os.fspath(out_dir)
+    if not existing:
+        raise OutputFileError("output directory path is empty")
     while existing and not os.path.exists(existing):
         existing = os.path.dirname(existing)
     if existing and not os.path.isdir(existing):
@@ -362,8 +366,9 @@ def _backtest_single(
         model.mu, model.sigma2, v0, stage, model.k_max, target_std, tol=tol
     )
 
-    test = returns.load_prices_csv(test_path, column=price_column)
-    test_returns = returns.returns_from_prices(test)
+    test_returns = returns.returns_from_prices(
+        returns.load_prices_csv(test_path, column=price_column)
+    )
     # Replay admissibility is checked against the realized test path by the
     # simulator itself; out-of-sample data may exceed the training support.
     config = dynamics.ControllerConfig.for_model(
@@ -503,8 +508,9 @@ def _backtest_portfolio(args, seed: int) -> int:
         pmfs.append(pmf)
         targets.append(asset["target_std"])
         names.append(asset["name"] if asset["name"] is not None else train.ticker)
-        test = returns.load_prices_csv(asset["test_prices"], column=column)
-        test_paths_list.append(returns.returns_from_prices(test))
+        test_paths_list.append(
+            returns.returns_from_prices(returns.load_prices_csv(asset["test_prices"], column=column))
+        )
     # Every asset is fitted at one stage, so the training series must agree.
     if len(set(train_stages)) != 1:
         raise LengthMismatchError(

@@ -92,11 +92,6 @@ class AccountTrajectory:
         """Number of returns applied (arrays have one more entry)."""
         return int(self.v_total.size - 1)
 
-    @property
-    def controls(self) -> np.ndarray:
-        """(n+1, 3) array of (u_long, u_short, u_net) per stage."""
-        return np.column_stack([self.u_long, self.u_short, self.u_net])
-
     def write_csv(self, path) -> None:
         """Columns: k, v_long, v_short, v_total, gain_loss, u_long, u_short."""
         _write_csv(

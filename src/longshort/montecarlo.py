@@ -23,9 +23,11 @@ batches would be scheduled across workers. Each batch's draws equal those of
 ``rng.choice(n_atoms, size=..., p=weights)``: the same uniforms are mapped to
 atoms through a guide table that returns the same indices as the cdf search
 ``Generator.choice`` runs, only faster. Paths are stage-major; a gain probe
-checks survivability against the extreme returns of the paths it runs and
-then the account recursion of :func:`longshort.dynamics.terminal_gains`, so
-its gains match :func:`longshort.dynamics.simulate` bit for bit.
+checks survivability once, against the bank's extreme returns or, when
+streamed, the model's support bounds that every drawn return lies within,
+and then runs the account recursion of
+:func:`longshort.dynamics.terminal_gains`, so its gains match
+:func:`longshort.dynamics.simulate` bit for bit.
 """
 
 from __future__ import annotations
@@ -202,9 +204,10 @@ def estimate_gain_stats(
     """
     _check_draw(stage, n_paths)
     _check_probe(model, alpha, k_gain, v0)
+    # Every drawn return is an atom of the PMF, between the support bounds.
+    _check_survivable(k_gain, model.bounds.x_min, model.bounds.x_max)
     gains = np.empty(int(n_paths))
     for start, block in _path_chunks(model, int(n_paths), int(stage), int(seed)):
-        _check_survivable(k_gain, float(block.min()), float(block.max()))
         gains[start : start + block.shape[0]] = dynamics._terminal_gains(
             alpha, k_gain, v0, block
         )

@@ -29,11 +29,6 @@ from .returns import EmpiricalPMF, ReturnModel, _frozen_array, _write_csv
 PORTFOLIO_DEFAULT_N_PATHS = 20_000
 
 
-def derive_asset_seed(seed: int, asset_index: int) -> int:
-    """Deterministic per-asset seed for independent sampling streams."""
-    return int(np.random.SeedSequence([int(seed), int(asset_index)]).generate_state(1)[0])
-
-
 @dataclass(frozen=True)
 class PortfolioConfig:
     """Per-asset (model, gain) pairs sharing one evenly split account."""
@@ -72,9 +67,9 @@ class PortfolioConfig:
 
 @dataclass(frozen=True, eq=False)
 class PortfolioTrajectory:
-    """Per-asset trajectories plus the aggregate gain and leverage series."""
+    """Each asset's gain-loss series plus the aggregate gain and leverage series."""
 
-    per_asset: tuple[dynamics.AccountTrajectory, ...]
+    asset_gain_loss: tuple[np.ndarray, ...]
     total_gain_loss: np.ndarray
     leverage: np.ndarray
 
@@ -84,7 +79,7 @@ class PortfolioTrajectory:
 
     def write_csv(self, path, labels: Sequence[str] | None = None) -> None:
         """Columns: k, one gain column per asset, total_gain_loss, leverage_ratio."""
-        m = len(self.per_asset)
+        m = len(self.asset_gain_loss)
         if labels is None:
             labels = [f"asset{i + 1}" for i in range(m)]
         if len(labels) != m:
@@ -92,7 +87,7 @@ class PortfolioTrajectory:
         _write_csv(
             path,
             ["k"] + [f"gain_{label}" for label in labels] + ["total_gain_loss", "leverage_ratio"],
-            [traj.gain_loss for traj in self.per_asset] + [self.total_gain_loss, self.leverage],
+            [*self.asset_gain_loss, self.total_gain_loss, self.leverage],
             index=True,
         )
 
@@ -101,7 +96,10 @@ def run_portfolio(config: PortfolioConfig, paths: Sequence) -> PortfolioTrajecto
     """Simulate every asset on its own realized path and aggregate.
 
     All paths must have equal length; the total gain-loss at each stage is
-    the exact sum of the per-asset gain-losses.
+    the exact sum of the per-asset gain-losses. Assets are simulated one at
+    a time and added into the totals in asset order, starting from zeros,
+    which rounds exactly as ``np.sum`` over the stacked columns does; only
+    each asset's gain-loss column outlives its trajectory.
     """
     if len(paths) != config.n_assets:
         raise LengthMismatchError(
@@ -112,23 +110,26 @@ def run_portfolio(config: PortfolioConfig, paths: Sequence) -> PortfolioTrajecto
     if len(lengths) != 1:
         raise LengthMismatchError(f"paths have differing lengths {sorted(lengths)}")
 
-    trajectories = []
+    n = arrays[0].size + 1
+    total_gain, total_value, committed = np.zeros(n), np.zeros(n), np.zeros(n)
+    asset_gains = []
     for i, ((model, k_gain), path) in enumerate(zip(config.assets, arrays)):
         cfg = dynamics.ControllerConfig.for_model(
             model, alpha=config.alpha, k_gain=k_gain, v0=config.per_asset_v0
         )
         try:
-            trajectories.append(dynamics.simulate(cfg, path))
+            traj = dynamics.simulate(cfg, path)
         except DomainError as exc:
             raise PortfolioAssetError(i, str(exc)) from exc
-
-    total_gain = np.sum([t.gain_loss for t in trajectories], axis=0)
-    total_value = np.sum([t.v_total for t in trajectories], axis=0)
-    committed = np.sum([np.abs(t.u_net) for t in trajectories], axis=0)
+        total_gain += traj.gain_loss
+        total_value += traj.v_total
+        committed += np.abs(traj.u_net)
+        asset_gains.append(traj.gain_loss)
+        del traj  # before the next asset's trajectory is built
     leverage = np.zeros_like(total_value)
     np.divide(committed, total_value, out=leverage, where=total_value > 0.0)
     return PortfolioTrajectory(
-        per_asset=tuple(trajectories),
+        asset_gain_loss=tuple(asset_gains),
         total_gain_loss=_frozen_array(total_gain),
         leverage=_frozen_array(leverage),
     )

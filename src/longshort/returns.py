@@ -230,11 +230,10 @@ class ReturnModel:
 
 @dataclass(frozen=True, eq=False)
 class PriceSeries:
-    """Ordered positive prices for one instrument, optionally dated."""
+    """Ordered positive prices for one instrument."""
 
     ticker: str
     prices: np.ndarray
-    dates: tuple[str, ...] | None = None
 
     def __post_init__(self):
         prices = np.asarray(self.prices, dtype=float)
@@ -242,13 +241,6 @@ class PriceSeries:
             raise TooShortError(f"{self.ticker}: need at least 2 prices, got {prices.size}")
         if np.any(prices <= 0.0) or not np.all(np.isfinite(prices)):
             raise NonPositivePriceError(f"{self.ticker}: all prices must be finite and positive")
-        if self.dates is not None:
-            dates = tuple(self.dates)
-            if len(dates) != prices.size:
-                raise InvalidParameterError(f"{self.ticker}: dates and prices lengths differ")
-            if any(a >= b for a, b in zip(dates, dates[1:])):
-                raise InvalidParameterError(f"{self.ticker}: dates must be strictly increasing")
-            object.__setattr__(self, "dates", dates)
         object.__setattr__(self, "prices", _frozen_array(prices))
 
     def __len__(self) -> int:
@@ -302,8 +294,9 @@ def sample_path(model: ReturnModel | EmpiricalPMF, n: int, seed) -> np.ndarray:
 def load_prices_csv(path, column: str = DEFAULT_PRICE_COLUMN) -> PriceSeries:
     """Read a price series from a headered CSV file.
 
-    The named column supplies prices; a column literally named ``date``
-    (any case) supplies dates when present. Rows are kept in file order.
+    The named column supplies prices. When a column literally named ``date``
+    (any case) is present, its values must increase strictly from row to row
+    (as strings); they are checked and not kept. Rows are kept in file order.
     As with ``csv.DictReader``, blank lines are skipped and not counted as
     rows, and when a header name repeats, its last column is the one read.
     A row too short to reach the price or date column is refused.
@@ -320,7 +313,8 @@ def load_prices_csv(path, column: str = DEFAULT_PRICE_COLUMN) -> PriceSeries:
             date_col = next((c for c in header if c.lower() == "date"), None)
             date_at = last[date_col] if date_col is not None else None
             prices = array("d")
-            dates: list[str] = []
+            previous_date = None
+            dates_increase = True
             i = 1  # header is line 1
             for row in reader:
                 if not row:
@@ -339,14 +333,18 @@ def load_prices_csv(path, column: str = DEFAULT_PRICE_COLUMN) -> PriceSeries:
                 if date_at is not None:
                     if date_at >= len(row):
                         raise PriceParseError(f"{path}: row {i}, column {date_col!r}: no date")
-                    dates.append(row[date_at])
+                    date = row[date_at]
+                    if previous_date is not None and previous_date >= date:
+                        dates_increase = False
+                    previous_date = date
     except OSError as exc:
         raise InputFileError(f"{path}: cannot read price file ({exc.strerror})") from None
     except (UnicodeDecodeError, csv.Error) as exc:
         raise InputFileError(f"{path}: malformed price file ({exc})") from None
     ticker = os.path.splitext(os.path.basename(os.fspath(path)))[0]
-    return PriceSeries(
-        ticker=ticker,
-        prices=np.asarray(prices),
-        dates=tuple(dates) if date_col is not None else None,
-    )
+    series = PriceSeries(ticker=ticker, prices=np.asarray(prices))
+    # Checked after the series' own checks: a series that is too short or not
+    # finite is refused for that first, whatever its dates.
+    if not dates_increase:
+        raise InvalidParameterError(f"{ticker}: dates must be strictly increasing")
+    return series

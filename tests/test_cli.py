@@ -579,8 +579,8 @@ class TestExactFits:
 
 
 class TestOutputDirectories:
-    """An output that cannot be written (its directory is missing, or it is a
-    directory) is a typed refusal that writes nothing."""
+    """An output that cannot be written (its directory is missing, its path is
+    empty, or it is a directory) is a typed refusal that writes nothing."""
 
     def test_out_in_missing_directory(self, tmp_path, capsys):
         out = tmp_path / "nodir" / "x.json"
@@ -663,6 +663,29 @@ class TestOutputDirectories:
         assert rc == 3
         assert f"error: {traj}: output file" in capsys.readouterr().err
         assert list(tmp_path.rglob("*")) == [traj]
+
+    def test_empty_out(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc = cli.main(["optimize", *TOY_FLAGS, "--stage", "10", "--target-std", "0.1", "--out", ""])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: output file path is empty\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_trajectory_out(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc = cli.main(
+            ["simulate", *TOY_FLAGS, "--k-gain", "0.3", "--stage", "12",
+             "--n-paths", "2000", "--out", "est.json", "--trajectory-out", ""]
+        )
+        assert rc == 3
+        assert capsys.readouterr().err == "error: output file path is empty\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_out_dir(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["repro", "toy", "--out-dir", ""]) == 3
+        assert capsys.readouterr().err == "error: output directory path is empty\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_dir_that_is_not_a_directory(self, tmp_path, capsys):
         afile = tmp_path / "afile"

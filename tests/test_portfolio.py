@@ -1,12 +1,12 @@
 """Tests for the multi-asset portfolio layer."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from longshort import (
-    AccountTrajectory,
     ControllerConfig,
     InvalidParameterError,
     LengthMismatchError,
@@ -14,7 +14,6 @@ from longshort import (
     PortfolioConfig,
     PortfolioTrajectory,
     ReturnModel,
-    derive_asset_seed,
     optimize_portfolio,
     run_portfolio,
     simulate,
@@ -24,6 +23,10 @@ from test_dynamics import awkward_columns
 MODEL_A = ReturnModel.two_point(-0.1, 0.12, 0.5)
 MODEL_B = ReturnModel.two_point(-0.2, 0.25, 0.4)
 MODEL_C = ReturnModel.two_point(-0.05, 0.3, 0.6)
+
+
+def _same_bits(a, b):
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def _paths(seed, m, n):
@@ -62,7 +65,10 @@ class TestRunPortfolio:
             ControllerConfig.for_model(MODEL_A, alpha=0.5, k_gain=0.7, v0=2.0), path
         )
         assert np.array_equal(traj.total_gain_loss, single.gain_loss)
-        assert np.array_equal(traj.per_asset[0].v_total, single.v_total)
+        assert np.array_equal(traj.asset_gain_loss[0], single.gain_loss)
+        ratio = np.zeros_like(single.v_total)
+        np.divide(np.abs(single.u_net), single.v_total, out=ratio, where=single.v_total > 0.0)
+        assert np.array_equal(traj.leverage, ratio)
 
     def test_no_trading_anywhere(self):
         cfg = PortfolioConfig(assets=((MODEL_A, 0.0), (MODEL_B, 0.0)), v0=4.0)
@@ -75,8 +81,51 @@ class TestRunPortfolio:
             assets=((MODEL_A, 0.3), (MODEL_B, 0.8), (MODEL_C, 0.55)), v0=9.0
         )
         traj = run_portfolio(cfg, _paths(2, 3, 40))
-        summed = np.sum([t.gain_loss for t in traj.per_asset], axis=0)
+        summed = np.sum(traj.asset_gain_loss, axis=0)
         assert np.array_equal(traj.total_gain_loss, summed)
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 9, 33])
+    def test_matches_stacked_sums_bitwise(self, m):
+        # The reference keeps every trajectory and sums the stacked columns.
+        models = [MODEL_A, MODEL_B, MODEL_C]
+        rng = np.random.default_rng(m)
+        assets = tuple((models[i % 3], float(rng.uniform(0.0, 0.9))) for i in range(m))
+        cfg = PortfolioConfig(assets=assets, v0=7.0)
+        paths = _paths(m, m, 300)
+        trajs = [
+            simulate(
+                ControllerConfig.for_model(model, alpha=0.5, k_gain=k, v0=cfg.per_asset_v0), path
+            )
+            for (model, k), path in zip(assets, paths)
+        ]
+        total_value = np.sum([t.v_total for t in trajs], axis=0)
+        committed = np.sum([np.abs(t.u_net) for t in trajs], axis=0)
+        leverage = np.zeros_like(total_value)
+        np.divide(committed, total_value, out=leverage, where=total_value > 0.0)
+        traj = run_portfolio(cfg, paths)
+        assert _same_bits(traj.total_gain_loss, np.sum([t.gain_loss for t in trajs], axis=0))
+        assert _same_bits(traj.leverage, leverage)
+        assert len(traj.asset_gain_loss) == m
+        for column, t in zip(traj.asset_gain_loss, trajs):
+            assert _same_bits(column, t.gain_loss)
+            assert not column.flags.writeable
+
+    def test_holds_one_trajectory_at_a_time(self):
+        # Keeping all four trajectories and stacking their columns peaks at 14.9 MiB.
+        n = 50_000
+        cfg = PortfolioConfig(
+            assets=((MODEL_A, 0.3), (MODEL_B, 0.8), (MODEL_C, 0.55), (MODEL_A, 0.6)), v0=4.0
+        )
+        rng = np.random.default_rng(7)
+        paths = [rng.uniform(-0.02, 0.02, size=n) for _ in range(4)]
+        tracemalloc.start()
+        try:
+            traj = run_portfolio(cfg, paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.n_stages == n
+        assert peak < 7 * 2**20
 
     def test_leverage_bounded_by_largest_gain(self):
         gains = (0.3, 0.8, 0.55)
@@ -112,10 +161,9 @@ class TestRunPortfolio:
 
     @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 10_000])
     def test_bytes_match_csv_writer_rows(self, tmp_path, n):
-        gains = awkward_columns(n, 2, seed=n)
-        per_asset = tuple(AccountTrajectory(*[g] * 7) for g in gains)
+        gains = tuple(awkward_columns(n, 2, seed=n))
         total, leverage = awkward_columns(n, 4, seed=n + 1)[2:]
-        traj = PortfolioTrajectory(per_asset, total, leverage)
+        traj = PortfolioTrajectory(gains, total, leverage)
         labels = ["a,b", 'q"x']  # a comma and a quote: the header must quote both
         out = tmp_path / "portfolio.csv"
         traj.write_csv(out, labels=labels)
@@ -129,7 +177,7 @@ class TestRunPortfolio:
             )
             for k in range(traj.total_gain_loss.size):
                 row = [k]
-                row += [repr(float(t.gain_loss[k])) for t in traj.per_asset]
+                row += [repr(float(gain_loss[k])) for gain_loss in traj.asset_gain_loss]
                 row += [
                     repr(float(traj.total_gain_loss[k])),
                     repr(float(traj.leverage[k])),
@@ -173,10 +221,3 @@ class TestOptimizePortfolio:
         one = optimize_portfolio([(pmf, 0.04)], 10.0, 12, n_paths=4000, seed=9)[0]
         two = optimize_portfolio([(pmf, 0.04), (pmf, 0.04)], 10.0, 12, n_paths=4000, seed=9)[0]
         assert two.k_star > one.k_star or one.k_star == pytest.approx(two.k_star)
-
-
-def test_derive_asset_seed_is_deterministic_and_distinct():
-    a = derive_asset_seed(7, 0)
-    b = derive_asset_seed(7, 1)
-    assert a == derive_asset_seed(7, 0)
-    assert a != b

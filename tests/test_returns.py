@@ -1,6 +1,7 @@
 """Tests for price ingestion, return computation, PMFs, and sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,12 +57,20 @@ class TestReturnsFromPrices:
         with pytest.raises(TooShortError):
             PriceSeries("t", np.array([100.0]))
 
-    def test_dates_validated(self):
-        PriceSeries("t", np.array([1.0, 2.0]), dates=("2019-01-02", "2019-01-03"))
+    def test_dates_validated(self, tmp_path):
+        # A series carries no dates; the loader checks a file's date column.
+        f = tmp_path / "t.csv"
+        f.write_text("date,close\n2019-01-02,1\n2019-01-03,2\n")
+        assert load_prices_csv(f, column="close").prices.tolist() == [1.0, 2.0]
+        f.write_text("date,close\n2019-01-03,1\n2019-01-02,2\n")
         with pytest.raises(InvalidParameterError):
-            PriceSeries("t", np.array([1.0, 2.0]), dates=("2019-01-03", "2019-01-02"))
+            load_prices_csv(f, column="close")
+        f.write_text("date,close\n2019-01-02,1\n,2\n")  # a price without its date
         with pytest.raises(InvalidParameterError):
-            PriceSeries("t", np.array([1.0, 2.0]), dates=("2019-01-02",))
+            load_prices_csv(f, column="close")
+        f.write_text("close,date\n1,2019-01-02\n2\n")  # a row short of the date column
+        with pytest.raises(PriceParseError):
+            load_prices_csv(f, column="close")
 
 
 class TestPmfFromReturns:
@@ -208,8 +217,12 @@ class TestLoadPricesCsv:
         f.write_text("date,close\n2019-01-02,100\n2019-01-03,101\n2019-01-04,99\n")
         series = load_prices_csv(f, column="close")
         assert series.prices.tolist() == [100.0, 101.0, 99.0]
-        assert series.dates == ("2019-01-02", "2019-01-03", "2019-01-04")
         assert series.ticker == "abc"
+        assert not hasattr(series, "dates")
+        # The date column is read, in file order: swapping two dates is refused.
+        f.write_text("date,close\n2019-01-02,100\n2019-01-04,101\n2019-01-03,99\n")
+        with pytest.raises(InvalidParameterError, match=r"^abc: dates must be strictly increasing$"):
+            load_prices_csv(f, column="close")
 
     def test_zero_price(self, tmp_path):
         f = tmp_path / "bad.csv"
@@ -244,7 +257,10 @@ class TestLoadPricesCsv:
         f.write_text("date,close\n2019-01-02,100\n\n2019-01-03,101\n")
         series = load_prices_csv(f, column="close")
         assert series.prices.tolist() == [100.0, 101.0]
-        assert series.dates == ("2019-01-02", "2019-01-03")
+        # Nor does it count as a date: an empty date after 2019-01-02 would be refused.
+        f.write_text("date,close\n2019-01-02,100\n,101\n")
+        with pytest.raises(InvalidParameterError):
+            load_prices_csv(f, column="close")
 
     def test_short_row_is_parse_error(self, tmp_path):
         f = tmp_path / "short.csv"
@@ -281,8 +297,42 @@ class TestLoadPricesCsv:
     def test_date_header_matched_case_insensitively(self, tmp_path):
         f = tmp_path / "cased.csv"
         f.write_text("Date,close\n2019-01-02,100\n2019-01-03,101\n")
-        series = load_prices_csv(f, column="close")
-        assert series.dates == ("2019-01-02", "2019-01-03")
+        assert load_prices_csv(f, column="close").prices.tolist() == [100.0, 101.0]
+        f.write_text("Date,close\n2019-01-03,100\n2019-01-02,101\n")
+        with pytest.raises(InvalidParameterError, match="dates must be strictly increasing"):
+            load_prices_csv(f, column="close")
+
+    def test_out_of_order_dates_refused_after_row_and_series_checks(self, tmp_path):
+        f = tmp_path / "order.csv"
+        for dates in (("2019-01-03", "2019-01-02"), ("2019-01-02", "2019-01-02")):
+            f.write_text("date,close\n" + "".join(f"{d},100\n" for d in dates))
+            with pytest.raises(InvalidParameterError) as exc_info:
+                load_prices_csv(f, column="close")
+            assert str(exc_info.value) == "order: dates must be strictly increasing"
+        # A later row's fault and the series' own checks are refused first.
+        f.write_text("date,close\n2019-01-03,100\n2019-01-02,101\n2019-01-04,x\n")
+        with pytest.raises(PriceParseError, match=r"row 4, column 'close'"):
+            load_prices_csv(f, column="close")
+        f.write_text("date,close\n2019-01-03,100\n2019-01-02,nan\n")
+        with pytest.raises(NonPositivePriceError, match="finite and positive"):
+            load_prices_csv(f, column="close")
+
+    def test_load_holds_little_beyond_the_prices(self, tmp_path):
+        # Kept, the 50k date strings alone would take 3.6 MiB.
+        n = 50_000
+        f = tmp_path / "long.csv"
+        day = np.datetime64("1900-01-01")
+        f.write_text(
+            "date,close\n" + "".join(f"{day + k},{100.0 + k % 7}\n" for k in range(n))
+        )
+        tracemalloc.start()
+        try:
+            series = load_prices_csv(f, column="close")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(series) == n
+        assert peak < 2**20
 
 
 @pytest.mark.parametrize("seed", [11, 12])
