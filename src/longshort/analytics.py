@@ -64,35 +64,54 @@ class RpeCheck(NamedTuple):
     positive: bool
 
 
-def _check_stage(stage, minimum: int = 0) -> int:
-    if isinstance(stage, bool) or not isinstance(stage, (int, np.integer)):
-        raise InvalidParameterError(f"stage must be an integer, got {stage!r}")
-    if stage < minimum:
-        if minimum > 1:
-            raise StageTooSmallError(f"stage must be > {minimum - 1}, got {stage}")
-        raise InvalidParameterError(f"stage must be >= {minimum}, got {stage}")
-    return int(stage)
+def check_domain(
+    stage=None,
+    min_stage: int = 0,
+    alpha: float = 0.5,
+    v0: float = 1.0,
+    k_gain: float = 0.0,
+    k_max: float = 1.0,
+    mu: float = 0.0,
+    sigma2: float = 0.0,
+) -> None:
+    """Refuse inputs outside the controller's admissible domain.
 
-
-def _check_common(alpha: float, k_gain: float, mu: float, v0: float) -> None:
-    if not (0.0 <= alpha <= 1.0):
+    The one check behind every public entry point: an integer ``stage`` of
+    at least ``min_stage`` (skipped when None), a split alpha in [0, 1], a
+    finite v0 > 0, a finite drift mu > -1, a ceiling k_max in (0, 1], a gain
+    in [0, k_max] with k_gain*mu <= 1, and a finite sigma2 >= 0, checked in
+    that order. Every comparison is written so that NaN fails it. The
+    defaults pass, so a caller names only what it has.
+    """
+    if stage is not None:
+        if isinstance(stage, bool) or not isinstance(stage, (int, np.integer)):
+            raise InvalidParameterError(f"stage must be an integer, got {stage!r}")
+        if stage < min_stage:
+            if min_stage > 1:
+                raise StageTooSmallError(f"stage must be > {min_stage - 1}, got {stage}")
+            raise InvalidParameterError(f"stage must be >= {min_stage}, got {stage}")
+    if not 0.0 <= alpha <= 1.0:
         raise InvalidParameterError(f"alpha must be in [0, 1], got {alpha}")
-    if v0 <= 0.0:
-        raise InvalidParameterError(f"v0 must be positive, got {v0}")
-    if mu <= -1.0:
-        raise InvalidParameterError(f"mu must be strictly above -1, got {mu}")
-    if not (0.0 <= k_gain <= 1.0):
-        raise InadmissibleGainError(f"k_gain={k_gain} outside [0, 1]")
+    if not 0.0 < v0 < math.inf:
+        raise InvalidParameterError(f"v0 must be positive and finite, got {v0}")
+    if not -1.0 < mu < math.inf:
+        raise InvalidParameterError(f"mu must be strictly above -1 and finite, got {mu}")
+    if not 0.0 < k_max <= 1.0:
+        raise InvalidParameterError(f"k_max must be in (0, 1], got {k_max}")
+    if not 0.0 <= k_gain <= k_max:
+        raise InadmissibleGainError(f"k_gain={k_gain} outside admissible [0, {k_max}]")
     if k_gain * mu > 1.0:
         raise InadmissibleGainError(
             f"k_gain*mu = {k_gain * mu} exceeds 1; gain inadmissible for this drift"
         )
+    if not 0.0 <= sigma2 < math.inf:
+        raise InvalidParameterError(f"sigma2 must be nonnegative and finite, got {sigma2}")
 
 
 def expected_gain(alpha: float, k_gain: float, stage: int, mu: float, v0: float = 1.0) -> float:
     """Expected cumulative gain-loss at the given stage."""
-    k = _check_stage(stage)
-    _check_common(alpha, k_gain, mu, v0)
+    check_domain(stage, 0, alpha, v0, k_gain, 1.0, mu)
+    k = int(stage)
     theta = k_gain * mu
     if theta == 0.0:
         return 0.0  # exact: both product factors are identically 1
@@ -108,10 +127,8 @@ def variance_gain(
     anything beyond the tolerance raises, since the expression is a variance
     and cannot be negative for valid inputs.
     """
-    k = _check_stage(stage)
-    _check_common(alpha, k_gain, mu, v0)
-    if sigma2 < 0.0:
-        raise InvalidParameterError(f"sigma2 must be nonnegative, got {sigma2}")
+    check_domain(stage, 0, alpha, v0, k_gain, 1.0, mu, sigma2)
+    k = int(stage)
     if k_gain == 0.0 or sigma2 == 0.0:
         return 0.0  # exact: not trading, or a deterministic return path
     second_moment_term = 1.0 - k_gain * k_gain * (sigma2 + mu * mu)
@@ -170,7 +187,7 @@ def check_rpe(k_gain: float, stage: int, mu: float, v0: float = 1.0) -> RpeCheck
     For stage > 1 the value is positive whenever k_gain > 0 and mu != 0,
     regardless of the sign of mu, and exactly zero when k_gain * mu == 0.
     """
-    _check_stage(stage, minimum=2)
+    check_domain(stage, 2)
     value = expected_gain(0.5, k_gain, stage, mu, v0)
     return RpeCheck(value=value, positive=value > 0.0)
 
@@ -191,9 +208,8 @@ def find_rpe_counterexample(
     (from 1/2 on the negative side, which must stay above -1) until the gain
     goes negative. Coming up empty would contradict the slope argument.
     """
-    k = _check_stage(stage, minimum=2)
-    if not (0.0 <= alpha <= 1.0):
-        raise InvalidParameterError(f"alpha must be in [0, 1], got {alpha}")
+    check_domain(stage, 2, alpha)
+    k = int(stage)
     if not (0.0 < k_gain <= 1.0):
         raise InadmissibleGainError(f"k_gain={k_gain} outside (0, 1]")
     if alpha == 0.5:
@@ -213,7 +229,7 @@ def check_robust_growth(k_gain: float, stage: int, mu: float, v0: float = 1.0) -
     True for every admissible gain and every mu > -1; a False result on valid
     inputs would contradict the growth property of the balanced controller.
     """
-    k = _check_stage(stage, minimum=1)
-    here = expected_gain(0.5, k_gain, k, mu, v0)
-    there = expected_gain(0.5, k_gain, k + 1, mu, v0)
+    check_domain(stage, 1)
+    here = expected_gain(0.5, k_gain, stage, mu, v0)
+    there = expected_gain(0.5, k_gain, stage + 1, mu, v0)
     return there >= here - 1e-12

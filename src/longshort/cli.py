@@ -9,19 +9,25 @@ parameter sets as named presets (price files are always user-supplied).
 Every fit and curve is closed-form. The paper's expressions for E[G] and
 Var[G] depend on the returns only through (mu, sigma2), so with ``--prices``
 they are exact for independent draws from the empirical PMF: the price file
-only decides where (mu, sigma2, k_max) come from. Only ``simulate`` samples
+only decides where (mu, sigma2, k_max) come from, and ``--mu``, ``--sigma``
+or ``--k-max`` given with it are refused. Only ``simulate`` samples
 paths, streaming them through ``montecarlo.estimate_gain_stats`` so that no
 path bank is held; ``--n-paths`` is accepted by the fitting commands and
 ignored there. The library keeps the paper's Monte-Carlo procedures
 (``solve_optimal_gain_empirical``, ``build_curve_empirical``,
 ``optimize_portfolio``) as cross-checks.
 
+Each command computes its results and returns them, with the manifest
+parameters named in the ``_MANIFESTS`` table, to one write step that checks
+every output path and then writes outputs, manifest and summary line.
+
 Scalar results go to JSON, series to CSV, and every run writes a manifest
 recording the command, parameters, seed, and output paths, so any output can
 be regenerated byte-for-byte. Exit codes: 0 success, 2 usage error, 3 domain
-or precondition error (bad input, or an output path that cannot be written:
-an empty path, a missing directory, or a file that is a directory), 4
-internal-consistency violation (a bug, not bad input).
+or precondition error (bad input, such as a number that is not finite, a
+negative --sigma or a flag that conflicts with --prices, or an output path
+that cannot be written: an empty path, a missing directory, or a file that
+is a directory), 4 internal-consistency violation (a bug, not bad input).
 
 The default seed is 0, overridable by the LONGSHORT_SEED environment
 variable and then by --seed. Commands given ``--prices`` or price files
@@ -34,9 +40,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
-from . import __version__, dynamics, optimizer, portfolio, returns
+from . import __version__, analytics, dynamics, optimizer, portfolio, returns
 from .errors import (
     ConfigKeyError,
     DomainError,
@@ -60,26 +68,38 @@ TOY_PRESET = {"mu": -0.1, "sigma": 0.15, "v0": 1.0, "target_std": 0.3, "stages":
 TSLA_PRESET = {"target_std": 0.08, "v0": 1.0}
 THREE_STOCK_PRESET = {"target_stds": (0.08, 0.01, 0.02), "v0": 100.0}
 
+# Each kind of run's manifest: its command name and the parameters it
+# records, looked up in the values the run resolved and then in its flags.
+# Fits are exact and sample nothing, so they resolve n_paths to None.
+_MODEL_PARAMETERS = ("mu", "sigma", "prices", "price_column")
+_MANIFESTS = {
+    "curve": ("curve", (*_MODEL_PARAMETERS, "v0", "stage", "grid", "k_max", "n_paths")),
+    "optimize": (
+        "optimize",
+        (*_MODEL_PARAMETERS, "v0", "stage", "target_std", "tol", "k_max", "n_paths"),
+    ),
+    "simulate": ("simulate", (*_MODEL_PARAMETERS, "alpha", "k_gain", "v0", "stage", "n_paths")),
+    "backtest": (
+        "backtest",
+        ("train_prices", "test_prices", "price_column", "target_std", "v0", "tol", "n_paths"),
+    ),
+    "portfolio": ("backtest", ("portfolio_config", "v0", "tol", "n_paths")),
+    "toy": ("repro toy", ("mu", "sigma", "v0", "target_std", "stages")),
+    "tsla": ("repro tsla", ("train_prices", "test_prices", "price_column", "target_std", "v0")),
+}
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to regenerate a command's outputs byte-for-byte."""
 
-    command: str
-    parameters: dict
+@dataclass
+class _Run:
+    """What a command computed, for the write step to write and record."""
+
+    manifest: str  # a key of _MANIFESTS
+    manifest_path: str
+    outputs: list[tuple[str, Callable]]  # (path, write) pairs, listed in the manifest
+    message: str
     seed: int | None
-    outputs: list[str]
-    tool_version: str = __version__
-
-    def write(self, path) -> None:
-        payload = {
-            "command": self.command,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "outputs": self.outputs,
-            "tool_version": self.tool_version,
-        }
-        _write_json(path, payload)
+    values: dict = field(default_factory=dict)  # manifest values that replace the flags'
+    inputs: list[tuple[str, Callable]] = field(default_factory=list)  # written first, unlisted
 
 
 def _write_json(path, payload) -> None:
@@ -128,318 +148,221 @@ def _make_out_dir(out_dir, *names) -> None:
     os.makedirs(out_dir, exist_ok=True)
 
 
+def _write_run(args, run: _Run) -> int:
+    """Check every output path, then write the outputs, the manifest and the summary line."""
+    files = [*run.inputs, *run.outputs]
+    paths = [path for path, _ in files] + [run.manifest_path]
+    if args.command == "repro":
+        _make_out_dir(args.out_dir, *(os.path.basename(path) for path in paths))
+    else:
+        flags = [getattr(args, name, None) for name in ("out", "trajectory_out", "out_prefix")]
+        _check_output_dirs(*flags, files=paths)
+    for path, write in files:
+        write(path)
+    command, names = _MANIFESTS[run.manifest]
+    values = {**vars(args), **run.values}
+    manifest = {
+        "command": command,
+        "parameters": {name: values[name] for name in names},
+        "seed": run.seed,
+        "outputs": [str(path) for path, _ in run.outputs],
+        "tool_version": __version__,
+    }
+    _write_json(run.manifest_path, manifest)
+    print(run.message)
+    return EXIT_OK
+
+
 def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
+    raw = os.environ.get(SEED_ENV_VAR, "0")
     try:
         return int(raw)
     except ValueError:
         raise InvalidParameterError(f"{SEED_ENV_VAR}={raw!r} is not an integer") from None
 
 
-def _load_pmf(path, column: str) -> tuple[returns.PriceSeries, returns.EmpiricalPMF]:
-    series = returns.load_prices_csv(path, column=column)
-    return series, returns.pmf_from_returns(returns.returns_from_prices(series))
+class _Model(NamedTuple):
+    """The moments, gain ceiling and stage a command fits or traces at."""
+
+    mu: float
+    sigma2: float
+    k_max: float
+    stage: int
+    model: returns.ReturnModel | None  # the price file's model; None for --mu/--sigma
+    ticker: str | None
 
 
-def _fit_model(pmf: returns.EmpiricalPMF, stage: int, target_std: float) -> returns.ReturnModel:
-    """The PMF's model, once the gain solve's domain checks pass.
+def _resolve_model(prices, price_column, stage=None, target_std=None, flags=None) -> _Model:
+    """The return model behind a command: a price file's PMF, or --mu/--sigma.
 
-    The checks come first, as in ``optimizer.solve_optimal_gain_empirical``:
-    a flat or one-signed PMF is refused for its drift or volatility before
-    its support bounds are.
+    ``flags`` are the parsed flags of a command that takes moment flags.
+    A price file fixes mu, sigma2 and the gain ceiling min(1, 1/x_max), so
+    --mu, --sigma and --k-max are refused with it, before it is read; the
+    stage defaults to its number of returns. Given a ``target_std``, the
+    gain solve's domain checks run before the model is built, so that a flat
+    or one-signed PMF is refused for its drift or volatility before its
+    support bounds are. Moment flags need a stage, both moments and a
+    nonnegative sigma; k_max defaults to min(1, 1/(mu + sigma)).
     """
-    optimizer._check_solve_domain(pmf.mean(), pmf.variance(), stage, target_std)
-    return returns.ReturnModel.from_pmf(pmf)
-
-
-def _model_from_args(args) -> returns.ReturnModel:
-    """Build the return model from --prices or from --mu/--sigma."""
-    if getattr(args, "prices", None):
-        return returns.ReturnModel.from_pmf(_load_pmf(args.prices, args.price_column)[1])
-    if args.mu is None or args.sigma is None:
-        raise InvalidParameterError("supply either --prices or both --mu and --sigma")
-    return returns.ReturnModel.from_moments(args.mu, args.sigma)
-
-
-def _moments_from_args(args) -> tuple[float, float, float]:
-    """(mu, sigma2, k_max) for closed-form commands, without forcing a model."""
-    if args.mu is None or args.sigma is None:
-        raise InvalidParameterError("supply either --prices or both --mu and --sigma")
-    if args.k_max is not None:
-        k_max = args.k_max
-    elif args.sigma > 0.0 and args.mu + args.sigma > 0.0:
-        k_max = min(1.0, 1.0 / (args.mu + args.sigma))
-    else:
-        k_max = 1.0  # degenerate moments pin no upper support bound
-    return args.mu, args.sigma * args.sigma, k_max
-
-
-def _refuse_k_max_with_prices(args) -> None:
-    # With --prices the gain ceiling is the price data's min(1, 1/x_max); a
-    # --k-max that no computation reads would still land in the manifest.
-    if args.prices and args.k_max is not None:
-        raise InvalidParameterError(
-            "--k-max applies to --mu/--sigma only; with --prices the data fix the gain ceiling"
-        )
+    moments = {name: getattr(flags, name, None) for name in ("mu", "sigma", "k_max")}
+    if prices is None:
+        mu, sigma, k_max = moments.values()
+        if stage is None:
+            raise InvalidParameterError("--stage is required with moment flags")
+        if mu is None or sigma is None:
+            raise InvalidParameterError("supply either --prices or both --mu and --sigma")
+        if not sigma >= 0.0:
+            raise InvalidParameterError(f"--sigma must be nonnegative, got {sigma}")
+        if k_max is None:
+            if sigma > 0.0 and mu + sigma > 0.0:
+                k_max = min(1.0, 1.0 / (mu + sigma))
+            else:
+                k_max = 1.0  # degenerate moments pin no upper support bound
+        return _Model(mu, sigma * sigma, k_max, stage, None, None)
+    for name, value in moments.items():
+        if value is not None:
+            raise InvalidParameterError(
+                f"--{name.replace('_', '-')} conflicts with --prices: the price data fix the "
+                "moments and the gain ceiling"
+            )
+    series = returns.load_prices_csv(prices, column=price_column)
+    pmf = returns.pmf_from_returns(returns.returns_from_prices(series))
+    if stage is None:
+        stage = len(series) - 1
+    if target_std is not None:
+        optimizer._check_solve_domain(pmf.mean(), pmf.variance(), stage, target_std)
+    model = returns.ReturnModel.from_pmf(pmf)
+    return _Model(model.mu, model.sigma2, model.k_max, stage, model, series.ticker)
 
 
 def _result_payload(res: optimizer.OptimalGainResult) -> dict:
-    return {
-        "alpha": 0.5,
-        "k_star": res.k_star,
-        "achieved_std": res.achieved_std,
-        "expected_gain": res.expected_gain,
-        "target_std": res.target_std,
-        "stage": res.stage,
-        "iterations": res.iterations,
-    }
-
-
-def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mu", type=float, help="mean per-period return")
-    parser.add_argument("--sigma", type=float, help="std of per-period returns")
-    parser.add_argument("--prices", help="price CSV; builds an empirical PMF instead of moments")
-    parser.add_argument(
-        "--price-column",
-        default=returns.DEFAULT_PRICE_COLUMN,
-        help=f"price column name (default {returns.DEFAULT_PRICE_COLUMN!r})",
-    )
-    parser.add_argument("--v0", type=float, default=1.0, help="initial account value")
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed (default 0 or $LONGSHORT_SEED)")
+    return {"alpha": 0.5, **asdict(res)}
 
 
 # --- subcommand implementations ---
 
 
-def _cmd_curve(args) -> int:
-    _refuse_k_max_with_prices(args)
-    seed = args.seed if args.seed is not None else _default_seed()
-    if args.prices:
-        model = _model_from_args(args)
-        mu, sigma2, k_max = model.mu, model.sigma2, model.k_max
-    else:
-        mu, sigma2, k_max = _moments_from_args(args)
-    curve = optimizer.build_curve(mu, sigma2, args.v0, args.stage, k_max, args.grid)
-    manifest_path = f"{args.out}.manifest.json"
-    _check_output_dirs(args.out, files=(args.out, manifest_path))
-    curve.write_csv(args.out)
-    manifest = RunManifest(
-        command="curve",
-        parameters={
-            "mu": args.mu,
-            "sigma": args.sigma,
-            "prices": args.prices,
-            "price_column": args.price_column,
-            "v0": args.v0,
-            "stage": args.stage,
-            "grid": args.grid,
-            "k_max": args.k_max,
-            "n_paths": None,
-        },
-        seed=seed if args.prices else None,
-        outputs=[str(args.out)],
+def _cmd_curve(args) -> _Run:
+    fit = _resolve_model(args.prices, args.price_column, args.stage, flags=args)
+    curve = optimizer.build_curve(fit.mu, fit.sigma2, args.v0, fit.stage, fit.k_max, args.grid)
+    return _Run(
+        manifest="curve",
+        manifest_path=f"{args.out}.manifest.json",
+        outputs=[(args.out, curve.write_csv)],
+        message=f"wrote {args.out} ({args.grid} points, stage {args.stage})",
+        seed=args.seed if args.prices else None,
+        values={"n_paths": None},
     )
-    manifest.write(manifest_path)
-    print(f"wrote {args.out} ({args.grid} points, stage {args.stage})")
-    return EXIT_OK
 
 
-def _cmd_optimize(args) -> int:
-    _refuse_k_max_with_prices(args)
-    seed = args.seed if args.seed is not None else _default_seed()
-    if args.prices:
-        series, pmf = _load_pmf(args.prices, args.price_column)
-        stage = args.stage if args.stage is not None else len(series) - 1
-        model = _fit_model(pmf, stage, args.target_std)
-        mu, sigma2, k_max = model.mu, model.sigma2, model.k_max
-    else:
-        if args.stage is None:
-            raise InvalidParameterError("--stage is required with moment flags")
-        stage = args.stage
-        mu, sigma2, k_max = _moments_from_args(args)
+def _cmd_optimize(args) -> _Run:
+    fit = _resolve_model(args.prices, args.price_column, args.stage, args.target_std, flags=args)
     tol = args.tol if args.tol is not None else optimizer.DEFAULT_TOL
     res = optimizer.solve_optimal_gain(
-        mu, sigma2, args.v0, stage, k_max, args.target_std, tol=tol
+        fit.mu, fit.sigma2, args.v0, fit.stage, fit.k_max, args.target_std, tol=tol
     )
-    payload = _result_payload(res)
-    manifest_path = f"{args.out}.manifest.json"
-    _check_output_dirs(args.out, files=(args.out, manifest_path))
-    _write_json(args.out, payload)
-    manifest = RunManifest(
-        command="optimize",
-        parameters={
-            "mu": args.mu,
-            "sigma": args.sigma,
-            "prices": args.prices,
-            "price_column": args.price_column,
-            "v0": args.v0,
-            "stage": stage,
-            "target_std": args.target_std,
-            "tol": tol,
-            "k_max": args.k_max,
-            "n_paths": None,
-        },
-        seed=seed if args.prices else None,
-        outputs=[str(args.out)],
+    return _Run(
+        manifest="optimize",
+        manifest_path=f"{args.out}.manifest.json",
+        outputs=[(args.out, partial(_write_json, payload=_result_payload(res)))],
+        message=(
+            f"k_star={res.k_star:.6f} achieved_std={res.achieved_std:.6f} "
+            f"expected_gain={res.expected_gain:.6f}"
+        ),
+        seed=args.seed if args.prices else None,
+        values={"n_paths": None, "stage": fit.stage, "tol": tol},
     )
-    manifest.write(manifest_path)
-    print(
-        f"k_star={res.k_star:.6f} achieved_std={res.achieved_std:.6f} "
-        f"expected_gain={res.expected_gain:.6f}"
-    )
-    return EXIT_OK
 
 
-def _cmd_simulate(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    model = _model_from_args(args)
+def _cmd_simulate(args) -> _Run:
+    fit = _resolve_model(args.prices, args.price_column, args.stage, flags=args)
+    model = fit.model
+    if model is None:
+        model = returns.ReturnModel.from_moments(args.mu, args.sigma)
     est = estimate_gain_stats(
-        model, args.alpha, args.k_gain, args.v0, args.stage, args.n_paths, seed
+        model, args.alpha, args.k_gain, args.v0, args.stage, args.n_paths, args.seed
     )
-    payload = {
-        "mean": est.mean,
-        "variance": est.variance,
-        "std": est.std,
-        "std_error_of_mean": est.std_error_of_mean,
-        "n_paths": est.n_paths,
-        "seed": est.seed,
-        "stage": est.stage,
-        "alpha": args.alpha,
-        "k_gain": args.k_gain,
-        "v0": args.v0,
-    }
-    manifest_path = f"{args.out}.manifest.json"
-    _check_output_dirs(
-        args.out, args.trajectory_out, files=(args.out, args.trajectory_out, manifest_path)
-    )
-    _write_json(args.out, payload)
-    outputs = [str(args.out)]
-    if args.trajectory_out:
+    payload = {**asdict(est), "alpha": args.alpha, "k_gain": args.k_gain, "v0": args.v0}
+    outputs = [(args.out, partial(_write_json, payload=payload))]
+    if args.trajectory_out is not None:
         config = dynamics.ControllerConfig.for_model(
             model, alpha=args.alpha, k_gain=args.k_gain, v0=args.v0
         )
-        sample = returns.sample_path(model, args.stage, seed)
-        dynamics.simulate(config, sample).write_csv(args.trajectory_out)
-        outputs.append(str(args.trajectory_out))
-    manifest = RunManifest(
-        command="simulate",
-        parameters={
-            "mu": args.mu,
-            "sigma": args.sigma,
-            "prices": args.prices,
-            "price_column": args.price_column,
-            "alpha": args.alpha,
-            "k_gain": args.k_gain,
-            "v0": args.v0,
-            "stage": args.stage,
-            "n_paths": args.n_paths,
-        },
-        seed=seed,
+        sample = returns.sample_path(model, args.stage, args.seed)
+        outputs.append((args.trajectory_out, dynamics.simulate(config, sample).write_csv))
+    return _Run(
+        manifest="simulate",
+        manifest_path=f"{args.out}.manifest.json",
         outputs=outputs,
+        message=f"mean={est.mean:.6f} std={est.std:.6f} (n={est.n_paths}, seed={est.seed})",
+        seed=args.seed,
     )
-    manifest.write(manifest_path)
-    print(f"mean={est.mean:.6f} std={est.std:.6f} (n={est.n_paths}, seed={est.seed})")
-    return EXIT_OK
 
 
 def _backtest_single(
-    train_path,
-    test_path,
-    price_column: str,
-    target_std: float,
-    v0: float,
-    tol: float,
-    seed: int,
-    out_prefix: str,
-    manifest_path: str,
-) -> tuple[dict, list[str]]:
-    """Fit on the training file, replay the test file, write trajectory and summary.
-
-    ``manifest_path``, which the caller writes, is checked with the outputs.
-    """
-    train, pmf = _load_pmf(train_path, price_column)
-    stage = len(train) - 1
-    model = _fit_model(pmf, stage, target_std)
+    args, train_path, test_path, out_prefix: str, target_std: float, v0: float, tol: float
+) -> tuple[dict, list]:
+    """Fit on the training file and replay the test file: (summary, outputs)."""
+    fit = _resolve_model(train_path, args.price_column, target_std=target_std)
     res = optimizer.solve_optimal_gain(
-        model.mu, model.sigma2, v0, stage, model.k_max, target_std, tol=tol
+        fit.mu, fit.sigma2, v0, fit.stage, fit.k_max, target_std, tol=tol
     )
 
     test_returns = returns.returns_from_prices(
-        returns.load_prices_csv(test_path, column=price_column)
+        returns.load_prices_csv(test_path, column=args.price_column)
     )
     # Replay admissibility is checked against the realized test path by the
     # simulator itself; out-of-sample data may exceed the training support.
     config = dynamics.ControllerConfig.for_model(
-        model, alpha=0.5, k_gain=res.k_star, v0=v0
+        fit.model, alpha=0.5, k_gain=res.k_star, v0=v0
     )
     traj = dynamics.simulate(config, test_returns)
     audit = dynamics.audit_cash_financing(traj, res.k_star)
 
-    traj_path = f"{out_prefix}_trajectory.csv"
-    summary_path = f"{out_prefix}_summary.json"
-    _check_output_dirs(out_prefix, files=(traj_path, summary_path, manifest_path))
-    traj.write_csv(traj_path)
     terminal_gain = float(traj.gain_loss[-1])
     summary = {
-        "ticker": train.ticker,
+        "ticker": fit.ticker,
         "fit": _result_payload(res),
-        "train_stages": stage,
+        "train_stages": fit.stage,
         "test_stages": int(test_returns.size),
         "terminal_gain": terminal_gain,
         "terminal_return": terminal_gain / v0,
         "max_control_ratio": audit.max_control_ratio,
         "cash_financed": audit.cash_financed,
         "v0": v0,
-        "seed": seed,
+        "seed": args.seed,
     }
-    _write_json(summary_path, summary)
-    return summary, [traj_path, summary_path]
+    outputs = [
+        (f"{out_prefix}_trajectory.csv", traj.write_csv),
+        (f"{out_prefix}_summary.json", partial(_write_json, payload=summary)),
+    ]
+    return summary, outputs
 
 
-def _cmd_backtest(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+def _cmd_backtest(args) -> _Run:
+    tol = args.tol if args.tol is not None else optimizer.DEFAULT_TOL
     if args.portfolio_config:
-        return _backtest_portfolio(args, seed)
+        v0, assets = _read_portfolio_config(args.portfolio_config, args.v0)
+        return _backtest_portfolio(args, args.portfolio_config, v0, assets, tol, args.out_prefix)
     if not (args.train_prices and args.test_prices and args.target_std is not None):
         raise InvalidParameterError(
             "single-asset backtest needs --train-prices, --test-prices and --target-std"
         )
-    tol = args.tol if args.tol is not None else optimizer.DEFAULT_TOL
-    manifest_path = f"{args.out_prefix}.manifest.json"
     summary, outputs = _backtest_single(
-        args.train_prices,
-        args.test_prices,
-        args.price_column,
-        args.target_std,
-        args.v0,
-        tol,
-        seed,
-        args.out_prefix,
-        manifest_path,
+        args, args.train_prices, args.test_prices, args.out_prefix, args.target_std, args.v0, tol
     )
-    manifest = RunManifest(
-        command="backtest",
-        parameters={
-            "train_prices": args.train_prices,
-            "test_prices": args.test_prices,
-            "price_column": args.price_column,
-            "target_std": args.target_std,
-            "v0": args.v0,
-            "tol": tol,
-            "n_paths": None,
-        },
-        seed=seed,
+    return _Run(
+        manifest="backtest",
+        manifest_path=f"{args.out_prefix}.manifest.json",
         outputs=outputs,
+        message=(
+            f"k_star={summary['fit']['k_star']:.6f} "
+            f"terminal_gain={summary['terminal_gain']:.6f} "
+            f"({100.0 * summary['terminal_return']:.2f}% on v0={args.v0})"
+        ),
+        seed=args.seed,
+        values={"n_paths": None, "tol": tol},
     )
-    manifest.write(manifest_path)
-    print(
-        f"k_star={summary['fit']['k_star']:.6f} "
-        f"terminal_gain={summary['terminal_gain']:.6f} "
-        f"({100.0 * summary['terminal_return']:.2f}% on v0={args.v0})"
-    )
-    return EXIT_OK
 
 
 _REQUIRED = object()
@@ -494,57 +417,45 @@ def _read_portfolio_config(path, default_v0: float) -> tuple[float, list[dict]]:
     return v0, assets
 
 
-def _backtest_portfolio(args, seed: int) -> int:
-    v0, assets = _read_portfolio_config(args.portfolio_config, args.v0)
+def _backtest_portfolio(
+    args, config_path, v0: float, assets: list[dict], tol: float, out_prefix: str
+) -> _Run:
+    """Fit every asset with capital v0/m on its training file, then replay the test files.
+
+    A refusal raised for one asset is tagged with its index, as in
+    ``portfolio.optimize_portfolio``.
+    """
     if not assets:
-        raise InvalidParameterError(f"{args.portfolio_config}: no assets listed")
-    tol = args.tol if args.tol is not None else optimizer.DEFAULT_TOL
-
-    names, pmfs, targets, test_paths_list, train_stages = [], [], [], [], []
-    for asset in assets:
-        column = asset["price_column"]
-        train, pmf = _load_pmf(asset["train_prices"], column)
-        train_stages.append(len(train) - 1)
-        pmfs.append(pmf)
-        targets.append(asset["target_std"])
-        names.append(asset["name"] if asset["name"] is not None else train.ticker)
-        test_paths_list.append(
-            returns.returns_from_prices(returns.load_prices_csv(asset["test_prices"], column=column))
-        )
-    # Every asset is fitted at one stage, so the training series must agree.
-    if len(set(train_stages)) != 1:
-        raise LengthMismatchError(
-            f"{args.portfolio_config}: training series have differing numbers of "
-            f"returns {sorted(set(train_stages))}"
-        )
-    stage = train_stages[0]
-
-    # Each asset is fitted on its own PMF with capital v0/m, refusals tagged
-    # by asset as in portfolio.optimize_portfolio.
-    if v0 <= 0.0:
-        raise InvalidParameterError(f"v0 must be positive, got {v0}")
-    models, results = [], []
-    for i, (pmf, target_std) in enumerate(zip(pmfs, targets)):
+        raise InvalidParameterError(f"{config_path}: no assets listed")
+    analytics.check_domain(v0=v0)
+    names, fits, results, test_paths = [], [], [], []
+    for i, asset in enumerate(assets):
+        column, target_std = asset["price_column"], asset["target_std"]
         try:
-            model = _fit_model(pmf, stage, target_std)
+            fit = _resolve_model(asset["train_prices"], column, target_std=target_std)
             res = optimizer.solve_optimal_gain(
-                model.mu, model.sigma2, v0 / len(pmfs), stage, model.k_max, target_std, tol=tol
+                fit.mu, fit.sigma2, v0 / len(assets), fit.stage, fit.k_max, target_std, tol=tol
             )
+            test = returns.load_prices_csv(asset["test_prices"], column=column)
         except DomainError as exc:
             raise PortfolioAssetError(i, str(exc)) from exc
-        models.append(model)
+        name = asset.get("name")
+        names.append(fit.ticker if name is None else name)
+        fits.append(fit)
         results.append(res)
+        test_paths.append(returns.returns_from_prices(test))
+    # Every asset is fitted at one stage, so the training series must agree.
+    stages = sorted({fit.stage for fit in fits})
+    if len(stages) != 1:
+        raise LengthMismatchError(
+            f"{config_path}: training series have differing numbers of returns {stages}"
+        )
     config = portfolio.PortfolioConfig(
-        assets=tuple((model, res.k_star) for model, res in zip(models, results)),
+        assets=tuple((fit.model, res.k_star) for fit, res in zip(fits, results)),
         v0=v0,
     )
-    traj = portfolio.run_portfolio(config, test_paths_list)
+    traj = portfolio.run_portfolio(config, test_paths)
 
-    traj_path = f"{args.out_prefix}_trajectory.csv"
-    summary_path = f"{args.out_prefix}_summary.json"
-    manifest_path = f"{args.out_prefix}.manifest.json"
-    _check_output_dirs(args.out_prefix, files=(traj_path, summary_path, manifest_path))
-    traj.write_csv(traj_path, labels=names)
     terminal_gain = float(traj.total_gain_loss[-1])
     summary = {
         "assets": [
@@ -555,155 +466,126 @@ def _backtest_portfolio(args, seed: int) -> int:
         "terminal_return": terminal_gain / v0,
         "max_leverage_ratio": float(traj.leverage.max()),
         "v0": v0,
-        "train_stages": stage,
+        "train_stages": stages[0],
         "test_stages": traj.n_stages,
-        "seed": seed,
+        "seed": args.seed,
     }
-    _write_json(summary_path, summary)
-    manifest = RunManifest(
-        command="backtest",
-        parameters={
-            "portfolio_config": args.portfolio_config,
-            "v0": v0,
-            "tol": tol,
-            "n_paths": None,
-        },
-        seed=seed,
-        outputs=[traj_path, summary_path],
+    return _Run(
+        manifest="portfolio",
+        manifest_path=f"{out_prefix}.manifest.json",
+        outputs=[
+            (f"{out_prefix}_trajectory.csv", partial(traj.write_csv, labels=names)),
+            (f"{out_prefix}_summary.json", partial(_write_json, payload=summary)),
+        ],
+        message=(
+            f"k_star={[round(r.k_star, 4) for r in results]} "
+            f"terminal_gain={terminal_gain:.4f} max_leverage={summary['max_leverage_ratio']:.4f}"
+        ),
+        seed=args.seed,
+        values={"n_paths": None, "portfolio_config": config_path, "v0": v0, "tol": tol},
     )
-    manifest.write(manifest_path)
-    print(
-        f"k_star={[round(r.k_star, 4) for r in results]} "
-        f"terminal_gain={terminal_gain:.4f} max_leverage={summary['max_leverage_ratio']:.4f}"
-    )
-    return EXIT_OK
 
 
-def _cmd_repro(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    if args.preset == "toy":
-        return _repro_toy(args, seed)
-    if args.preset == "tsla":
-        return _repro_tsla(args, seed)
-    return _repro_three_stock(args, seed)
-
-
-def _repro_toy(args, seed: int) -> int:
+def _repro_toy(args) -> _Run:
     p = TOY_PRESET
-    _make_out_dir(
-        args.out_dir,
-        *(f"toy_curve_k{stage}.csv" for stage in p["stages"]),
-        "toy_results.json",
-        "manifest.json",
-    )
     sigma2 = p["sigma"] ** 2
     outputs = []
     solutions = []
     for stage in p["stages"]:
         curve = optimizer.build_curve(p["mu"], sigma2, p["v0"], stage, 1.0, 200)
-        curve_path = os.path.join(args.out_dir, f"toy_curve_k{stage}.csv")
-        curve.write_csv(curve_path)
-        outputs.append(curve_path)
+        outputs.append((os.path.join(args.out_dir, f"toy_curve_k{stage}.csv"), curve.write_csv))
         res = optimizer.solve_optimal_gain(
             p["mu"], sigma2, p["v0"], stage, 1.0, p["target_std"]
         )
         solutions.append({"stage": stage, **_result_payload(res)})
-    results_path = os.path.join(args.out_dir, "toy_results.json")
-    _write_json(results_path, {"preset": "toy", "parameters": dict(p, stages=list(p["stages"])), "solutions": solutions})
-    outputs.append(results_path)
-    RunManifest(
-        command="repro toy",
-        parameters=dict(p, stages=list(p["stages"])),
-        seed=None,
+    parameters = dict(p, stages=list(p["stages"]))
+    results = {"preset": "toy", "parameters": parameters, "solutions": solutions}
+    outputs.append(
+        (os.path.join(args.out_dir, "toy_results.json"), partial(_write_json, payload=results))
+    )
+    return _Run(
+        manifest="toy",
+        manifest_path=os.path.join(args.out_dir, "manifest.json"),
         outputs=outputs,
-    ).write(os.path.join(args.out_dir, "manifest.json"))
-    for sol in solutions:
-        print(
+        message="\n".join(
             f"stage {sol['stage']:3d}: k_star={sol['k_star']:.3f} "
             f"expected_gain={sol['expected_gain']:.3f}"
-        )
-    return EXIT_OK
-
-
-def _repro_tsla(args, seed: int) -> int:
-    if not (args.train_prices and args.test_prices):
-        raise InvalidParameterError("repro tsla needs --train-prices and --test-prices")
-    p = TSLA_PRESET
-    _make_out_dir(args.out_dir)
-    prefix = os.path.join(args.out_dir, "tsla")
-    summary, outputs = _backtest_single(
-        args.train_prices[0],
-        args.test_prices[0],
-        args.price_column,
-        p["target_std"],
-        p["v0"],
-        optimizer.DEFAULT_TOL,
-        seed,
-        prefix,
-        os.path.join(args.out_dir, "manifest.json"),
+            for sol in solutions
+        ),
+        seed=None,
+        values=parameters,
     )
-    RunManifest(
-        command="repro tsla",
-        parameters={
-            "train_prices": args.train_prices[0],
-            "test_prices": args.test_prices[0],
-            "price_column": args.price_column,
-            **p,
-        },
-        seed=seed,
-        outputs=outputs,
-    ).write(os.path.join(args.out_dir, "manifest.json"))
-    print(
-        f"k_star={summary['fit']['k_star']:.4f} "
-        f"terminal_return={100.0 * summary['terminal_return']:.2f}%"
-    )
-    return EXIT_OK
 
 
-def _repro_three_stock(args, seed: int) -> int:
-    p = THREE_STOCK_PRESET
-    if not (args.train_prices and args.test_prices) or len(args.train_prices) != 3 or len(
-        args.test_prices
-    ) != 3:
+def _cmd_repro(args) -> _Run:
+    if args.preset == "toy":
+        return _repro_toy(args)
+    n_files = 1 if args.preset == "tsla" else 3
+    if len(args.train_prices or ()) != n_files or len(args.test_prices or ()) != n_files:
         raise InvalidParameterError(
-            "repro three-stock needs --train-prices and --test-prices three times each"
+            f"repro {args.preset} needs --train-prices and --test-prices "
+            f"{'once' if n_files == 1 else 'three times'} each"
         )
-    _make_out_dir(
-        args.out_dir,
-        "three_stock_config.json",
-        "three_stock_trajectory.csv",
-        "three_stock_summary.json",
-        "three_stock.manifest.json",
-    )
-    config = {
-        "v0": p["v0"],
-        "assets": [
-            {
-                "train_prices": train,
-                "test_prices": test,
-                "target_std": target,
-                "price_column": args.price_column,
-            }
-            for train, test, target in zip(
-                args.train_prices, args.test_prices, p["target_stds"]
-            )
-        ],
-    }
+    if args.preset == "tsla":
+        p = TSLA_PRESET
+        train, test = args.train_prices[0], args.test_prices[0]
+        prefix = os.path.join(args.out_dir, "tsla")
+        summary, outputs = _backtest_single(
+            args, train, test, prefix, p["target_std"], p["v0"], optimizer.DEFAULT_TOL
+        )
+        return _Run(
+            manifest="tsla",
+            manifest_path=os.path.join(args.out_dir, "manifest.json"),
+            outputs=outputs,
+            message=(
+                f"k_star={summary['fit']['k_star']:.4f} "
+                f"terminal_return={100.0 * summary['terminal_return']:.2f}%"
+            ),
+            seed=args.seed,
+            values={"train_prices": train, "test_prices": test, **p},
+        )
+    # three-stock: the portfolio backtest, its config recorded as three_stock_config.json
+    p = THREE_STOCK_PRESET
+    assets = [
+        {
+            "train_prices": train,
+            "test_prices": test,
+            "target_std": target,
+            "price_column": args.price_column,
+        }
+        for train, test, target in zip(args.train_prices, args.test_prices, p["target_stds"])
+    ]
     config_path = os.path.join(args.out_dir, "three_stock_config.json")
-    _write_json(config_path, config)
-    inner = argparse.Namespace(
-        portfolio_config=config_path,
-        v0=p["v0"],
-        tol=None,
-        seed=seed,
-        out_prefix=os.path.join(args.out_dir, "three_stock"),
-    )
-    return _backtest_portfolio(inner, seed)
+    prefix = os.path.join(args.out_dir, "three_stock")
+    run = _backtest_portfolio(args, config_path, p["v0"], assets, optimizer.DEFAULT_TOL, prefix)
+    run.inputs = [(config_path, partial(_write_json, payload={"v0": p["v0"], "assets": assets}))]
+    return run
 
 
 # --- parser wiring ---
 
 _FIT_N_PATHS_HELP = "ignored: fits are exact from the return moments; paths apply to simulate only"
+
+# Every shared flag, declared once. A subcommand lists the flags it takes,
+# each by name or as (name, keywords), the keywords replacing the shared ones.
+_FLAGS = {
+    "--mu": {"type": float, "help": "mean per-period return"},
+    "--sigma": {"type": float, "help": "std of per-period returns"},
+    "--prices": {"help": "price CSV; builds an empirical PMF instead of moments"},
+    "--price-column": {
+        "default": returns.DEFAULT_PRICE_COLUMN,
+        "help": f"price column name (default {returns.DEFAULT_PRICE_COLUMN!r})",
+    },
+    "--v0": {"type": float, "default": 1.0, "help": "initial account value"},
+    "--seed": {"type": int, "help": "RNG seed (default 0 or $LONGSHORT_SEED)"},
+    "--k-max": {
+        "type": float,
+        "help": "override the gain ceiling (moment flags only; refused with --prices)",
+    },
+    "--tol": {"type": float},
+    "--n-paths": {"type": int, "help": _FIT_N_PATHS_HELP},
+}
+_MODEL_FLAGS = ("--mu", "--sigma", "--prices", "--price-column", "--v0", "--seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -713,78 +595,65 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_curve = sub.add_parser("curve", help="trace the (std, mean) curve over the gain grid")
-    _add_model_flags(p_curve)
-    p_curve.add_argument("--stage", type=int, required=True, help="target stage k")
-    p_curve.add_argument("--grid", type=int, default=200, help="number of gain grid points")
-    p_curve.add_argument(
-        "--k-max", type=float, default=None,
-        help="override the gain ceiling (moment flags only; refused with --prices)",
+    subcommands = (
+        ("curve", "trace the (std, mean) curve over the gain grid", _cmd_curve, (
+            *_MODEL_FLAGS,
+            ("--stage", {"type": int, "required": True, "help": "target stage k"}),
+            ("--grid", {"type": int, "default": 200, "help": "number of gain grid points"}),
+            "--k-max",
+            "--n-paths",
+            ("--out", {"default": "curve.csv", "help": "output CSV path"}),
+        )),
+        ("optimize", "solve for the gain under a std budget", _cmd_optimize, (
+            *_MODEL_FLAGS,
+            ("--target-std", {"type": float, "required": True}),
+            ("--stage", {"type": int, "help": "target stage k (default: train length)"}),
+            "--k-max",
+            "--tol",
+            "--n-paths",
+            ("--out", {"default": "optimal_gain.json"}),
+        )),
+        ("simulate", "Monte-Carlo estimate of gain statistics", _cmd_simulate, (
+            *_MODEL_FLAGS,
+            ("--alpha", {"type": float, "default": 0.5}),
+            ("--k-gain", {"type": float, "required": True}),
+            ("--stage", {"type": int, "required": True}),
+            ("--n-paths", {
+                "default": DEFAULT_N_PATHS,
+                "help": f"Monte-Carlo paths (default {DEFAULT_N_PATHS})",
+            }),
+            ("--out", {"default": "mc_estimate.json"}),
+            ("--trajectory-out", {
+                "help": "also write one seeded sample path's account trajectory CSV",
+            }),
+        )),
+        ("backtest", "fit on one price segment, replay another", _cmd_backtest, (
+            ("--train-prices", {"help": "training price CSV (single asset)"}),
+            ("--test-prices", {"help": "out-of-sample price CSV (single asset)"}),
+            ("--portfolio-config", {"help": "JSON portfolio description (multi-asset)"}),
+            ("--target-std", {"type": float}),
+            "--price-column",
+            ("--v0", {"help": None}),
+            "--tol",
+            "--n-paths",
+            ("--seed", {"help": None}),
+            ("--out-prefix", {"default": "backtest"}),
+        )),
+        ("repro", "run a named worked-example preset", _cmd_repro, (
+            ("preset", {"choices": ["toy", "tsla", "three-stock"]}),
+            ("--train-prices", {"action": "append", "help": "price CSV (repeatable)"}),
+            ("--test-prices", {"action": "append", "help": "price CSV (repeatable)"}),
+            "--price-column",
+            ("--seed", {"help": None}),
+            ("--out-dir", {"default": "repro_out"}),
+        )),
     )
-    p_curve.add_argument("--n-paths", type=int, default=None, help=_FIT_N_PATHS_HELP)
-    p_curve.add_argument("--out", default="curve.csv", help="output CSV path")
-    p_curve.set_defaults(func=_cmd_curve)
-
-    p_opt = sub.add_parser("optimize", help="solve for the gain under a std budget")
-    _add_model_flags(p_opt)
-    p_opt.add_argument("--target-std", type=float, required=True)
-    p_opt.add_argument("--stage", type=int, default=None, help="target stage k (default: train length)")
-    p_opt.add_argument(
-        "--k-max", type=float, default=None,
-        help="override the gain ceiling (moment flags only; refused with --prices)",
-    )
-    p_opt.add_argument("--tol", type=float, default=None)
-    p_opt.add_argument("--n-paths", type=int, default=None, help=_FIT_N_PATHS_HELP)
-    p_opt.add_argument("--out", default="optimal_gain.json")
-    p_opt.set_defaults(func=_cmd_optimize)
-
-    p_sim = sub.add_parser("simulate", help="Monte-Carlo estimate of gain statistics")
-    _add_model_flags(p_sim)
-    p_sim.add_argument("--alpha", type=float, default=0.5)
-    p_sim.add_argument("--k-gain", type=float, required=True)
-    p_sim.add_argument("--stage", type=int, required=True)
-    p_sim.add_argument(
-        "--n-paths", type=int, default=DEFAULT_N_PATHS,
-        help=f"Monte-Carlo paths (default {DEFAULT_N_PATHS})",
-    )
-    p_sim.add_argument("--out", default="mc_estimate.json")
-    p_sim.add_argument(
-        "--trajectory-out", default=None,
-        help="also write one seeded sample path's account trajectory CSV",
-    )
-    p_sim.set_defaults(func=_cmd_simulate)
-
-    p_back = sub.add_parser("backtest", help="fit on one price segment, replay another")
-    p_back.add_argument("--train-prices", help="training price CSV (single asset)")
-    p_back.add_argument("--test-prices", help="out-of-sample price CSV (single asset)")
-    p_back.add_argument("--portfolio-config", help="JSON portfolio description (multi-asset)")
-    p_back.add_argument("--target-std", type=float, default=None)
-    p_back.add_argument(
-        "--price-column",
-        default=returns.DEFAULT_PRICE_COLUMN,
-        help=f"price column name (default {returns.DEFAULT_PRICE_COLUMN!r})",
-    )
-    p_back.add_argument("--v0", type=float, default=1.0)
-    p_back.add_argument("--tol", type=float, default=None)
-    p_back.add_argument("--n-paths", type=int, default=None, help=_FIT_N_PATHS_HELP)
-    p_back.add_argument("--seed", type=int, default=None)
-    p_back.add_argument("--out-prefix", default="backtest")
-    p_back.set_defaults(func=_cmd_backtest)
-
-    p_repro = sub.add_parser("repro", help="run a named worked-example preset")
-    p_repro.add_argument("preset", choices=["toy", "tsla", "three-stock"])
-    p_repro.add_argument("--train-prices", action="append", help="price CSV (repeatable)")
-    p_repro.add_argument("--test-prices", action="append", help="price CSV (repeatable)")
-    p_repro.add_argument(
-        "--price-column",
-        default=returns.DEFAULT_PRICE_COLUMN,
-        help=f"price column name (default {returns.DEFAULT_PRICE_COLUMN!r})",
-    )
-    p_repro.add_argument("--seed", type=int, default=None)
-    p_repro.add_argument("--out-dir", default="repro_out")
-    p_repro.set_defaults(func=_cmd_repro)
-
+    for name, help_text, func, flags in subcommands:
+        p_sub = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            flag, keywords = (flag, {}) if isinstance(flag, str) else flag
+            p_sub.add_argument(flag, **{**_FLAGS.get(flag, {}), **keywords})
+        p_sub.set_defaults(func=func)
     return parser
 
 
@@ -792,7 +661,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if args.seed is None:
+            args.seed = _default_seed()
+        return _write_run(args, args.func(args))
     except InternalConsistencyError as exc:
         print(f"internal consistency violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytics import check_domain
 from .errors import (
-    InadmissibleGainError,
     InvalidParameterError,
     ReturnOutOfBoundsError,
     SimulationOverflowError,
@@ -46,16 +46,7 @@ class ControllerConfig:
     k_max: float
 
     def __post_init__(self):
-        if not (0.0 <= self.alpha <= 1.0):
-            raise InvalidParameterError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.v0 <= 0.0:
-            raise InvalidParameterError(f"v0 must be positive, got {self.v0}")
-        if not (0.0 < self.k_max <= 1.0):
-            raise InvalidParameterError(f"k_max must be in (0, 1], got {self.k_max}")
-        if not (0.0 <= self.k_gain <= self.k_max):
-            raise InadmissibleGainError(
-                f"k_gain={self.k_gain} outside admissible [0, {self.k_max}]"
-            )
+        check_domain(alpha=self.alpha, v0=self.v0, k_gain=self.k_gain, k_max=self.k_max)
 
     @classmethod
     def for_bounds(
@@ -175,12 +166,7 @@ def terminal_gains(alpha: float, k_gain: float, v0: float, paths) -> np.ndarray:
     vectorized across rows, so per-path results agree bitwise.
     """
     x = np.atleast_2d(np.asarray(paths, dtype=float))
-    if not (0.0 <= alpha <= 1.0):
-        raise InvalidParameterError(f"alpha must be in [0, 1], got {alpha}")
-    if v0 <= 0.0:
-        raise InvalidParameterError(f"v0 must be positive, got {v0}")
-    if not (0.0 <= k_gain <= 1.0):
-        raise InadmissibleGainError(f"k_gain={k_gain} outside [0, 1]")
+    check_domain(alpha=alpha, v0=v0, k_gain=k_gain)
     _check_path(k_gain, x)
     return _terminal_gains(alpha, k_gain, v0, x)
 

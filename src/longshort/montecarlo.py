@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .analytics import GainLossStats
+from .analytics import GainLossStats, check_domain
 from .errors import (
     EnumerationTooLargeError,
     InadmissibleGainError,
@@ -118,19 +118,9 @@ def _path_chunks(model: ReturnModel, n_paths: int, stage: int, seed: int):
 
 
 def _check_draw(stage: int, n_paths: int) -> None:
-    if stage < 1:
-        raise InvalidParameterError(f"stage must be >= 1, got {stage}")
+    check_domain(stage, 1)
     if n_paths < 2:
         raise InvalidParameterError(f"n_paths must be >= 2, got {n_paths}")
-
-
-def _check_probe(model: ReturnModel, alpha: float, k_gain: float, v0: float) -> None:
-    if not (0.0 <= k_gain <= model.k_max):
-        raise InadmissibleGainError(f"k_gain={k_gain} outside admissible [0, {model.k_max}]")
-    if not (0.0 <= alpha <= 1.0):
-        raise InvalidParameterError(f"alpha must be in [0, 1], got {alpha}")
-    if v0 <= 0.0:
-        raise InvalidParameterError(f"v0 must be positive, got {v0}")
 
 
 def _check_survivable(k_gain: float, x_min: float, x_max: float) -> None:
@@ -180,7 +170,7 @@ class McGainEstimator:
         self._x_max = float(self.paths.max())
 
     def estimate(self, alpha: float, k_gain: float, v0: float) -> McEstimate:
-        _check_probe(self.model, alpha, k_gain, v0)
+        check_domain(alpha=alpha, v0=v0, k_gain=k_gain, k_max=self.model.k_max)
         _check_survivable(k_gain, self._x_min, self._x_max)
         gains = dynamics._terminal_gains(alpha, k_gain, v0, self.paths)
         return _summarise(gains, self.seed, self.stage)
@@ -203,7 +193,7 @@ def estimate_gain_stats(
     the ``n_paths`` terminal gains, never the bank.
     """
     _check_draw(stage, n_paths)
-    _check_probe(model, alpha, k_gain, v0)
+    check_domain(alpha=alpha, v0=v0, k_gain=k_gain, k_max=model.k_max)
     # Every drawn return is an atom of the PMF, between the support bounds.
     _check_survivable(k_gain, model.bounds.x_min, model.bounds.x_max)
     gains = np.empty(int(n_paths))
@@ -224,19 +214,10 @@ def estimate_exact_small(
     Accepts a bare PMF for degenerate distributions that cannot carry
     two-sided bounds; the gain is then checked against survivability only.
     """
-    if stage < 0:
-        raise InvalidParameterError(f"stage must be >= 0, got {stage}")
-    if not (0.0 <= alpha <= 1.0):
-        raise InvalidParameterError(f"alpha must be in [0, 1], got {alpha}")
-    if v0 <= 0.0:
-        raise InvalidParameterError(f"v0 must be positive, got {v0}")
-    pmf = model.pmf if isinstance(model, ReturnModel) else model
-    if isinstance(model, ReturnModel):
-        if not (0.0 <= k_gain <= model.k_max):
-            raise InadmissibleGainError(
-                f"k_gain={k_gain} outside admissible [0, {model.k_max}]"
-            )
-    elif not (0.0 <= k_gain <= 1.0) or float(np.max(np.abs(k_gain * pmf.values))) > 1.0:
+    is_model = isinstance(model, ReturnModel)
+    check_domain(stage, 0, alpha, v0, k_gain, model.k_max if is_model else 1.0)
+    pmf = model.pmf if is_model else model
+    if not is_model and float(np.max(np.abs(k_gain * pmf.values))) > 1.0:
         raise InadmissibleGainError(f"k_gain={k_gain} breaks survivability for this PMF")
     n_atoms = pmf.n_atoms
     if n_atoms**stage > ENUMERATION_CAP:

@@ -25,7 +25,6 @@ from .errors import (
     InternalConsistencyError,
     InvalidParameterError,
     NonMonotoneEstimateError,
-    StageTooSmallError,
     TargetNonpositiveError,
     TargetTooLargeError,
     ZeroDriftError,
@@ -95,8 +94,7 @@ def build_curve(
     The grid spans [0, k_max] inclusive; the first point is always the
     origin (not trading costs nothing and earns nothing).
     """
-    if stage <= 1:
-        raise StageTooSmallError(f"stage must be > 1, got {stage}")
+    analytics.check_domain(stage, 2)
     if grid_size < 2:
         raise InvalidParameterError(f"grid_size must be >= 2, got {grid_size}")
     grid = np.linspace(0.0, k_max, grid_size)
@@ -121,8 +119,7 @@ def build_curve_empirical(
     All grid points share one bank of sampled paths, so the estimated curve
     inherits the monotone shape of the exact one instead of jittering.
     """
-    if stage <= 1:
-        raise StageTooSmallError(f"stage must be > 1, got {stage}")
+    analytics.check_domain(stage, 2)
     if grid_size < 2:
         raise InvalidParameterError(f"grid_size must be >= 2, got {grid_size}")
     estimator = McGainEstimator(model, stage, n_paths, seed)
@@ -180,8 +177,7 @@ def _bisect_std(
 
 
 def _check_solve_domain(mu: float, sigma2: float, stage: int, target_std: float) -> None:
-    if stage <= 1:
-        raise StageTooSmallError(f"stage must be > 1, got {stage}")
+    analytics.check_domain(stage, 2)
     if mu == 0.0:
         raise ZeroDriftError(
             "mu = 0: the balanced expected gain is identically zero, so no gain "
@@ -189,7 +185,7 @@ def _check_solve_domain(mu: float, sigma2: float, stage: int, target_std: float)
         )
     if sigma2 <= 0.0:
         raise ZeroVolatilityError("sigma2 = 0: std(G) is identically zero")
-    if target_std <= 0.0:
+    if not target_std > 0.0:
         raise TargetNonpositiveError(f"target_std must be positive, got {target_std}")
 
 

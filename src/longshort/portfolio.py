@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import dynamics
+from .analytics import check_domain
 from .errors import (
     DomainError,
     InvalidParameterError,
@@ -41,8 +42,7 @@ class PortfolioConfig:
         object.__setattr__(self, "assets", tuple(self.assets))
         if len(self.assets) < 1:
             raise InvalidParameterError("portfolio needs at least one asset")
-        if self.v0 <= 0.0:
-            raise InvalidParameterError(f"v0 must be positive, got {self.v0}")
+        check_domain(v0=self.v0)
         if self.alpha != 0.5:
             raise InvalidParameterError(
                 "portfolio controllers are balanced by construction (alpha = 1/2)"
@@ -152,8 +152,7 @@ def optimize_portfolio(
     """
     if len(assets) < 1:
         raise InvalidParameterError("need at least one (pmf, target_std) pair")
-    if v0 <= 0.0:
-        raise InvalidParameterError(f"v0 must be positive, got {v0}")
+    check_domain(v0=v0)
     per_asset_v0 = v0 / len(assets)
     results = []
     for i, (pmf, target_std) in enumerate(assets):

@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .analytics import check_domain
 from .errors import (
     EmptyReturnsError,
     InputFileError,
@@ -34,11 +35,6 @@ from .errors import (
 )
 
 WEIGHT_SUM_TOL = 1e-12
-
-KIND_EMPIRICAL = "empirical_pmf"
-KIND_TWO_POINT = "two_point"
-KIND_UNIFORM_GRID = "uniform_grid"
-_KINDS = (KIND_EMPIRICAL, KIND_TWO_POINT, KIND_UNIFORM_GRID)
 
 DEFAULT_PRICE_COLUMN = "adj_close"
 
@@ -170,13 +166,9 @@ class ReturnModel:
     bounds: ReturnBounds
     mu: float
     sigma2: float
-    kind: str
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise InvalidParameterError(f"unknown model kind {self.kind!r}")
-        if self.sigma2 < 0.0:
-            raise InvalidParameterError("sigma2 must be nonnegative")
+        check_domain(sigma2=self.sigma2)
         lo, hi = float(self.pmf.values[0]), float(self.pmf.values[-1])
         if lo != self.bounds.x_min or hi != self.bounds.x_max:
             raise InvalidBoundsError(
@@ -186,9 +178,9 @@ class ReturnModel:
             raise InvalidParameterError("mean must lie within the support bounds")
 
     @classmethod
-    def from_pmf(cls, pmf: EmpiricalPMF, kind: str = KIND_EMPIRICAL) -> "ReturnModel":
+    def from_pmf(cls, pmf: EmpiricalPMF) -> "ReturnModel":
         bounds = ReturnBounds(float(pmf.values[0]), float(pmf.values[-1]))
-        return cls(pmf=pmf, bounds=bounds, mu=pmf.mean(), sigma2=pmf.variance(), kind=kind)
+        return cls(pmf=pmf, bounds=bounds, mu=pmf.mean(), sigma2=pmf.variance())
 
     @classmethod
     def two_point(cls, x_down: float, x_up: float, p_up: float = 0.5) -> "ReturnModel":
@@ -196,7 +188,7 @@ class ReturnModel:
         if not (0.0 < p_up < 1.0):
             raise InvalidParameterError("p_up must be in (0, 1)")
         pmf = EmpiricalPMF(np.array([x_down, x_up]), np.array([1.0 - p_up, p_up]))
-        return cls.from_pmf(pmf, kind=KIND_TWO_POINT)
+        return cls.from_pmf(pmf)
 
     @classmethod
     def from_moments(cls, mu: float, sigma: float) -> "ReturnModel":
@@ -213,7 +205,7 @@ class ReturnModel:
         values = np.linspace(x_min, x_max, n_atoms)
         weights = np.full(n_atoms, 1.0 / n_atoms)
         pmf = EmpiricalPMF(values, weights)
-        return cls.from_pmf(pmf, kind=KIND_UNIFORM_GRID)
+        return cls.from_pmf(pmf)
 
     @property
     def k_max(self) -> float:
@@ -222,10 +214,10 @@ class ReturnModel:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ReturnModel):
             return NotImplemented
-        return self.pmf == other.pmf and self.kind == other.kind
+        return self.pmf == other.pmf
 
     def __hash__(self):
-        return hash((self.pmf, self.kind))
+        return hash(self.pmf)
 
 
 @dataclass(frozen=True, eq=False)

@@ -239,3 +239,63 @@ class TestAgainstIndependentMonteCarlo:
             cf_var = variance_gain(alpha, k_gain, stage, mu, sigma2)
             assert abs(mc_mean - cf_mean) <= 5 * se_mean + 1e-12
             assert abs(mc_var - cf_var) <= 5 * se_var + 1e-12
+
+
+class TestOneDomainCheck:
+    """Every entry point refuses the same out-of-domain inputs with the same types,
+    NaN and infinities included, through ``analytics.check_domain``."""
+
+    @staticmethod
+    def _entry_points(alpha=0.5, k_gain=0.5, v0=1.0):
+        from longshort import (
+            ControllerConfig, McGainEstimator, ReturnModel, estimate_exact_small,
+            estimate_gain_stats, terminal_gains,
+        )
+
+        model = ReturnModel.two_point(-0.1, 0.1)
+        return [
+            lambda: expected_gain(alpha, k_gain, 4, 0.05, v0),
+            lambda: variance_gain(alpha, k_gain, 4, 0.05, 0.01, v0),
+            lambda: ControllerConfig(alpha=alpha, k_gain=k_gain, v0=v0, k_max=1.0),
+            lambda: terminal_gains(alpha, k_gain, v0, [[0.1, -0.1]]),
+            lambda: McGainEstimator(model, 4, 10, 0).estimate(alpha, k_gain, v0),
+            lambda: estimate_gain_stats(model, alpha, k_gain, v0, 4, 10, 0),
+            lambda: estimate_exact_small(model, alpha, k_gain, v0, 2),
+        ]
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ({"alpha": math.nan}, InvalidParameterError),
+            ({"alpha": 1.5}, InvalidParameterError),
+            ({"v0": math.nan}, InvalidParameterError),
+            ({"v0": math.inf}, InvalidParameterError),
+            ({"v0": 0.0}, InvalidParameterError),
+            ({"k_gain": math.nan}, InadmissibleGainError),
+            ({"k_gain": 1.5}, InadmissibleGainError),
+        ],
+    )
+    def test_every_entry_point_refuses(self, bad, error):
+        for call in self._entry_points(**bad):
+            with pytest.raises(error):
+                call()
+
+    def test_order_is_alpha_then_v0_then_gain(self):
+        for call in self._entry_points(alpha=2.0, k_gain=2.0, v0=0.0):
+            with pytest.raises(InvalidParameterError, match="alpha"):
+                call()
+        for call in self._entry_points(k_gain=2.0, v0=0.0):
+            with pytest.raises(InvalidParameterError, match="v0"):
+                call()
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf, -1.0])
+    def test_drift_must_be_finite_and_above_minus_one(self, mu):
+        with pytest.raises(InvalidParameterError, match="mu"):
+            expected_gain(0.5, 0.1, 4, mu)
+        with pytest.raises(InvalidParameterError, match="mu"):
+            std_gain(0.5, 0.1, 4, mu, 0.01)
+
+    @pytest.mark.parametrize("sigma2", [math.nan, math.inf, -0.01])
+    def test_variance_must_be_finite_and_nonnegative(self, sigma2):
+        with pytest.raises(InvalidParameterError, match="sigma2"):
+            variance_gain(0.5, 0.1, 4, 0.05, sigma2)

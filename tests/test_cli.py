@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import csv
 import json
 
@@ -701,3 +702,234 @@ class TestOutputDirectories:
         assert f"error: {out_dir / 'toy_results.json'}: output file" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["afile", "out", "toy_results.json"]
         assert afile.read_text() == "a file, not a directory"
+
+
+# The CLI surface as it stood before the parser was built from a flag table:
+# per (subcommand, help), every action's class, option strings, default,
+# type, required flag, choices and help, in order.
+CLI_SURFACE = {
+    ('curve', 'trace the (std, mean) curve over the gain grid'): [
+        ('_HelpAction', ['-h', '--help'], '==SUPPRESS==', None, False, None,
+         'show this help message and exit'),
+        ('_StoreAction', ['--mu'], None, float, False, None,
+         'mean per-period return'),
+        ('_StoreAction', ['--sigma'], None, float, False, None,
+         'std of per-period returns'),
+        ('_StoreAction', ['--prices'], None, None, False, None,
+         'price CSV; builds an empirical PMF instead of moments'),
+        ('_StoreAction', ['--price-column'], 'adj_close', None, False, None,
+         "price column name (default 'adj_close')"),
+        ('_StoreAction', ['--v0'], 1.0, float, False, None,
+         'initial account value'),
+        ('_StoreAction', ['--seed'], None, int, False, None,
+         'RNG seed (default 0 or $LONGSHORT_SEED)'),
+        ('_StoreAction', ['--stage'], None, int, True, None,
+         'target stage k'),
+        ('_StoreAction', ['--grid'], 200, int, False, None,
+         'number of gain grid points'),
+        ('_StoreAction', ['--k-max'], None, float, False, None,
+         'override the gain ceiling (moment flags only; refused with --prices)'),
+        ('_StoreAction', ['--n-paths'], None, int, False, None,
+         'ignored: fits are exact from the return moments; paths apply to simulate only'),
+        ('_StoreAction', ['--out'], 'curve.csv', None, False, None,
+         'output CSV path'),
+    ],
+    ('optimize', 'solve for the gain under a std budget'): [
+        ('_HelpAction', ['-h', '--help'], '==SUPPRESS==', None, False, None,
+         'show this help message and exit'),
+        ('_StoreAction', ['--mu'], None, float, False, None,
+         'mean per-period return'),
+        ('_StoreAction', ['--sigma'], None, float, False, None,
+         'std of per-period returns'),
+        ('_StoreAction', ['--prices'], None, None, False, None,
+         'price CSV; builds an empirical PMF instead of moments'),
+        ('_StoreAction', ['--price-column'], 'adj_close', None, False, None,
+         "price column name (default 'adj_close')"),
+        ('_StoreAction', ['--v0'], 1.0, float, False, None,
+         'initial account value'),
+        ('_StoreAction', ['--seed'], None, int, False, None,
+         'RNG seed (default 0 or $LONGSHORT_SEED)'),
+        ('_StoreAction', ['--target-std'], None, float, True, None,
+         None),
+        ('_StoreAction', ['--stage'], None, int, False, None,
+         'target stage k (default: train length)'),
+        ('_StoreAction', ['--k-max'], None, float, False, None,
+         'override the gain ceiling (moment flags only; refused with --prices)'),
+        ('_StoreAction', ['--tol'], None, float, False, None,
+         None),
+        ('_StoreAction', ['--n-paths'], None, int, False, None,
+         'ignored: fits are exact from the return moments; paths apply to simulate only'),
+        ('_StoreAction', ['--out'], 'optimal_gain.json', None, False, None,
+         None),
+    ],
+    ('simulate', 'Monte-Carlo estimate of gain statistics'): [
+        ('_HelpAction', ['-h', '--help'], '==SUPPRESS==', None, False, None,
+         'show this help message and exit'),
+        ('_StoreAction', ['--mu'], None, float, False, None,
+         'mean per-period return'),
+        ('_StoreAction', ['--sigma'], None, float, False, None,
+         'std of per-period returns'),
+        ('_StoreAction', ['--prices'], None, None, False, None,
+         'price CSV; builds an empirical PMF instead of moments'),
+        ('_StoreAction', ['--price-column'], 'adj_close', None, False, None,
+         "price column name (default 'adj_close')"),
+        ('_StoreAction', ['--v0'], 1.0, float, False, None,
+         'initial account value'),
+        ('_StoreAction', ['--seed'], None, int, False, None,
+         'RNG seed (default 0 or $LONGSHORT_SEED)'),
+        ('_StoreAction', ['--alpha'], 0.5, float, False, None,
+         None),
+        ('_StoreAction', ['--k-gain'], None, float, True, None,
+         None),
+        ('_StoreAction', ['--stage'], None, int, True, None,
+         None),
+        ('_StoreAction', ['--n-paths'], 50000, int, False, None,
+         'Monte-Carlo paths (default 50000)'),
+        ('_StoreAction', ['--out'], 'mc_estimate.json', None, False, None,
+         None),
+        ('_StoreAction', ['--trajectory-out'], None, None, False, None,
+         "also write one seeded sample path's account trajectory CSV"),
+    ],
+    ('backtest', 'fit on one price segment, replay another'): [
+        ('_HelpAction', ['-h', '--help'], '==SUPPRESS==', None, False, None,
+         'show this help message and exit'),
+        ('_StoreAction', ['--train-prices'], None, None, False, None,
+         'training price CSV (single asset)'),
+        ('_StoreAction', ['--test-prices'], None, None, False, None,
+         'out-of-sample price CSV (single asset)'),
+        ('_StoreAction', ['--portfolio-config'], None, None, False, None,
+         'JSON portfolio description (multi-asset)'),
+        ('_StoreAction', ['--target-std'], None, float, False, None,
+         None),
+        ('_StoreAction', ['--price-column'], 'adj_close', None, False, None,
+         "price column name (default 'adj_close')"),
+        ('_StoreAction', ['--v0'], 1.0, float, False, None,
+         None),
+        ('_StoreAction', ['--tol'], None, float, False, None,
+         None),
+        ('_StoreAction', ['--n-paths'], None, int, False, None,
+         'ignored: fits are exact from the return moments; paths apply to simulate only'),
+        ('_StoreAction', ['--seed'], None, int, False, None,
+         None),
+        ('_StoreAction', ['--out-prefix'], 'backtest', None, False, None,
+         None),
+    ],
+    ('repro', 'run a named worked-example preset'): [
+        ('_HelpAction', ['-h', '--help'], '==SUPPRESS==', None, False, None,
+         'show this help message and exit'),
+        ('_StoreAction', [], None, None, True, ['toy', 'tsla', 'three-stock'],
+         None),
+        ('_AppendAction', ['--train-prices'], None, None, False, None,
+         'price CSV (repeatable)'),
+        ('_AppendAction', ['--test-prices'], None, None, False, None,
+         'price CSV (repeatable)'),
+        ('_StoreAction', ['--price-column'], 'adj_close', None, False, None,
+         "price column name (default 'adj_close')"),
+        ('_StoreAction', ['--seed'], None, int, False, None,
+         None),
+        ('_StoreAction', ['--out-dir'], 'repro_out', None, False, None,
+         None),
+    ],
+}
+
+
+def _cli_surface():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {choice.dest: choice.help for choice in sub._choices_actions}
+    return {
+        (name, helps[name]): [
+            (type(a).__name__, a.option_strings, a.default, a.type, a.required, a.choices, a.help)
+            for a in subparser._actions
+        ]
+        for name, subparser in sub.choices.items()
+    }
+
+
+def test_cli_surface_unchanged():
+    surface = _cli_surface()
+    assert list(surface) == list(CLI_SURFACE)
+    for command, actions in CLI_SURFACE.items():
+        assert surface[command] == actions, command
+
+
+class TestRefusedInputs:
+    """Bad numbers and conflicting flags exit 3 with an error line and write nothing."""
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["optimize", "--mu", "nan", "--sigma", "0.15", "--target-std", "0.1"], "mu"),
+            (["optimize", "--mu", "inf", "--sigma", "0.15", "--target-std", "0.1"], "mu"),
+            (["optimize", *TOY_FLAGS, "--v0", "nan", "--target-std", "0.1"], "v0"),
+            (["optimize", *TOY_FLAGS, "--v0", "inf", "--target-std", "0.1"], "v0"),
+            (["optimize", *TOY_FLAGS, "--target-std", "nan"], "target_std"),
+            (["curve", "--mu", "-0.1", "--sigma", "nan"], "sigma"),
+            (["curve", "--mu", "-0.1", "--sigma", "inf"], "sigma2"),
+        ],
+    )
+    def test_non_finite_numbers(self, tmp_path, capsys, argv, named):
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--stage", "10", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_portfolio_target(self, tmp_path, capsys):
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        _write_prices(train, _geometric_prices(1, 40))
+        _write_prices(test, _geometric_prices(2, 40))
+        config = tmp_path / "portfolio.json"
+        asset = {"train_prices": str(train), "test_prices": str(test), "target_std": float("nan")}
+        config.write_text(json.dumps({"assets": [asset]}))
+        prefix = tmp_path / "p"
+        rc = cli.main(["backtest", "--portfolio-config", str(config), "--out-prefix", str(prefix)])
+        assert rc == 3
+        assert "error: asset 0: target_std must be positive, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "p_summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, rest", [("curve", []), ("optimize", ["--target-std", "0.1"])]
+    )
+    def test_negative_sigma(self, tmp_path, capsys, command, rest):
+        out = tmp_path / "out"
+        rc = cli.main(
+            [command, "--mu", "-0.1", "--sigma", "-0.15", "--stage", "10", *rest,
+             "--out", str(out)]
+        )
+        assert rc == 3
+        assert "--sigma must be nonnegative, got -0.15" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["optimize", "curve", "simulate"])
+    @pytest.mark.parametrize("flag", ["--mu", "--sigma"])
+    def test_moment_flag_with_prices(self, tmp_path, capsys, command, flag):
+        rest = {
+            "optimize": ["--target-std", "0.01"],
+            "curve": ["--stage", "20"],
+            "simulate": ["--stage", "20", "--k-gain", "0.1"],
+        }[command]
+        # the price file does not exist: the conflict is refused before any file is read
+        missing = tmp_path / "missing.csv"
+        rc = cli.main(
+            [command, "--prices", str(missing), flag, "0.1", *rest, "--out", str(tmp_path / "o")]
+        )
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(f"error: {flag} conflicts with --prices")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("n_train, n_test", [(2, 2), (2, 1), (1, 2)])
+    def test_repro_tsla_takes_each_file_once(self, tmp_path, capsys, n_train, n_test):
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        _write_prices(train, _geometric_prices(30, 126, drift=-0.003, vol=0.03))
+        _write_prices(test, _geometric_prices(31, 126, drift=0.003, vol=0.03))
+        out_dir = tmp_path / "out"
+        rc = cli.main(
+            ["repro", "tsla", *["--train-prices", str(train)] * n_train,
+             *["--test-prices", str(test)] * n_test, "--out-dir", str(out_dir)]
+        )
+        assert rc == 3
+        assert "repro tsla needs --train-prices and --test-prices once each" in (
+            capsys.readouterr().err
+        )
+        assert not out_dir.exists()

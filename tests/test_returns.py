@@ -153,6 +153,12 @@ class TestReturnModel:
         with pytest.raises(InvalidBoundsError):
             ReturnModel.from_pmf(pmf_from_returns([-0.02, -0.01]))
 
+    @pytest.mark.parametrize("sigma2", [-0.01, math.nan, math.inf])
+    def test_variance_must_be_finite_and_nonnegative(self, sigma2):
+        model = ReturnModel.two_point(-0.1, 0.1)
+        with pytest.raises(InvalidParameterError, match="sigma2"):
+            ReturnModel(pmf=model.pmf, bounds=model.bounds, mu=0.0, sigma2=sigma2)
+
     def test_from_moments(self):
         model = ReturnModel.from_moments(-0.1, 0.15)
         assert model.mu == pytest.approx(-0.1)
