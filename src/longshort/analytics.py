@@ -31,6 +31,7 @@ from .errors import (
     InadmissibleGainError,
     InternalConsistencyError,
     InvalidParameterError,
+    MomentOverflowError,
     StageTooSmallError,
 )
 
@@ -108,6 +109,14 @@ def check_domain(
         raise InvalidParameterError(f"sigma2 must be nonnegative and finite, got {sigma2}")
 
 
+def _out_of_range(moment: str, stage: int, k_gain: float) -> MomentOverflowError:
+    # Python raises OverflowError when a float power or an fsum leaves double range.
+    return MomentOverflowError(
+        f"the {moment} of the gain-loss leaves double range at stage {stage} "
+        f"with k_gain={k_gain}"
+    )
+
+
 def expected_gain(alpha: float, k_gain: float, stage: int, mu: float, v0: float = 1.0) -> float:
     """Expected cumulative gain-loss at the given stage."""
     check_domain(stage, 0, alpha, v0, k_gain, 1.0, mu)
@@ -115,7 +124,10 @@ def expected_gain(alpha: float, k_gain: float, stage: int, mu: float, v0: float 
     theta = k_gain * mu
     if theta == 0.0:
         return 0.0  # exact: both product factors are identically 1
-    return v0 * (alpha * (1.0 + theta) ** k + (1.0 - alpha) * (1.0 - theta) ** k - 1.0)
+    try:
+        return v0 * (alpha * (1.0 + theta) ** k + (1.0 - alpha) * (1.0 - theta) ** k - 1.0)
+    except OverflowError:
+        raise _out_of_range("expected gain", k, k_gain) from None
 
 
 def variance_gain(
@@ -142,17 +154,20 @@ def variance_gain(
     spread = k_gain * k_gain * sigma2
     up = 1.0 + theta
     down = 1.0 - theta
-    mean_over_v0 = alpha * up**k + (1.0 - alpha) * down**k - 1.0
-    terms = (
-        alpha * alpha * (up * up + spread) ** k,
-        (1.0 - alpha) * (1.0 - alpha) * (down * down + spread) ** k,
-        2.0 * alpha * (1.0 - alpha) * second_moment_term**k,
-        -2.0 * alpha * up**k,
-        -2.0 * (1.0 - alpha) * down**k,
-        1.0,
-        -mean_over_v0 * mean_over_v0,
-    )
-    var = (v0 * v0) * math.fsum(terms)
+    try:
+        mean_over_v0 = alpha * up**k + (1.0 - alpha) * down**k - 1.0
+        terms = (
+            alpha * alpha * (up * up + spread) ** k,
+            (1.0 - alpha) * (1.0 - alpha) * (down * down + spread) ** k,
+            2.0 * alpha * (1.0 - alpha) * second_moment_term**k,
+            -2.0 * alpha * up**k,
+            -2.0 * (1.0 - alpha) * down**k,
+            1.0,
+            -mean_over_v0 * mean_over_v0,
+        )
+        var = (v0 * v0) * math.fsum(terms)
+    except OverflowError:
+        raise _out_of_range("variance", k, k_gain) from None
     if var < 0.0:
         # Cancellation noise among the terms is bounded by their magnitude;
         # a negative result beyond that cannot come from rounding.

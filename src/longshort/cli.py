@@ -99,7 +99,6 @@ class _Run:
     message: str
     seed: int | None
     values: dict = field(default_factory=dict)  # manifest values that replace the flags'
-    inputs: list[tuple[str, Callable]] = field(default_factory=list)  # written first, unlisted
 
 
 def _write_json(path, payload) -> None:
@@ -150,14 +149,13 @@ def _make_out_dir(out_dir, *names) -> None:
 
 def _write_run(args, run: _Run) -> int:
     """Check every output path, then write the outputs, the manifest and the summary line."""
-    files = [*run.inputs, *run.outputs]
-    paths = [path for path, _ in files] + [run.manifest_path]
+    paths = [path for path, _ in run.outputs] + [run.manifest_path]
     if args.command == "repro":
         _make_out_dir(args.out_dir, *(os.path.basename(path) for path in paths))
     else:
         flags = [getattr(args, name, None) for name in ("out", "trajectory_out", "out_prefix")]
         _check_output_dirs(*flags, files=paths)
-    for path, write in files:
+    for path, write in run.outputs:
         write(path)
     command, names = _MANIFESTS[run.manifest]
     values = {**vars(args), **run.values}
@@ -519,6 +517,11 @@ def _repro_toy(args) -> _Run:
 
 def _cmd_repro(args) -> _Run:
     if args.preset == "toy":
+        if args.train_prices or args.test_prices:
+            raise InvalidParameterError(
+                "repro toy takes no price files: --train-prices and --test-prices "
+                "apply to tsla and three-stock"
+            )
         return _repro_toy(args)
     n_files = 1 if args.preset == "tsla" else 3
     if len(args.train_prices or ()) != n_files or len(args.test_prices or ()) != n_files:
@@ -544,7 +547,7 @@ def _cmd_repro(args) -> _Run:
             seed=args.seed,
             values={"train_prices": train, "test_prices": test, **p},
         )
-    # three-stock: the portfolio backtest, its config recorded as three_stock_config.json
+    # three-stock: the portfolio backtest, its config written first as three_stock_config.json
     p = THREE_STOCK_PRESET
     assets = [
         {
@@ -558,7 +561,8 @@ def _cmd_repro(args) -> _Run:
     config_path = os.path.join(args.out_dir, "three_stock_config.json")
     prefix = os.path.join(args.out_dir, "three_stock")
     run = _backtest_portfolio(args, config_path, p["v0"], assets, optimizer.DEFAULT_TOL, prefix)
-    run.inputs = [(config_path, partial(_write_json, payload={"v0": p["v0"], "assets": assets}))]
+    config = {"v0": p["v0"], "assets": assets}
+    run.outputs.insert(0, (config_path, partial(_write_json, payload=config)))
     return run
 
 

@@ -16,6 +16,7 @@ range, and an overflow check raises rather than returning infinities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,18 +102,27 @@ class CashFinancingAudit:
     cash_financed: bool
 
 
-def _check_path(k_gain: float, path: np.ndarray) -> None:
-    # Survivability guard: factors 1 + K*x and 1 - K*x must stay nonnegative.
-    # This is the strongest check expressible from the config alone; staying
-    # within the bounds that produced k_max is the caller's obligation.
-    if np.any(path <= -1.0):
-        raise ReturnOutOfBoundsError("returns must be strictly above -1")
-    scaled = k_gain * path
-    if np.any(1.0 + scaled < 0.0) or np.any(1.0 - scaled < 0.0):
-        worst = float(np.max(np.abs(scaled)))
+def _check_survivable(k_gain: float, x_min: float, x_max: float) -> None:
+    # 1 + K*x and 1 - K*x are monotone in x under IEEE rounding, so the
+    # extreme returns decide survivability for every return between them.
+    if 1.0 + k_gain * x_min < 0.0 or 1.0 - k_gain * x_max < 0.0:
+        worst = k_gain * max(-x_min, x_max)
         raise ReturnOutOfBoundsError(
             f"|k_gain * x| reaches {worst}, breaking account nonnegativity"
         )
+
+
+def _check_path(k_gain: float, path: np.ndarray) -> None:
+    # Survivability guard: factors 1 + K*x and 1 - K*x must stay nonnegative.
+    # This is the strongest check expressible from the config alone; staying
+    # within the bounds that produced k_max is the caller's obligation. The
+    # path's extremes decide it; fmin/fmax skip NaN, which fails every
+    # comparison, and an empty path has extremes +inf and -inf, which pass.
+    x_min = float(np.fmin.reduce(path, axis=None, initial=np.inf))
+    x_max = float(np.fmax.reduce(path, axis=None, initial=-np.inf))
+    if x_min <= -1.0:
+        raise ReturnOutOfBoundsError("returns must be strictly above -1")
+    _check_survivable(k_gain, x_min, x_max)
 
 
 def simulate(config: ControllerConfig, path) -> AccountTrajectory:
@@ -142,7 +152,9 @@ def simulate(config: ControllerConfig, path) -> AccountTrajectory:
     ul_out[n] = k_gain * v_l
     us_out[n] = neg_gain * v_s
 
-    if not (np.all(np.isfinite(v_long)) and np.all(np.isfinite(v_short))):
+    # An account that leaves double range stays inf or NaN at every later
+    # stage, so the terminal values show whether any value overflowed.
+    if not (math.isfinite(v_l) and math.isfinite(v_s)):
         raise SimulationOverflowError(
             f"account value overflowed double precision on a path of length {n}"
         )
@@ -176,25 +188,26 @@ def _terminal_gains(alpha: float, k_gain: float, v0: float, x: np.ndarray) -> np
 
     Each step computes ``v + x * (K * v)`` with the same roundings as
     :func:`simulate`, written into reused buffers; a stage-major (Fortran
-    order) ``x`` makes every column read contiguous.
+    order) ``x`` makes every column read contiguous. The long and short
+    accounts are the two rows of one array, so each stage costs three numpy
+    calls whatever the number of paths.
     """
-    v_long = np.full(x.shape[0], alpha * v0)
-    v_short = np.full(x.shape[0], (1.0 - alpha) * v0)
-    step = np.empty(x.shape[0])
+    rows = x.shape[0]
+    accounts = np.empty((2, rows))
+    accounts[0] = alpha * v0
+    accounts[1] = (1.0 - alpha) * v0
+    gains = np.array([[k_gain], [-k_gain]])
+    step = np.empty((2, rows))
     with np.errstate(over="ignore"):  # overflow is detected and raised below
         for k in range(x.shape[1]):
-            col = x[:, k]
-            np.multiply(v_long, k_gain, out=step)
-            step *= col
-            v_long += step
-            np.multiply(v_short, -k_gain, out=step)
-            step *= col
-            v_short += step
-        v_long += v_short
-    if not np.all(np.isfinite(v_long)):
+            np.multiply(accounts, gains, out=step)
+            step *= x[:, k]
+            accounts += step
+    v_total = accounts[0] + accounts[1]
+    if not np.all(np.isfinite(v_total)):
         raise SimulationOverflowError("account value overflowed double precision")
-    v_long -= v0
-    return v_long
+    v_total -= v0
+    return v_total
 
 
 def audit_cash_financing(traj: AccountTrajectory, k_gain: float) -> CashFinancingAudit:

@@ -85,6 +85,10 @@ class SimulationOverflowError(DomainError):
     """Account value overflowed double precision; path too long or extreme."""
 
 
+class MomentOverflowError(DomainError):
+    """A closed-form moment leaves double range: the stage is too long for the gain."""
+
+
 class StageTooSmallError(DomainError):
     """Stage index below the minimum required by the operation."""
 

@@ -9,8 +9,8 @@ Two estimators with deliberately different conventions:
   for the multi-probe solvers: probing several gains against one bank shares
   the random numbers, which keeps the estimated std curve monotone.
   :func:`estimate_gain_stats` streams them for a one-shot estimate, holding
-  one block of paths and the terminal gains, and returns the same numbers
-  bit for bit.
+  one block of ``CHUNK_ROWS`` paths and the terminal gains, and returns the
+  same numbers bit for bit.
 
 * :func:`estimate_exact_small` exhaustively enumerates every return sequence
   of a small discrete model with its product probability and reports exact
@@ -22,7 +22,11 @@ Paths are drawn in fixed-size batches, each from its own generator seeded by
 batches would be scheduled across workers. Each batch's draws equal those of
 ``rng.choice(n_atoms, size=..., p=weights)``: the same uniforms are mapped to
 atoms through a guide table that returns the same indices as the cdf search
-``Generator.choice`` runs, only faster. Paths are stage-major; a gain probe
+``Generator.choice`` runs, only faster. A block's uniforms, atom indices and
+draws live in buffers allocated once per draw, so the working set is about
+25 bytes per block entry whatever the number of paths; 512-row blocks keep
+it at 1.5 MiB for 125 stages, and smaller blocks cost time in the per-stage
+recursion without saving much more. Paths are stage-major; a gain probe
 checks survivability once, against the bank's extreme returns or, when
 streamed, the model's support bounds that every drawn return lies within,
 and then runs the account recursion of
@@ -43,13 +47,12 @@ from .errors import (
     EnumerationTooLargeError,
     InadmissibleGainError,
     InvalidParameterError,
-    ReturnOutOfBoundsError,
 )
 from .returns import EmpiricalPMF, ReturnModel
 
 DEFAULT_N_PATHS = 50_000
 BATCH_SIZE = 16_384
-CHUNK_ROWS = 2_048  # paths drawn at a time, within one batch
+CHUNK_ROWS = 512  # paths drawn at a time, within one batch
 GUIDE_BUCKETS = 4_096  # a power of two, so u * GUIDE_BUCKETS is exact
 ENUMERATION_CAP = 10_000_000
 
@@ -67,8 +70,8 @@ class McEstimate:
     stage: int
 
 
-def _atom_indices(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``cdf.searchsorted(u, side="right")`` through a guide table.
+def _atom_lookup(cdf: np.ndarray, size: int):
+    """``lookup(u, scratch)``: ``cdf.searchsorted(u, side="right")`` through a guide table.
 
     Bucket ``j`` holds the uniforms in [j/G, (j+1)/G). Its guide entry counts
     the cdf values <= j/G, a lower bound on the answer for every uniform in
@@ -77,15 +80,31 @@ def _atom_indices(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     cdf values <= u, which is the ``side="right"`` answer; it stops by
     ``cdf[-1] == 1 > u`` at the latest. Only uniforms in a bucket that a
     cdf value splits take a step.
+
+    ``u`` is 1-d, at most ``size`` long, and ``scratch`` is a float buffer
+    of its length that the lookup overwrites. The indices come back in a
+    buffer allocated here once, which the caller finishes with before the
+    next lookup. Every index gathered lies in range, so the gathers use
+    ``mode="clip"``, which skips the copy that numpy's bounds-checked
+    ``take`` makes of its output.
     """
     guide = cdf.searchsorted(np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS, side="right")
-    flat = u.ravel()
-    idx = guide[(flat * GUIDE_BUCKETS).astype(np.intp)]
-    pending = np.flatnonzero(cdf[idx] <= flat)
-    while pending.size:
-        idx[pending] += 1
-        pending = pending[cdf[idx[pending]] <= flat[pending]]
-    return idx.reshape(u.shape)
+    idx_buf = np.empty(size, dtype=np.intp)
+    step_buf = np.empty(size, dtype=bool)
+
+    def lookup(u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        idx = idx_buf[: u.size]
+        bucket = scratch.view(np.intp)  # spent once the guide is read
+        np.multiply(u, GUIDE_BUCKETS, out=bucket, casting="unsafe")  # floor, as u >= 0
+        np.take(guide, bucket, out=idx, mode="clip")
+        below = np.take(cdf, idx, out=scratch, mode="clip")
+        pending = np.flatnonzero(np.less_equal(below, u, out=step_buf[: u.size]))
+        while pending.size:
+            idx[pending] += 1
+            pending = pending[cdf[idx[pending]] <= u[pending]]
+        return idx
+
+    return lookup
 
 
 def _path_chunks(model: ReturnModel, n_paths: int, stage: int, seed: int):
@@ -97,7 +116,9 @@ def _path_chunks(model: ReturnModel, n_paths: int, stage: int, seed: int):
     ``rng.choice(values.size, size=(batch_rows, stage), p=weights)``, which
     draws ``rng.random`` of that size and searches this same normalised cdf.
     Every block is the same reused buffer: a consumer finishes with (or
-    copies) it before asking for the next.
+    copies) it before asking for the next. The uniforms and atom indices
+    live in buffers reused the same way, so drawing allocates nothing of a
+    block's size per block.
     """
     values = model.pmf.values
     cdf = model.pmf.weights.cumsum()
@@ -105,15 +126,19 @@ def _path_chunks(model: ReturnModel, n_paths: int, stage: int, seed: int):
     size = min(CHUNK_ROWS, n_paths) * stage
     uniforms = np.empty(size)
     drawn = np.empty(size)
+    lookup = _atom_lookup(cdf, size)
     for batch, batch_start in enumerate(range(0, n_paths, BATCH_SIZE)):
         batch_stop = min(batch_start + BATCH_SIZE, n_paths)
         rng = np.random.default_rng([seed, batch])
         for start in range(batch_start, batch_stop, CHUNK_ROWS):
             rows = min(CHUNK_ROWS, batch_stop - start)
-            u = uniforms[: rows * stage].reshape(rows, stage)
+            u, flat = uniforms[: rows * stage], drawn[: rows * stage]
             rng.random(out=u)
-            block = drawn[: rows * stage].reshape((rows, stage), order="F")
-            np.take(values, _atom_indices(cdf, u), out=block)
+            # The path-major draws overwrite their spent uniforms, then are
+            # transposed into the stage-major block.
+            picked = np.take(values, lookup(u, flat), out=u, mode="clip")
+            block = flat.reshape((rows, stage), order="F")
+            np.copyto(block, picked.reshape(rows, stage))
             yield start, block
 
 
@@ -121,16 +146,6 @@ def _check_draw(stage: int, n_paths: int) -> None:
     check_domain(stage, 1)
     if n_paths < 2:
         raise InvalidParameterError(f"n_paths must be >= 2, got {n_paths}")
-
-
-def _check_survivable(k_gain: float, x_min: float, x_max: float) -> None:
-    # 1 + K*x and 1 - K*x are monotone in x under IEEE rounding, so the
-    # extreme returns decide survivability for every return between them.
-    if 1.0 + k_gain * x_min < 0.0 or 1.0 - k_gain * x_max < 0.0:
-        worst = k_gain * max(-x_min, x_max)
-        raise ReturnOutOfBoundsError(
-            f"|k_gain * x| reaches {worst}, breaking account nonnegativity"
-        )
 
 
 def _summarise(gains: np.ndarray, seed: int, stage: int) -> McEstimate:
@@ -171,7 +186,7 @@ class McGainEstimator:
 
     def estimate(self, alpha: float, k_gain: float, v0: float) -> McEstimate:
         check_domain(alpha=alpha, v0=v0, k_gain=k_gain, k_max=self.model.k_max)
-        _check_survivable(k_gain, self._x_min, self._x_max)
+        dynamics._check_survivable(k_gain, self._x_min, self._x_max)
         gains = dynamics._terminal_gains(alpha, k_gain, v0, self.paths)
         return _summarise(gains, self.seed, self.stage)
 
@@ -195,7 +210,7 @@ def estimate_gain_stats(
     _check_draw(stage, n_paths)
     check_domain(alpha=alpha, v0=v0, k_gain=k_gain, k_max=model.k_max)
     # Every drawn return is an atom of the PMF, between the support bounds.
-    _check_survivable(k_gain, model.bounds.x_min, model.bounds.x_max)
+    dynamics._check_survivable(k_gain, model.bounds.x_min, model.bounds.x_max)
     gains = np.empty(int(n_paths))
     for start, block in _path_chunks(model, int(n_paths), int(stage), int(seed)):
         gains[start : start + block.shape[0]] = dynamics._terminal_gains(

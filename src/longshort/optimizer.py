@@ -54,7 +54,7 @@ class MeanStdCurve:
 
     def __post_init__(self):
         k = np.asarray(self.k_grid, dtype=float)
-        if k.size < 2 or np.any(np.diff(k) <= 0.0):
+        if k.size < 2 or np.any(k[1:] <= k[:-1]):
             raise InvalidParameterError("gain grid must be strictly increasing with >= 2 points")
         if k[0] != 0.0:
             raise InvalidParameterError("gain grid must start at 0")
@@ -98,9 +98,18 @@ def build_curve(
     if grid_size < 2:
         raise InvalidParameterError(f"grid_size must be >= 2, got {grid_size}")
     grid = np.linspace(0.0, k_max, grid_size)
-    ks = grid.tolist()  # Python floats: the same doubles, evaluated faster
-    stds = np.array([analytics.std_gain(0.5, k, stage, mu, sigma2, v0) for k in ks])
-    means = np.array([analytics.expected_gain(0.5, k, stage, mu, v0) for k in ks])
+    # Iterating a memoryview yields the grid's doubles one at a time as Python
+    # floats, which evaluate faster than numpy scalars; only the columns are held.
+    stds = np.fromiter(
+        (analytics.std_gain(0.5, k, stage, mu, sigma2, v0) for k in memoryview(grid)),
+        float,
+        grid_size,
+    )
+    means = np.fromiter(
+        (analytics.expected_gain(0.5, k, stage, mu, v0) for k in memoryview(grid)),
+        float,
+        grid_size,
+    )
     return MeanStdCurve(
         k_grid=grid, stds=stds, means=means, stage=int(stage), mu=mu, sigma2=sigma2, v0=v0
     )

@@ -473,10 +473,8 @@ def test_criterion_8_seeded_commands_are_byte_identical(tmp_path):
         assert cli.main(argv(str(out_a))) == 0
         assert cli.main(argv(str(out_b))) == 0
         same = out_a.read_bytes() == out_b.read_bytes()
-        manifests_exist = (
-            os.path.exists(f"{out_a}.manifest.json")
-            and json.loads(open(f"{out_a}.manifest.json").read())["seed"] == 11
-        )
+        manifest = tmp_path / f"{name}_a.out.manifest.json"
+        manifests_exist = manifest.exists() and json.loads(manifest.read_text())["seed"] == 11
         all_ok = all_ok and same and manifests_exist
 
     test_prices = tmp_path / "test_prices.csv"

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -340,6 +341,30 @@ class TestReproCommand:
     def test_repro_tsla_requires_files(self, capsys):
         rc = cli.main(["repro", "tsla", "--out-dir", "unused_dir"])
         assert rc == 3
+
+    def test_three_stock_manifest_lists_the_config_it_writes(self, tmp_path):
+        files = []
+        for i in range(3):
+            train, test = tmp_path / f"train{i}.csv", tmp_path / f"test{i}.csv"
+            _write_prices(train, _geometric_prices(40 + i, 126, drift=-0.003, vol=0.03))
+            _write_prices(test, _geometric_prices(50 + i, 60, drift=0.003, vol=0.03))
+            files += ["--train-prices", str(train), "--test-prices", str(test)]
+        out_dir = tmp_path / "out"
+        assert cli.main(["repro", "three-stock", *files, "--out-dir", str(out_dir)]) == 0
+        manifest = json.loads((out_dir / "three_stock.manifest.json").read_text())
+        config = str(out_dir / "three_stock_config.json")
+        assert manifest["outputs"] == [
+            config,
+            str(out_dir / "three_stock_trajectory.csv"),
+            str(out_dir / "three_stock_summary.json"),
+        ]
+        assert manifest["parameters"]["portfolio_config"] == config
+        written = json.loads((out_dir / "three_stock_config.json").read_text())
+        assert written["v0"] == 100.0
+        assert [a["target_std"] for a in written["assets"]] == [0.08, 0.01, 0.02]
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+            ["three_stock.manifest.json", *(os.path.basename(p) for p in manifest["outputs"])]
+        )
 
 
 class TestExitCodes:
@@ -933,3 +958,34 @@ class TestRefusedInputs:
             capsys.readouterr().err
         )
         assert not out_dir.exists()
+
+    def test_repro_toy_takes_no_price_files(self, tmp_path, capsys):
+        # the files need not exist: the flags are refused before anything is read
+        out_dir = tmp_path / "rt"
+        rc = cli.main(
+            ["repro", "toy", "--train-prices", str(tmp_path / "nope.csv"),
+             "--test-prices", str(tmp_path / "nope2.csv"), "--out-dir", str(out_dir)]
+        )
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(
+            "error: repro toy takes no price files"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestLongHorizons:
+    """A closed form that leaves double range is a typed refusal (exit 3), not a traceback."""
+
+    @pytest.mark.parametrize("stage", [3_500, 10**4, 10**5])
+    @pytest.mark.parametrize("command", ["optimize", "curve"])
+    def test_overflow_exits_3(self, tmp_path, capsys, command, stage):
+        rest = ["--target-std", "1"] if command == "optimize" else []
+        out = tmp_path / "out"
+        rc = cli.main(
+            [command, *TOY_FLAGS, "--stage", str(stage), *rest, "--out", str(out)]
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: the variance of the gain-loss leaves double range")
+        assert f"at stage {stage} with k_gain=" in err
+        assert list(tmp_path.iterdir()) == []

@@ -20,6 +20,7 @@ from longshort import (
     simulate,
     terminal_gains,
 )
+from longshort.returns import _CSV_BLOCK_ROWS
 
 
 def _config(alpha=0.5, k_gain=0.5, v0=1.0, k_max=1.0):
@@ -29,6 +30,11 @@ def _config(alpha=0.5, k_gain=0.5, v0=1.0, k_max=1.0):
 # Values whose repr is easy to get wrong: a signed zero, the smallest
 # subnormal, a tiny and a huge normal, and a non-terminating binary fraction.
 AWKWARD_FLOATS = np.array([-0.0, 5e-324, 1e-300, 1e16, 0.1])
+
+# Row counts at the edges of the first CSV block and of a later one.
+BLOCK_EDGES = [
+    n for edge in (_CSV_BLOCK_ROWS, 4 * _CSV_BLOCK_ROWS) for n in (edge - 1, edge, edge + 1)
+]
 
 
 def awkward_columns(n, m, seed):
@@ -275,7 +281,7 @@ class TestTrajectoryExport:
         assert first[0] == "0"
         assert float(first[1]) == 0.5
 
-    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 10_000])
+    @pytest.mark.parametrize("n", [1, *BLOCK_EDGES, 10_000])
     def test_bytes_match_csv_writer_rows(self, tmp_path, n):
         cols = awkward_columns(n, 7, seed=n)
         traj = AccountTrajectory(*cols)

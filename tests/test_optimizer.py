@@ -7,6 +7,7 @@ acceptance suite.
 """
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,8 @@ from longshort import (
     std_gain,
 )
 from longshort.optimizer import _bisect_std
-from test_dynamics import AWKWARD_FLOATS, awkward_columns
+from longshort.returns import _CSV_BLOCK_ROWS
+from test_dynamics import AWKWARD_FLOATS, BLOCK_EDGES, awkward_columns
 
 TOY = dict(mu=-0.1, sigma2=0.0225, v0=1.0, k_max=1.0)
 
@@ -88,7 +90,7 @@ class TestBuildCurve:
         assert np.array_equal(curve.stds, stds)
         assert np.array_equal(curve.means, means)
 
-    @pytest.mark.parametrize("n", [2, 4095, 4096, 4097, 10_000])
+    @pytest.mark.parametrize("n", [2, *BLOCK_EDGES, 10_000])
     def test_csv_bytes_match_csv_writer_rows(self, tmp_path, n):
         stds, means = awkward_columns(n, 2, seed=n)
         # the gain grid must rise from 0; the positive awkward values lead it
@@ -104,6 +106,31 @@ class TestBuildCurve:
             for k_gain, std, mean in curve.points:
                 writer.writerow([repr(k_gain), repr(std), repr(mean)])
         assert out.read_bytes() == ref.read_bytes()
+
+
+class TestCurveMemory:
+    """A 1e5-point curve holds its three columns, and writing it one block of rows."""
+
+    GRID = 100_000
+
+    @staticmethod
+    def _peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    def test_build_holds_only_its_columns(self):
+        peak, curve = self._peak(lambda: build_curve(**TOY, stage=250, grid_size=self.GRID))
+        columns = curve.k_grid.nbytes + curve.stds.nbytes + curve.means.nbytes
+        assert peak < columns + 2**20
+
+    def test_write_holds_one_block_of_rows(self, tmp_path):
+        curve = build_curve(**TOY, stage=250, grid_size=self.GRID)
+        peak, _ = self._peak(lambda: curve.write_csv(tmp_path / "curve.csv"))
+        assert peak < 512 * _CSV_BLOCK_ROWS  # 0.23 MiB at 1,024 rows
 
 
 class TestSolveOptimalGain:

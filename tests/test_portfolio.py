@@ -18,7 +18,7 @@ from longshort import (
     run_portfolio,
     simulate,
 )
-from test_dynamics import awkward_columns
+from test_dynamics import BLOCK_EDGES, awkward_columns
 
 MODEL_A = ReturnModel.two_point(-0.1, 0.12, 0.5)
 MODEL_B = ReturnModel.two_point(-0.2, 0.25, 0.4)
@@ -159,7 +159,7 @@ class TestRunPortfolio:
         assert lines[0] == "k,gain_aaa,gain_bbb,total_gain_loss,leverage_ratio"
         assert len(lines) == 7
 
-    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 10_000])
+    @pytest.mark.parametrize("n", [1, *BLOCK_EDGES, 10_000])
     def test_bytes_match_csv_writer_rows(self, tmp_path, n):
         gains = tuple(awkward_columns(n, 2, seed=n))
         total, leverage = awkward_columns(n, 4, seed=n + 1)[2:]
