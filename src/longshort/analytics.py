@@ -13,6 +13,11 @@ and a variance assembled from the per-factor second moments:
            - 2*alpha * v0^2 * (1+K*mu)^k - 2*(1-alpha) * v0^2 * (1-K*mu)^k
            + v0^2 - E[G]^2
 
+One private kernel, ``_moments``, evaluates both at v0 = 1, and every closed-form
+number in the package reads it: the functions below and the optimizer's curve
+and solver. The mean and std are linear in v0 and the variance quadratic, so a
+large v0 rescales a result; one that leaves double range is refused.
+
 Everything is model-free: only (mu, sigma2) enter, and the stage k is always
 an integer. At alpha = 1/2 the expected gain is positive for every admissible
 K > 0 and every nonzero drift, which is what makes the balanced split the
@@ -36,7 +41,7 @@ from .errors import (
 )
 
 # Cancellation among the variance terms is O(eps) near K=0; anything more
-# negative than this (scaled by v0^2) means the formula was fed garbage.
+# negative than this (at unit v0) means the formula was fed garbage.
 NEGATIVE_VARIANCE_TOL = 1e-12
 
 
@@ -117,17 +122,70 @@ def _out_of_range(moment: str, stage: int, k_gain: float) -> MomentOverflowError
     )
 
 
+def _moments(alpha: float, k_gain: float, k: int, mu: float, sigma2: float) -> tuple[float, float]:
+    """(E[G], var(G)) at v0 = 1 for validated inputs: the formulas above, evaluated once.
+
+    sigma2 = 0 asks for the mean alone, and the variance is then exactly 0. A
+    power past double range is refused as an overflow of the variance; when
+    no variance is evaluated, the mean comes back as inf instead.
+    """
+    theta = k_gain * mu
+    up = 1.0 + theta
+    down = 1.0 - theta
+    # With sigma2 = 0 the domain's |K*mu| <= 1 already passes this check.
+    second_moment_term = 1.0 - k_gain * k_gain * (sigma2 + mu * mu)
+    if second_moment_term < -NEGATIVE_VARIANCE_TOL:
+        raise InadmissibleGainError(
+            f"k_gain^2 * (sigma2 + mu^2) = {1.0 - second_moment_term} exceeds 1"
+        )
+    second_moment_term = max(second_moment_term, 0.0)
+    mean_only = k_gain == 0.0 or sigma2 == 0.0  # not trading, or a deterministic return path
+    var = 0.0
+    try:
+        mean = alpha * up**k + (1.0 - alpha) * down**k - 1.0
+        if not mean_only:
+            spread = k_gain * k_gain * sigma2
+            terms = (
+                alpha * alpha * (up * up + spread) ** k,
+                (1.0 - alpha) * (1.0 - alpha) * (down * down + spread) ** k,
+                2.0 * alpha * (1.0 - alpha) * second_moment_term**k,
+                -2.0 * alpha * up**k,
+                -2.0 * (1.0 - alpha) * down**k,
+                1.0,
+                -mean * mean,
+            )
+            var = math.fsum(terms)
+    except OverflowError:
+        if not mean_only:
+            raise _out_of_range("variance", k, k_gain) from None
+        mean = math.inf  # the powers are nonnegative; whoever reads this mean refuses it
+    if var < 0.0:
+        # Cancellation noise among the terms is bounded by their magnitude;
+        # a negative result beyond that cannot come from rounding.
+        cancellation_scale = max(1.0, sum(abs(t) for t in terms))
+        if var < -NEGATIVE_VARIANCE_TOL * cancellation_scale:
+            raise InternalConsistencyError(
+                f"variance evaluated to {var}, far below zero; this is a bug"
+            )
+        var = 0.0
+    # theta = 0 makes both product factors identically 1: the mean is exactly 0
+    return (0.0 if theta == 0.0 else mean), var
+
+
+def _scaled(value: float, scale: float, moment: str, stage: int, k_gain: float) -> float:
+    # v0 scales the kernel's mean and std, v0**2 its variance; only the product
+    # can leave double range here. A zero stays exact where the scale overflows.
+    scaled = scale * value if value else value
+    if math.isinf(scaled):
+        raise _out_of_range(moment, stage, k_gain)
+    return scaled
+
+
 def expected_gain(alpha: float, k_gain: float, stage: int, mu: float, v0: float = 1.0) -> float:
     """Expected cumulative gain-loss at the given stage."""
     check_domain(stage, 0, alpha, v0, k_gain, 1.0, mu)
     k = int(stage)
-    theta = k_gain * mu
-    if theta == 0.0:
-        return 0.0  # exact: both product factors are identically 1
-    try:
-        return v0 * (alpha * (1.0 + theta) ** k + (1.0 - alpha) * (1.0 - theta) ** k - 1.0)
-    except OverflowError:
-        raise _out_of_range("expected gain", k, k_gain) from None
+    return _scaled(_moments(alpha, k_gain, k, mu, 0.0)[0], v0, "expected gain", k, k_gain)
 
 
 def variance_gain(
@@ -140,51 +198,17 @@ def variance_gain(
     and cannot be negative for valid inputs.
     """
     check_domain(stage, 0, alpha, v0, k_gain, 1.0, mu, sigma2)
-    k = int(stage)
-    if k_gain == 0.0 or sigma2 == 0.0:
-        return 0.0  # exact: not trading, or a deterministic return path
-    second_moment_term = 1.0 - k_gain * k_gain * (sigma2 + mu * mu)
-    if second_moment_term < -NEGATIVE_VARIANCE_TOL:
-        raise InadmissibleGainError(
-            f"k_gain^2 * (sigma2 + mu^2) = {1.0 - second_moment_term} exceeds 1"
-        )
-    second_moment_term = max(second_moment_term, 0.0)
-
-    theta = k_gain * mu
-    spread = k_gain * k_gain * sigma2
-    up = 1.0 + theta
-    down = 1.0 - theta
-    try:
-        mean_over_v0 = alpha * up**k + (1.0 - alpha) * down**k - 1.0
-        terms = (
-            alpha * alpha * (up * up + spread) ** k,
-            (1.0 - alpha) * (1.0 - alpha) * (down * down + spread) ** k,
-            2.0 * alpha * (1.0 - alpha) * second_moment_term**k,
-            -2.0 * alpha * up**k,
-            -2.0 * (1.0 - alpha) * down**k,
-            1.0,
-            -mean_over_v0 * mean_over_v0,
-        )
-        var = (v0 * v0) * math.fsum(terms)
-    except OverflowError:
-        raise _out_of_range("variance", k, k_gain) from None
-    if var < 0.0:
-        # Cancellation noise among the terms is bounded by their magnitude;
-        # a negative result beyond that cannot come from rounding.
-        cancellation_scale = max(1.0, sum(abs(t) for t in terms))
-        if var < -NEGATIVE_VARIANCE_TOL * cancellation_scale * v0 * v0:
-            raise InternalConsistencyError(
-                f"variance evaluated to {var}, far below zero; this is a bug"
-            )
-        var = 0.0
-    return var
+    var = _moments(alpha, k_gain, int(stage), mu, sigma2)[1]
+    return _scaled(var, v0 * v0, "variance", int(stage), k_gain)
 
 
 def std_gain(
     alpha: float, k_gain: float, stage: int, mu: float, sigma2: float, v0: float = 1.0
 ) -> float:
     """Standard deviation of the cumulative gain-loss (sqrt of the variance)."""
-    return math.sqrt(variance_gain(alpha, k_gain, stage, mu, sigma2, v0))
+    check_domain(stage, 0, alpha, v0, k_gain, 1.0, mu, sigma2)
+    var = _moments(alpha, k_gain, int(stage), mu, sigma2)[1]
+    return _scaled(math.sqrt(var), v0, "variance", int(stage), k_gain)
 
 
 def gain_stats(
@@ -207,10 +231,6 @@ def check_rpe(k_gain: float, stage: int, mu: float, v0: float = 1.0) -> RpeCheck
     return RpeCheck(value=value, positive=value > 0.0)
 
 
-def _gain_at_theta(alpha: float, theta: float, stage: int) -> float:
-    return alpha * (1.0 + theta) ** stage + (1.0 - alpha) * (1.0 - theta) ** stage - 1.0
-
-
 def find_rpe_counterexample(
     alpha: float, k_gain: float, stage: int
 ) -> RpeCounterexample | None:
@@ -222,6 +242,8 @@ def find_rpe_counterexample(
     arbitrarily close to zero: the search halves |theta| starting from 1
     (from 1/2 on the negative side, which must stay above -1) until the gain
     goes negative. Coming up empty would contradict the slope argument.
+    A gain whose powers leave double range comes back as inf and so counts
+    as positive, as its dominant power (1 + |theta|)**stage is.
     """
     check_domain(stage, 2, alpha)
     k = int(stage)
@@ -231,7 +253,7 @@ def find_rpe_counterexample(
         return None
     theta = 1.0 if alpha < 0.5 else -0.5
     while abs(theta) > 1e-300:
-        value = _gain_at_theta(alpha, theta, k)
+        value = _moments(alpha, 1.0, k, theta, 0.0)[0]  # unit gain: mu = theta
         if value < 0.0:
             return RpeCounterexample(alpha=alpha, theta=theta, stage=k, gain_value=value)
         theta *= 0.5

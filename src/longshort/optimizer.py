@@ -15,7 +15,9 @@ defined.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -50,7 +52,6 @@ class MeanStdCurve:
     mu: float
     sigma2: float
     v0: float
-    alpha: float = 0.5
 
     def __post_init__(self):
         k = np.asarray(self.k_grid, dtype=float)
@@ -86,6 +87,34 @@ class OptimalGainResult:
     iterations: int
 
 
+def _exact_probe(mu: float, sigma2: float, v0: float, stage: int, k_max: float) -> Callable:
+    """The closed-form (mean, std) at a gain in [0, k_max], after one validation."""
+    # Every domain check is monotone in the gain, so passing k_max passes [0, k_max].
+    analytics.check_domain(stage, 2, 0.5, v0, k_max, 1.0, mu, sigma2)
+    k = int(stage)
+
+    def at(k_gain: float) -> tuple[float, float]:
+        mean, var = analytics._moments(0.5, k_gain, k, mu, sigma2)
+        mean = analytics._scaled(mean, v0, "expected gain", k, k_gain)
+        return mean, analytics._scaled(math.sqrt(var), v0, "variance", k, k_gain)
+
+    return at
+
+
+def _trace_curve(at: Callable, k_max: float, grid_size: int, **fields) -> MeanStdCurve:
+    """``at``'s (mean, std) on an even gain grid over [0, k_max], as a curve with ``fields``."""
+    if grid_size < 2:
+        raise InvalidParameterError(f"grid_size must be >= 2, got {grid_size}")
+    grid = np.linspace(0.0, k_max, grid_size)
+    means, stds = np.empty(grid_size), np.empty(grid_size)
+    # Iterating a memoryview yields the grid's doubles one at a time as Python
+    # floats, which evaluate faster than numpy scalars; only the columns are held.
+    mean_out, std_out = memoryview(means), memoryview(stds)
+    for i, k_gain in enumerate(memoryview(grid)):
+        mean_out[i], std_out[i] = at(k_gain)
+    return MeanStdCurve(k_grid=grid, stds=stds, means=means, **fields)
+
+
 def build_curve(
     mu: float, sigma2: float, v0: float, stage: int, k_max: float, grid_size: int = 200
 ) -> MeanStdCurve:
@@ -94,25 +123,8 @@ def build_curve(
     The grid spans [0, k_max] inclusive; the first point is always the
     origin (not trading costs nothing and earns nothing).
     """
-    analytics.check_domain(stage, 2)
-    if grid_size < 2:
-        raise InvalidParameterError(f"grid_size must be >= 2, got {grid_size}")
-    grid = np.linspace(0.0, k_max, grid_size)
-    # Iterating a memoryview yields the grid's doubles one at a time as Python
-    # floats, which evaluate faster than numpy scalars; only the columns are held.
-    stds = np.fromiter(
-        (analytics.std_gain(0.5, k, stage, mu, sigma2, v0) for k in memoryview(grid)),
-        float,
-        grid_size,
-    )
-    means = np.fromiter(
-        (analytics.expected_gain(0.5, k, stage, mu, v0) for k in memoryview(grid)),
-        float,
-        grid_size,
-    )
-    return MeanStdCurve(
-        k_grid=grid, stds=stds, means=means, stage=int(stage), mu=mu, sigma2=sigma2, v0=v0
-    )
+    at = _exact_probe(mu, sigma2, v0, stage, k_max)
+    return _trace_curve(at, k_max, grid_size, stage=int(stage), mu=mu, sigma2=sigma2, v0=v0)
 
 
 def build_curve_empirical(
@@ -129,24 +141,11 @@ def build_curve_empirical(
     inherits the monotone shape of the exact one instead of jittering.
     """
     analytics.check_domain(stage, 2)
-    if grid_size < 2:
-        raise InvalidParameterError(f"grid_size must be >= 2, got {grid_size}")
     estimator = McGainEstimator(model, stage, n_paths, seed)
-    grid = np.linspace(0.0, model.k_max, grid_size)
-    stds = np.empty(grid_size)
-    means = np.empty(grid_size)
-    for i, k in enumerate(grid):
-        est = estimator.estimate(0.5, float(k), v0)
-        stds[i] = est.std
-        means[i] = est.mean
-    return MeanStdCurve(
-        k_grid=grid,
-        stds=stds,
-        means=means,
-        stage=int(stage),
-        mu=model.mu,
-        sigma2=model.sigma2,
-        v0=v0,
+    mean_std = attrgetter("mean", "std")
+    return _trace_curve(
+        lambda k: mean_std(estimator.estimate(0.5, k, v0)), model.k_max, grid_size,
+        stage=int(stage), mu=model.mu, sigma2=model.sigma2, v0=v0,
     )
 
 
@@ -185,6 +184,15 @@ def _bisect_std(
     return mid, s_mid, iterations
 
 
+def _solve(std_at, mean_at, k_max, target_std, tol, stage, too_large, error) -> OptimalGainResult:
+    """Refuse a target at or above s_max = ``std_at(k_max)``, else bisect ``std_at`` for it."""
+    s_max = std_at(k_max)
+    if target_std >= s_max:
+        raise TargetTooLargeError(too_large.format(target_std=target_std, s_max=s_max), s_max=s_max)
+    k_star, achieved, iterations = _bisect_std(std_at, k_max, s_max, target_std, tol, error)
+    return OptimalGainResult(k_star, achieved, mean_at(k_star), target_std, int(stage), iterations)
+
+
 def _check_solve_domain(mu: float, sigma2: float, stage: int, target_std: float) -> None:
     analytics.check_domain(stage, 2)
     if mu == 0.0:
@@ -214,28 +222,11 @@ def solve_optimal_gain(
     because mu != 0.
     """
     _check_solve_domain(mu, sigma2, stage, target_std)
-    s_max = analytics.std_gain(0.5, k_max, stage, mu, sigma2, v0)
-    if target_std >= s_max:
-        raise TargetTooLargeError(
-            f"target_std={target_std} >= s_max={s_max}; cap at k_max explicitly "
-            "if running at the ceiling is intended",
-            s_max=s_max,
-        )
-    k_star, achieved, iterations = _bisect_std(
-        lambda k: analytics.std_gain(0.5, k, stage, mu, sigma2, v0),
-        k_max,
-        s_max,
-        target_std,
-        tol,
-        InternalConsistencyError,
-    )
-    return OptimalGainResult(
-        k_star=k_star,
-        achieved_std=achieved,
-        expected_gain=analytics.expected_gain(0.5, k_star, stage, mu, v0),
-        target_std=target_std,
-        stage=int(stage),
-        iterations=iterations,
+    at = _exact_probe(mu, sigma2, v0, stage, k_max)
+    return _solve(
+        lambda k: at(k)[1], lambda k: at(k)[0], k_max, target_std, tol, stage,
+        "target_std={target_std} >= s_max={s_max}; cap at k_max explicitly "
+        "if running at the ceiling is intended", InternalConsistencyError,
     )
 
 
@@ -262,20 +253,9 @@ def solve_optimal_gain_empirical(
     _check_solve_domain(mu, sigma2, stage, target_std)
     model = ReturnModel.from_pmf(pmf)
     estimator = McGainEstimator(model, stage, n_paths, seed)
-    std_at = lambda k: estimator.estimate(0.5, k, v0).std  # noqa: E731
-    s_max = std_at(model.k_max)
-    if target_std >= s_max:
-        raise TargetTooLargeError(
-            f"target_std={target_std} >= estimated s_max={s_max}", s_max=s_max
-        )
-    k_star, achieved, iterations = _bisect_std(
-        std_at, model.k_max, s_max, target_std, tol, NonMonotoneEstimateError
-    )
-    return OptimalGainResult(
-        k_star=k_star,
-        achieved_std=achieved,
-        expected_gain=analytics.expected_gain(0.5, k_star, stage, mu, v0),
-        target_std=target_std,
-        stage=int(stage),
-        iterations=iterations,
+    return _solve(
+        lambda k: estimator.estimate(0.5, k, v0).std,
+        lambda k: analytics.expected_gain(0.5, k, stage, mu, v0),
+        model.k_max, target_std, tol, stage,
+        "target_std={target_std} >= estimated s_max={s_max}", NonMonotoneEstimateError,
     )

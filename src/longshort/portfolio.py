@@ -11,7 +11,7 @@ sub-account.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -36,22 +36,17 @@ class PortfolioConfig:
 
     assets: tuple[tuple[ReturnModel, float], ...]
     v0: float
-    alpha: float = field(default=0.5)
 
     def __post_init__(self):
         object.__setattr__(self, "assets", tuple(self.assets))
         if len(self.assets) < 1:
             raise InvalidParameterError("portfolio needs at least one asset")
         check_domain(v0=self.v0)
-        if self.alpha != 0.5:
-            raise InvalidParameterError(
-                "portfolio controllers are balanced by construction (alpha = 1/2)"
-            )
         # Validate per-asset admissibility eagerly, tagged by asset.
         for i, (model, k_gain) in enumerate(self.assets):
             try:
                 dynamics.ControllerConfig.for_model(
-                    model, alpha=self.alpha, k_gain=k_gain, v0=self.per_asset_v0
+                    model, alpha=0.5, k_gain=k_gain, v0=self.per_asset_v0
                 )
             except DomainError as exc:
                 raise PortfolioAssetError(i, str(exc)) from exc
@@ -115,7 +110,7 @@ def run_portfolio(config: PortfolioConfig, paths: Sequence) -> PortfolioTrajecto
     asset_gains = []
     for i, ((model, k_gain), path) in enumerate(zip(config.assets, arrays)):
         cfg = dynamics.ControllerConfig.for_model(
-            model, alpha=config.alpha, k_gain=k_gain, v0=config.per_asset_v0
+            model, alpha=0.5, k_gain=k_gain, v0=config.per_asset_v0
         )
         try:
             traj = dynamics.simulate(cfg, path)

@@ -7,6 +7,7 @@ from the product definition or by that oracle.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from longshort import (
     InadmissibleGainError,
     InvalidParameterError,
+    MomentOverflowError,
     StageTooSmallError,
     check_robust_growth,
     check_rpe,
@@ -90,6 +92,15 @@ class TestVarianceGain:
     def test_second_moment_admissibility(self):
         with pytest.raises(InadmissibleGainError):
             variance_gain(0.5, 1.0, 2, 0.9, 0.5)  # K^2 (s2 + mu^2) > 1
+
+    def test_large_v0_scales_or_overflows(self):
+        # the unit-v0 variance is finite; only v0**2 times it leaves double range
+        with pytest.raises(MomentOverflowError, match="variance"):
+            variance_gain(0.5, 0.5, 10, -0.1, 0.0225, v0=1e200)
+        with pytest.raises(MomentOverflowError, match="variance"):
+            gain_stats(0.5, 0.5, 10, -0.1, 0.0225, v0=1e200)
+        unit = std_gain(0.5, 0.5, 10, -0.1, 0.0225)
+        assert std_gain(0.5, 0.5, 10, -0.1, 0.0225, v0=1e200) == 1e200 * unit
 
     @given(
         alpha=st.floats(min_value=0.0, max_value=1.0),
@@ -174,6 +185,16 @@ class TestCounterexampleSearch:
         assert find_rpe_counterexample(0.35, 0.5, 7).theta > 0.0
         assert find_rpe_counterexample(0.65, 0.5, 7).theta < 0.0
 
+    @pytest.mark.parametrize("stage", [3_500, 10**5])
+    @pytest.mark.parametrize("alpha", [0.3, 0.7])
+    def test_long_horizons_skip_gains_beyond_double_range(self, alpha, stage):
+        # the first probes' powers overflow; those gains count as positive
+        witness = find_rpe_counterexample(alpha, 1.0, stage)
+        assert witness is not None
+        assert witness.gain_value < 0.0
+        assert (witness.theta > 0.0) == (alpha < 0.5)
+        assert expected_gain(alpha, 1.0, stage, witness.theta) == witness.gain_value
+
     def test_preconditions(self):
         with pytest.raises(StageTooSmallError):
             find_rpe_counterexample(0.25, 0.5, 1)
@@ -199,14 +220,31 @@ class TestRobustGrowth:
             check_robust_growth(0.5, 0, 0.1)
 
 
-class TestAgainstIndependentMonteCarlo:
-    """Closed forms vs a from-scratch Monte-Carlo using the binomial sufficient
-    statistic of a two-point model (up-move count), 10^6 paths per tuple."""
+class TestAgainstExactBinomialSum:
+    """Closed forms vs the exact rational moments of a two-point model: the gain
+    depends on a path only through its up-move count, so the mean and variance
+    are sums over stage + 1 binomial terms, evaluated in ``Fraction``."""
 
     N_TUPLES = 50
-    N_PATHS = 1_000_000
+    REL_TOL = Fraction(1, 10**9)
 
-    def test_mean_and_variance_within_five_se(self):
+    @staticmethod
+    def _exact_moments(x_down, x_up, p_up, alpha, k_gain, stage):
+        xd, xu, p, a, k = map(Fraction, (x_down, x_up, p_up, alpha, k_gain))
+        first = second = Fraction(0)
+        for ups in range(stage + 1):
+            downs = stage - ups
+            weight = math.comb(stage, ups) * p**ups * (1 - p) ** downs
+            gain = (
+                a * (1 + k * xu) ** ups * (1 + k * xd) ** downs
+                + (1 - a) * (1 - k * xu) ** ups * (1 - k * xd) ** downs
+                - 1
+            )
+            first += weight * gain
+            second += weight * gain * gain
+        return first, second - first * first
+
+    def test_mean_and_variance_match_exact_sum(self):
         rng = np.random.default_rng(2024)
         for _ in range(self.N_TUPLES):
             x_down = rng.uniform(-0.5, -0.01)
@@ -218,27 +256,11 @@ class TestAgainstIndependentMonteCarlo:
             mu = p_up * x_up + (1 - p_up) * x_down
             sigma2 = p_up * x_up**2 + (1 - p_up) * x_down**2 - mu**2
 
-            ups = rng.binomial(stage, p_up, size=self.N_PATHS)
-            up_factor = 1 + k_gain * x_up
-            down_factor = 1 + k_gain * x_down
-            pos = up_factor**ups * down_factor ** (stage - ups)
-            neg = (1 - k_gain * x_up) ** ups * (1 - k_gain * x_down) ** (stage - ups)
-            gains = alpha * pos + (1 - alpha) * neg - 1
-
-            mc_mean = gains.mean()
-            mc_var = gains.var(ddof=1)
-            se_mean = gains.std(ddof=1) / math.sqrt(self.N_PATHS)
-            centered = gains - mc_mean
-            fourth = np.mean(centered**4)
-            se_var = math.sqrt(
-                max(fourth - mc_var**2 * (self.N_PATHS - 3) / (self.N_PATHS - 1), 0.0)
-                / self.N_PATHS
-            )
-
-            cf_mean = expected_gain(alpha, k_gain, stage, mu)
-            cf_var = variance_gain(alpha, k_gain, stage, mu, sigma2)
-            assert abs(mc_mean - cf_mean) <= 5 * se_mean + 1e-12
-            assert abs(mc_var - cf_var) <= 5 * se_var + 1e-12
+            mean, var = self._exact_moments(x_down, x_up, p_up, alpha, k_gain, stage)
+            cf_mean = Fraction(expected_gain(alpha, k_gain, stage, mu))
+            cf_var = Fraction(variance_gain(alpha, k_gain, stage, mu, sigma2))
+            assert abs(cf_mean - mean) <= self.REL_TOL * abs(mean)
+            assert abs(cf_var - var) <= self.REL_TOL * abs(var)
 
 
 class TestOneDomainCheck:

@@ -989,3 +989,34 @@ class TestLongHorizons:
         assert err.startswith("error: the variance of the gain-loss leaves double range")
         assert f"at stage {stage} with k_gain=" in err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestLargeInitialValue:
+    """The moments scale with v0 (mean and std linearly), so a v0 near the top of
+    double range rescales a finite fit or curve instead of overflowing it."""
+
+    BIG = ["--mu", "-0.1", "--sigma", "0.15", "--v0", "1e200", "--stage", "10"]
+
+    def test_curve_is_the_unit_curve_rescaled(self, tmp_path):
+        unit, big = tmp_path / "unit.csv", tmp_path / "big.csv"
+        assert cli.main(["curve", *TOY_FLAGS, "--stage", "10", "--grid", "3", "--out", str(unit)]) == 0
+        assert cli.main(["curve", *self.BIG, "--grid", "3", "--out", str(big)]) == 0
+        for u, b in zip(_read_csv(unit), _read_csv(big), strict=True):
+            assert float(b["k_gain"]) == float(u["k_gain"])
+            assert float(b["std"]) == 1e200 * float(u["std"])
+            assert float(b["mean"]) == 1e200 * float(u["mean"])
+
+    def test_fit_matches_the_unit_fit(self, tmp_path):
+        # At v0 = 1e200 the default tol (1e-9) is far below the std's resolution,
+        # so bisection runs until the bracket closes: compare with a unit fit at tol 0.
+        unit, big = tmp_path / "unit.json", tmp_path / "big.json"
+        rc = cli.main(
+            ["optimize", *TOY_FLAGS, "--stage", "10", "--target-std", "0.1", "--tol", "0",
+             "--out", str(unit)]
+        )
+        assert rc == 0
+        assert cli.main(["optimize", *self.BIG, "--target-std", "1e199", "--out", str(big)]) == 0
+        u, b = json.loads(unit.read_text()), json.loads(big.read_text())
+        assert abs(b["k_star"] - u["k_star"]) <= 1e-12
+        assert b["achieved_std"] == pytest.approx(1e200 * u["achieved_std"], rel=1e-12)
+        assert b["expected_gain"] == pytest.approx(1e200 * u["expected_gain"], rel=1e-12)

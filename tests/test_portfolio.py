@@ -1,6 +1,7 @@
 """Tests for the multi-asset portfolio layer."""
 
 import csv
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -39,10 +40,11 @@ class TestPortfolioConfig:
         cfg = PortfolioConfig(assets=((MODEL_A, 0.5), (MODEL_B, 0.2)), v0=10.0)
         assert cfg.n_assets == 2
         assert cfg.per_asset_v0 == 5.0
-        assert cfg.alpha == 0.5
+        # balanced by construction: the split is not a field
+        assert "alpha" not in {f.name for f in dataclasses.fields(cfg)}
 
     def test_unbalanced_alpha_rejected(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(TypeError, match="alpha"):
             PortfolioConfig(assets=((MODEL_A, 0.5),), v0=1.0, alpha=0.7)
 
     def test_empty_rejected(self):
