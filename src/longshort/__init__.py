@@ -5,160 +5,117 @@ linear feedback laws on separately tracked long and short sub-accounts:
 closed-form gain-loss statistics, robust positive-expectation checks, optimal
 gain selection under a standard-deviation budget, Monte-Carlo estimation from
 empirical return distributions, and single/multi-asset backtesting.
+
+The public names below are resolved on first access (PEP 562), each from the
+submodule that defines it, so ``import longshort`` loads no submodule and no
+numpy; ``from longshort import *`` loads them all.
 """
 
-from .errors import (
-    ConfigKeyError,
-    DomainError,
-    EmptyReturnsError,
-    EnumerationTooLargeError,
-    InadmissibleGainError,
-    InputFileError,
-    InternalConsistencyError,
-    InvalidBoundsError,
-    InvalidParameterError,
-    InvalidPmfError,
-    LengthMismatchError,
-    LongShortError,
-    MissingColumnError,
-    MomentOverflowError,
-    NonMonotoneEstimateError,
-    NonPositivePriceError,
-    OutputFileError,
-    PortfolioAssetError,
-    PriceParseError,
-    ReturnBelowNegOneError,
-    ReturnOutOfBoundsError,
-    SimulationOverflowError,
-    StageTooSmallError,
-    TargetNonpositiveError,
-    TargetTooLargeError,
-    TooShortError,
-    ZeroDriftError,
-    ZeroVolatilityError,
-)
-from .returns import (
-    EmpiricalPMF,
-    PriceSeries,
-    ReturnBounds,
-    ReturnModel,
-    load_prices_csv,
-    pmf_from_returns,
-    returns_from_prices,
-    sample_path,
-)
-from .dynamics import (
-    AccountTrajectory,
-    CashFinancingAudit,
-    ControllerConfig,
-    audit_cash_financing,
-    simulate,
-    terminal_gains,
-)
-from .analytics import (
-    GainLossStats,
-    RpeCheck,
-    RpeCounterexample,
-    check_robust_growth,
-    check_rpe,
-    expected_gain,
-    find_rpe_counterexample,
-    gain_stats,
-    std_gain,
-    variance_gain,
-)
-from .montecarlo import (
-    DEFAULT_N_PATHS,
-    McEstimate,
-    McGainEstimator,
-    estimate_exact_small,
-    estimate_gain_stats,
-)
-from .optimizer import (
-    MeanStdCurve,
-    OptimalGainResult,
-    build_curve,
-    build_curve_empirical,
-    solve_optimal_gain,
-    solve_optimal_gain_empirical,
-)
-from .portfolio import (
-    PORTFOLIO_DEFAULT_N_PATHS,
-    PortfolioConfig,
-    PortfolioTrajectory,
-    optimize_portfolio,
-    run_portfolio,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccountTrajectory",
-    "CashFinancingAudit",
-    "ConfigKeyError",
-    "ControllerConfig",
-    "DEFAULT_N_PATHS",
-    "DomainError",
-    "EmpiricalPMF",
-    "EmptyReturnsError",
-    "EnumerationTooLargeError",
-    "GainLossStats",
-    "InadmissibleGainError",
-    "InputFileError",
-    "InternalConsistencyError",
-    "InvalidBoundsError",
-    "InvalidParameterError",
-    "InvalidPmfError",
-    "LengthMismatchError",
-    "LongShortError",
-    "McEstimate",
-    "McGainEstimator",
-    "MeanStdCurve",
-    "MissingColumnError",
-    "MomentOverflowError",
-    "NonMonotoneEstimateError",
-    "NonPositivePriceError",
-    "OutputFileError",
-    "OptimalGainResult",
-    "PORTFOLIO_DEFAULT_N_PATHS",
-    "PortfolioAssetError",
-    "PortfolioConfig",
-    "PortfolioTrajectory",
-    "PriceParseError",
-    "PriceSeries",
-    "ReturnBelowNegOneError",
-    "ReturnBounds",
-    "ReturnModel",
-    "ReturnOutOfBoundsError",
-    "RpeCheck",
-    "RpeCounterexample",
-    "SimulationOverflowError",
-    "StageTooSmallError",
-    "TargetNonpositiveError",
-    "TargetTooLargeError",
-    "TooShortError",
-    "ZeroDriftError",
-    "ZeroVolatilityError",
-    "audit_cash_financing",
-    "build_curve",
-    "build_curve_empirical",
-    "check_robust_growth",
-    "check_rpe",
-    "estimate_exact_small",
-    "estimate_gain_stats",
-    "expected_gain",
-    "find_rpe_counterexample",
-    "gain_stats",
-    "load_prices_csv",
-    "optimize_portfolio",
-    "pmf_from_returns",
-    "returns_from_prices",
-    "run_portfolio",
-    "sample_path",
-    "simulate",
-    "solve_optimal_gain",
-    "solve_optimal_gain_empirical",
-    "std_gain",
-    "terminal_gains",
-    "variance_gain",
-]
+# Each public name, under the submodule that defines it.
+_EXPORTS = {
+    "errors": (
+        "ConfigKeyError",
+        "DomainError",
+        "EmptyReturnsError",
+        "EnumerationTooLargeError",
+        "InadmissibleGainError",
+        "InputFileError",
+        "InternalConsistencyError",
+        "InvalidBoundsError",
+        "InvalidParameterError",
+        "InvalidPmfError",
+        "LengthMismatchError",
+        "LongShortError",
+        "MissingColumnError",
+        "MomentOverflowError",
+        "NonMonotoneEstimateError",
+        "NonPositivePriceError",
+        "OutputFileError",
+        "PortfolioAssetError",
+        "PriceParseError",
+        "ReturnBelowNegOneError",
+        "ReturnOutOfBoundsError",
+        "SimulationOverflowError",
+        "StageTooSmallError",
+        "TargetNonpositiveError",
+        "TargetTooLargeError",
+        "TooShortError",
+        "ZeroDriftError",
+        "ZeroVolatilityError",
+    ),
+    "defaults": ("DEFAULT_N_PATHS",),
+    "returns": (
+        "EmpiricalPMF",
+        "PriceSeries",
+        "ReturnBounds",
+        "ReturnModel",
+        "load_prices_csv",
+        "pmf_from_returns",
+        "returns_from_prices",
+        "sample_path",
+    ),
+    "dynamics": (
+        "AccountTrajectory",
+        "CashFinancingAudit",
+        "ControllerConfig",
+        "audit_cash_financing",
+        "simulate",
+        "terminal_gains",
+    ),
+    "analytics": (
+        "GainLossStats",
+        "RpeCheck",
+        "RpeCounterexample",
+        "check_robust_growth",
+        "check_rpe",
+        "expected_gain",
+        "find_rpe_counterexample",
+        "gain_stats",
+        "std_gain",
+        "variance_gain",
+    ),
+    "montecarlo": (
+        "McEstimate",
+        "McGainEstimator",
+        "estimate_exact_small",
+        "estimate_gain_stats",
+    ),
+    "optimizer": (
+        "MeanStdCurve",
+        "OptimalGainResult",
+        "build_curve",
+        "build_curve_empirical",
+        "solve_optimal_gain",
+        "solve_optimal_gain_empirical",
+    ),
+    "portfolio": (
+        "PORTFOLIO_DEFAULT_N_PATHS",
+        "PortfolioConfig",
+        "PortfolioTrajectory",
+        "optimize_portfolio",
+        "run_portfolio",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """Import a public name's submodule, or a submodule, on first access."""
+    if name in _MODULE_OF:
+        value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    elif name in _EXPORTS:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

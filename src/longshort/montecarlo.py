@@ -43,14 +43,14 @@ import numpy as np
 
 from . import dynamics
 from .analytics import GainLossStats, check_domain
+from .defaults import DEFAULT_N_PATHS
 from .errors import (
     EnumerationTooLargeError,
     InadmissibleGainError,
     InvalidParameterError,
 )
-from .returns import EmpiricalPMF, ReturnModel
+from .returns import EmpiricalPMF, ReturnModel, _check_seed
 
-DEFAULT_N_PATHS = 50_000
 BATCH_SIZE = 16_384
 CHUNK_ROWS = 512  # paths drawn at a time, within one batch
 GUIDE_BUCKETS = 4_096  # a power of two, so u * GUIDE_BUCKETS is exact
@@ -142,10 +142,11 @@ def _path_chunks(model: ReturnModel, n_paths: int, stage: int, seed: int):
             yield start, block
 
 
-def _check_draw(stage: int, n_paths: int) -> None:
+def _check_draw(stage: int, n_paths: int, seed: int) -> None:
     check_domain(stage, 1)
     if n_paths < 2:
         raise InvalidParameterError(f"n_paths must be >= 2, got {n_paths}")
+    _check_seed(seed)
 
 
 def _summarise(gains: np.ndarray, seed: int, stage: int) -> McEstimate:
@@ -172,7 +173,7 @@ class McGainEstimator:
     """
 
     def __init__(self, model: ReturnModel, stage: int, n_paths: int, seed: int):
-        _check_draw(stage, n_paths)
+        _check_draw(stage, n_paths, seed)
         self.model = model
         self.stage = int(stage)
         self.n_paths = int(n_paths)
@@ -207,7 +208,7 @@ def estimate_gain_stats(
     the same types, but streams the paths: it holds one block of them and
     the ``n_paths`` terminal gains, never the bank.
     """
-    _check_draw(stage, n_paths)
+    _check_draw(stage, n_paths, seed)
     check_domain(alpha=alpha, v0=v0, k_gain=k_gain, k_max=model.k_max)
     # Every drawn return is an atom of the PMF, between the support bounds.
     dynamics._check_survivable(k_gain, model.bounds.x_min, model.bounds.x_max)

@@ -193,7 +193,9 @@ def _solve(std_at, mean_at, k_max, target_std, tol, stage, too_large, error) -> 
     return OptimalGainResult(k_star, achieved, mean_at(k_star), target_std, int(stage), iterations)
 
 
-def _check_solve_domain(mu: float, sigma2: float, stage: int, target_std: float) -> None:
+def _check_solve_domain(
+    mu: float, sigma2: float, stage: int, target_std: float, tol: float
+) -> None:
     analytics.check_domain(stage, 2)
     if mu == 0.0:
         raise ZeroDriftError(
@@ -204,6 +206,8 @@ def _check_solve_domain(mu: float, sigma2: float, stage: int, target_std: float)
         raise ZeroVolatilityError("sigma2 = 0: std(G) is identically zero")
     if not target_std > 0.0:
         raise TargetNonpositiveError(f"target_std must be positive, got {target_std}")
+    if not 0.0 <= tol < math.inf:
+        raise InvalidParameterError(f"tol must be nonnegative and finite, got {tol}")
 
 
 def solve_optimal_gain(
@@ -219,12 +223,14 @@ def solve_optimal_gain(
 
     Feasible targets lie strictly between 0 and s_max = std at k_max; at the
     solution the std constraint binds, and the expected gain is positive
-    because mu != 0.
+    because mu != 0. The bisection stops once |std - target_std| <= tol * v0:
+    ``tol`` is relative to the account size, so scaling v0 and the target
+    together scales the fit and leaves K* where it was.
     """
-    _check_solve_domain(mu, sigma2, stage, target_std)
+    _check_solve_domain(mu, sigma2, stage, target_std, tol)
     at = _exact_probe(mu, sigma2, v0, stage, k_max)
     return _solve(
-        lambda k: at(k)[1], lambda k: at(k)[0], k_max, target_std, tol, stage,
+        lambda k: at(k)[1], lambda k: at(k)[0], k_max, target_std, tol * v0, stage,
         "target_std={target_std} >= s_max={s_max}; cap at k_max explicitly "
         "if running at the ceiling is intended", InternalConsistencyError,
     )
@@ -243,19 +249,20 @@ def solve_optimal_gain_empirical(
 
     One bank of paths (fixed by the seed) is shared across every probed gain,
     so the estimated std is a deterministic increasing function and bisection
-    behaves as in the closed-form case. The reported expected gain uses the
-    closed form with the PMF's mean, which is exact for independent draws.
+    behaves as in the closed-form case, stopping once |std - target_std| <=
+    tol * v0. The reported expected gain uses the closed form with the PMF's
+    mean, which is exact for independent draws.
     """
     if n_paths < MIN_MC_PATHS:
         raise InvalidParameterError(f"n_paths must be >= {MIN_MC_PATHS}, got {n_paths}")
     mu = pmf.mean()
     sigma2 = pmf.variance()
-    _check_solve_domain(mu, sigma2, stage, target_std)
+    _check_solve_domain(mu, sigma2, stage, target_std, tol)
     model = ReturnModel.from_pmf(pmf)
     estimator = McGainEstimator(model, stage, n_paths, seed)
     return _solve(
         lambda k: estimator.estimate(0.5, k, v0).std,
         lambda k: analytics.expected_gain(0.5, k, stage, mu, v0),
-        model.k_max, target_std, tol, stage,
+        model.k_max, target_std, tol * v0, stage,
         "target_std={target_std} >= estimated s_max={s_max}", NonMonotoneEstimateError,
     )

@@ -140,7 +140,8 @@ def optimize_portfolio(
 ) -> list[OptimalGainResult]:
     """Solve the gain-selection problem independently per asset.
 
-    Each asset gets capital v0/m and its own (pmf, target_std). Every
+    Each asset gets capital v0/m and its own (pmf, target_std), and its
+    bisection stops once |std - target_std| <= tol * v0/m. Every
     per-asset solve shares the same seed: the solves are marginal, so
     sharing random numbers is harmless and keeps identical assets with
     identical targets at identical gains.

@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .analytics import check_domain
+from .defaults import DEFAULT_PRICE_COLUMN
 from .errors import (
     EmptyReturnsError,
     InputFileError,
@@ -35,8 +36,6 @@ from .errors import (
 )
 
 WEIGHT_SUM_TOL = 1e-12
-
-DEFAULT_PRICE_COLUMN = "adj_close"
 
 _CSV_BLOCK_ROWS = 1024  # rows formatted at a time; write time is flat from 128 to 4096
 
@@ -266,15 +265,22 @@ def pmf_from_returns(returns: Sequence[float] | np.ndarray) -> EmpiricalPMF:
     return EmpiricalPMF(values, counts / arr.size)
 
 
+def _check_seed(seed) -> None:
+    # numpy refuses a negative integer seed with a bare ValueError.
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise InvalidParameterError(f"seed must be nonnegative, got {seed}")
+
+
 def sample_path(model: ReturnModel | EmpiricalPMF, n: int, seed) -> np.ndarray:
     """Draw ``n`` independent returns; deterministic given seed.
 
     Accepts a full model or a bare PMF: one-sided or point-mass distributions
     cannot carry the two-sided support bounds a model certifies, but they can
-    still be sampled.
+    still be sampled. A negative integer seed is refused.
     """
     if n < 1:
         raise InvalidParameterError("n must be at least 1")
+    _check_seed(seed)
     pmf = model.pmf if isinstance(model, ReturnModel) else model
     rng = np.random.default_rng(seed)
     idx = rng.choice(pmf.values.size, size=n, p=pmf.weights)

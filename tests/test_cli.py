@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from longshort import cli
+from longshort import cli, commands
 from test_acceptance import TOY_REFERENCE
 
 TOY_FLAGS = ["--mu", "-0.1", "--sigma", "0.15", "--v0", "1"]
@@ -374,7 +374,7 @@ class TestExitCodes:
         def boom(args):
             raise InternalConsistencyError("proved invariant failed")
 
-        monkeypatch.setattr(cli, "_cmd_curve", boom)
+        monkeypatch.setattr(commands, "curve", boom)
         rc = cli.main(["curve", "--mu", "0.1", "--sigma", "0.1", "--stage", "5"])
         assert rc == 4
         assert "internal consistency" in capsys.readouterr().err
@@ -973,6 +973,84 @@ class TestRefusedInputs:
         assert list(tmp_path.iterdir()) == []
 
 
+    # Each command's price files are missing: a seed is refused before any file is read.
+    SEED_ARGV = {
+        "curve": ["curve", "--prices", "missing.csv", "--stage", "10", "--out", "o.csv"],
+        "optimize": ["optimize", "--prices", "missing.csv", "--target-std", "0.1", "--out", "o"],
+        "simulate": [
+            "simulate", "--prices", "missing.csv", "--k-gain", "0.1", "--stage", "5",
+            "--trajectory-out", "t.csv", "--out", "o.json",
+        ],
+        "backtest": [
+            "backtest", "--train-prices", "missing.csv", "--test-prices", "missing.csv",
+            "--target-std", "0.1", "--out-prefix", "bt",
+        ],
+        "portfolio": ["backtest", "--portfolio-config", "missing.json", "--out-prefix", "p"],
+        "repro": [
+            "repro", "tsla", "--train-prices", "missing.csv", "--test-prices", "missing.csv",
+            "--out-dir", "out",
+        ],
+    }
+
+    @pytest.mark.parametrize("command", list(SEED_ARGV))
+    def test_negative_seed_flag(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([*self.SEED_ARGV[command], "--seed", "-1"]) == 3
+        assert capsys.readouterr().err == "error: --seed must be nonnegative, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", list(SEED_ARGV))
+    def test_negative_seed_variable(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "-3")
+        assert cli.main(self.SEED_ARGV[command]) == 3
+        assert capsys.readouterr().err == f"error: {cli.SEED_ENV_VAR} must be nonnegative, got -3\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("tol", ["-1", "-1e-300", "inf", "-inf", "nan"])
+    @pytest.mark.parametrize("command", ["optimize", "optimize --prices", "backtest"])
+    def test_tol_must_be_nonnegative_and_finite(self, tmp_path, capsys, command, tol):
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        _write_prices(train, _geometric_prices(1, 40))
+        _write_prices(test, _geometric_prices(2, 40))
+        out = tmp_path / "out"
+        argv = {
+            "optimize": ["optimize", *TOY_FLAGS, "--stage", "10", "--target-std", "0.1"],
+            "optimize --prices": ["optimize", "--prices", str(train), "--target-std", "0.01"],
+            "backtest": [
+                "backtest", "--train-prices", str(train), "--test-prices", str(test),
+                "--target-std", "0.01", "--out-prefix", str(out),
+            ],
+        }[command]
+        assert cli.main([*argv, f"--tol={tol}", *(["--out", str(out)] * (command != "backtest"))]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "tol must be nonnegative and finite" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["test.csv", "train.csv"]
+
+    def test_zero_tol_accepted(self, tmp_path):
+        out = tmp_path / "out.json"
+        argv = ["optimize", *TOY_FLAGS, "--stage", "10", "--target-std", "0.1", "--tol", "0"]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["achieved_std"] == pytest.approx(0.1, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--train-prices", "train.csv"), ("--test-prices", "test.csv"), ("--target-std", "0.1")],
+    )
+    def test_portfolio_config_refuses_single_asset_flags(self, tmp_path, monkeypatch, capsys,
+                                                         flag, value):
+        # the config does not exist: the conflict is refused before anything is read
+        monkeypatch.chdir(tmp_path)
+        rc = cli.main(
+            ["backtest", "--portfolio-config", "missing.json", flag, value, "--out-prefix", "p"]
+        )
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(
+            f"error: {flag} conflicts with --portfolio-config"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestLongHorizons:
     """A closed form that leaves double range is a typed refusal (exit 3), not a traceback."""
 
@@ -1007,12 +1085,10 @@ class TestLargeInitialValue:
             assert float(b["mean"]) == 1e200 * float(u["mean"])
 
     def test_fit_matches_the_unit_fit(self, tmp_path):
-        # At v0 = 1e200 the default tol (1e-9) is far below the std's resolution,
-        # so bisection runs until the bracket closes: compare with a unit fit at tol 0.
+        # The tolerance is relative to v0, so both fits stop at the same probe.
         unit, big = tmp_path / "unit.json", tmp_path / "big.json"
         rc = cli.main(
-            ["optimize", *TOY_FLAGS, "--stage", "10", "--target-std", "0.1", "--tol", "0",
-             "--out", str(unit)]
+            ["optimize", *TOY_FLAGS, "--stage", "10", "--target-std", "0.1", "--out", str(unit)]
         )
         assert rc == 0
         assert cli.main(["optimize", *self.BIG, "--target-std", "1e199", "--out", str(big)]) == 0

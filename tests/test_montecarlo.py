@@ -72,6 +72,17 @@ class TestEstimateGainStats:
         with pytest.raises(InvalidParameterError):
             McGainEstimator(two_point_model, 3, 1, seed=0)
 
+    def test_negative_seed_refused(self, two_point_model, monkeypatch):
+        with pytest.raises(InvalidParameterError, match="seed must be nonnegative, got -1"):
+            McGainEstimator(two_point_model, 3, 100, seed=-1)
+
+        def no_draw(*_):
+            raise AssertionError("drew paths before refusing")
+
+        monkeypatch.setattr(montecarlo, "_path_chunks", no_draw)
+        with pytest.raises(InvalidParameterError, match="seed must be nonnegative, got -3"):
+            estimate_gain_stats(two_point_model, 0.5, 0.5, 1.0, 3, n_paths=100, seed=-3)
+
     def test_draws_follow_weights(self):
         model = ReturnModel.two_point(-0.1, 0.2, 0.75)
         estimator = McGainEstimator(model, 10, 20_000, seed=9)

@@ -177,6 +177,29 @@ class TestSolveOptimalGain:
         with pytest.raises(TargetNonpositiveError):
             solve_optimal_gain(**TOY, stage=10, target_std=0.0)
 
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, float("inf"), float("-inf"), float("nan")])
+    def test_tol_must_be_nonnegative_and_finite(self, tol):
+        with pytest.raises(InvalidParameterError, match="tol must be nonnegative and finite"):
+            solve_optimal_gain(**TOY, stage=10, target_std=0.1, tol=tol)
+        pmf = ReturnModel.from_moments(-0.05, 0.1).pmf
+        with pytest.raises(InvalidParameterError, match="tol must be nonnegative and finite"):
+            solve_optimal_gain_empirical(pmf, 1.0, 10, 0.05, tol=tol, n_paths=2000, seed=0)
+
+    def test_zero_tol_runs_until_the_bracket_closes(self):
+        res = solve_optimal_gain(**TOY, stage=10, target_std=0.1, tol=0.0)
+        assert res.achieved_std == pytest.approx(0.1, rel=1e-14)
+
+    @pytest.mark.parametrize("v0", [1e-12, 1e-9, 1e3, 1e200])
+    def test_tol_is_relative_to_v0(self, v0):
+        # The stop |std - s| <= tol * v0 makes a fit scale-free: at a tiny v0 an
+        # absolute tol of 1e-9 would accept the first probe, 16 % over the budget.
+        unit = solve_optimal_gain(**TOY, stage=10, target_std=0.1)
+        scaled = solve_optimal_gain(
+            TOY["mu"], TOY["sigma2"], v0, 10, TOY["k_max"], 0.1 * v0
+        )
+        assert abs(scaled.k_star - unit.k_star) <= 1e-9
+        assert scaled.achieved_std == pytest.approx(0.1 * v0, rel=2e-8)
+
     def test_target_too_large_reports_ceiling(self):
         s_max = std_gain(0.5, 1.0, 10, TOY["mu"], TOY["sigma2"])
         with pytest.raises(TargetTooLargeError) as exc_info:

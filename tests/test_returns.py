@@ -216,6 +216,12 @@ class TestSamplePath:
         with pytest.raises(InvalidParameterError):
             sample_path(model, 0, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-2)])
+    def test_negative_seed_refused(self, seed):
+        model = ReturnModel.two_point(-0.1, 0.1)
+        with pytest.raises(InvalidParameterError, match="seed must be nonnegative"):
+            sample_path(model, 5, seed=seed)
+
 
 class TestLoadPricesCsv:
     def test_basic_read(self, tmp_path):
