@@ -1,19 +1,17 @@
 """Closed-form gain-loss statistics for the balanced and unbalanced controller.
 
-For independent returns with mean mu and variance sigma2, the cumulative
-gain-loss G(alpha, K, k) = V(k) - v0 has
+For independent returns with mean mu and variance sigma2, write theta = K*mu,
+s = K^2*sigma2, a = 1 + theta, b = 1 - theta, beta = 1 - alpha, and
+phi_n(t) = (1+t)^n - 1 - n*t, which is >= 0 for t >= -1. The cumulative
+gain-loss G(alpha, K, k) = V(k) - v0 then has
 
-    E[G] = v0 * (alpha*(1 + K*mu)**k + (1-alpha)*(1 - K*mu)**k - 1)
+    E[G] / v0 = alpha*phi_k(theta) + beta*phi_k(-theta) + (alpha - beta)*k*theta
+    var(G) / v0^2 = k*s*c1^2 + alpha^2 * a^(2k) * phi_k(s/a^2)
+        + beta^2 * b^(2k) * phi_k(s/b^2) + 2*alpha*beta * (ab)^k * phi_k(-s/(ab))
 
-and a variance assembled from the per-factor second moments:
-
-    var(G) = alpha^2 * v0^2 * ((1+K*mu)^2 + K^2*sigma2)^k
-           + (1-alpha)^2 * v0^2 * ((1-K*mu)^2 + K^2*sigma2)^k
-           + 2*alpha*(1-alpha) * v0^2 * (1 - K^2*(sigma2 + mu^2))^k
-           - 2*alpha * v0^2 * (1+K*mu)^k - 2*(1-alpha) * v0^2 * (1-K*mu)^k
-           + v0^2 - E[G]^2
-
-One private kernel, ``_moments``, evaluates both at v0 = 1, and every closed-form
+with c1 = alpha*a^(k-1) - beta*b^(k-1). Every variance term is nonnegative, and at
+alpha = 1/2 so is every term of the mean: nothing cancels or is clamped. One private
+kernel, ``_moments``, evaluates both at v0 = 1, and every closed-form
 number in the package reads it: the functions below and the optimizer's curve
 and solver. The mean and std are linear in v0 and the variance quadratic, so a
 large v0 rescales a result; one that leaves double range is refused.
@@ -34,15 +32,10 @@ import numpy as np
 
 from .errors import (
     InadmissibleGainError,
-    InternalConsistencyError,
     InvalidParameterError,
     MomentOverflowError,
     StageTooSmallError,
 )
-
-# Cancellation among the variance terms is O(eps) near K=0; anything more
-# negative than this (at unit v0) means the formula was fed garbage.
-NEGATIVE_VARIANCE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -115,11 +108,30 @@ def check_domain(
 
 
 def _out_of_range(moment: str, stage: int, k_gain: float) -> MomentOverflowError:
-    # Python raises OverflowError when a float power or an fsum leaves double range.
+    # Python raises OverflowError when exp or expm1 leaves double range.
     return MomentOverflowError(
         f"the {moment} of the gain-loss leaves double range at stage {stage} "
         f"with k_gain={k_gain}"
     )
+
+
+def _phi(n: int, t: float, log_x: float = 0.0) -> float:
+    """exp(n * log_x) * phi_n(t) for t >= -1, where phi_n(t) = (1+t)**n - 1 - n*t >= 0.
+
+    No branch cancels phi_n away: the binomial series below |n*t| = 0.01 (terms shrink
+    300-fold a step), expm1/log1p below |n*t| = 1, then exp(n * log1p(t)), never a
+    rounded 1 + t to the n-th; the scale inside keeps a huge phi_n in double range.
+    """
+    nt = n * t
+    if nt * nt < 1e-4 or n < 2:  # phi_0 = phi_1 = 0
+        nested = 1.0  # sum_{j=2..8} C(n, j) t**j, by C(n, j+1) t / C(n, j) = (n-j) t / (j+1)
+        for j in range(7, 1, -1):
+            nested = 1.0 + (n - j) * t / (j + 1) * nested
+        return math.exp(n * log_x) * 0.5 * n * (n - 1) * t * t * nested
+    if nt * nt < 1.0:
+        return math.exp(n * log_x) * (math.expm1(n * math.log1p(t)) - nt)
+    power = math.exp(n * (log_x + math.log1p(t))) if t > -1.0 else 0.0
+    return power - math.exp(n * log_x) * (1.0 + nt)
 
 
 def _moments(alpha: float, k_gain: float, k: int, mu: float, sigma2: float) -> tuple[float, float]:
@@ -129,47 +141,37 @@ def _moments(alpha: float, k_gain: float, k: int, mu: float, sigma2: float) -> t
     power past double range is refused as an overflow of the variance; when
     no variance is evaluated, the mean comes back as inf instead.
     """
-    theta = k_gain * mu
-    up = 1.0 + theta
-    down = 1.0 - theta
+    theta, beta = k_gain * mu, 1.0 - alpha
+    up, down = 1.0 + theta, 1.0 - theta
     # With sigma2 = 0 the domain's |K*mu| <= 1 already passes this check.
     second_moment_term = 1.0 - k_gain * k_gain * (sigma2 + mu * mu)
-    if second_moment_term < -NEGATIVE_VARIANCE_TOL:
+    if second_moment_term < -1e-12:  # beyond rounding of a gain on the boundary
         raise InadmissibleGainError(
             f"k_gain^2 * (sigma2 + mu^2) = {1.0 - second_moment_term} exceeds 1"
         )
-    second_moment_term = max(second_moment_term, 0.0)
-    mean_only = k_gain == 0.0 or sigma2 == 0.0  # not trading, or a deterministic return path
-    var = 0.0
+    spread = min(k_gain * k_gain * sigma2, up * down)  # within that rounding, E[PQ] = 0
+    log_up, log_down = math.log1p(theta), math.log1p(-theta) if theta < 1.0 else -math.inf
+    mean, var = math.inf, 0.0  # a mean past double range stays inf; whoever reads it refuses it
+    near = -0.5 < k * theta < 0.5  # near balance the powers cancel, and phi does not
     try:
-        mean = alpha * up**k + (1.0 - alpha) * down**k - 1.0
-        if not mean_only:
-            spread = k_gain * k_gain * sigma2
-            terms = (
-                alpha * alpha * (up * up + spread) ** k,
-                (1.0 - alpha) * (1.0 - alpha) * (down * down + spread) ** k,
-                2.0 * alpha * (1.0 - alpha) * second_moment_term**k,
-                -2.0 * alpha * up**k,
-                -2.0 * (1.0 - alpha) * down**k,
-                1.0,
-                -mean * mean,
-            )
-            var = math.fsum(terms)
+        if near:
+            mean = alpha * _phi(k, theta) + beta * _phi(k, -theta) + (alpha - beta) * k * theta
+        else:
+            up_k, down_k = math.exp(k * log_up), math.exp(k * log_down)
+            mean = alpha * up_k + beta * down_k - 1.0
+        if k and spread:  # else no stage, no gain or a deterministic return path
+            if near:  # c1 = alpha * up**(k-1) - beta * down**(k-1), each power as 1 + expm1
+                c1 = alpha * math.expm1((k - 1) * log_up) - beta * math.expm1((k - 1) * log_down)
+                c1 += alpha - beta
+            else:
+                c1 = alpha * up_k / up - beta * down_k / down
+            var = k * spread * c1 * c1 + alpha * alpha * _phi(k, spread / (up * up), 2.0 * log_up)
+            var += beta * beta * _phi(k, spread / (down * down), 2.0 * log_down)
+            var += 2.0 * alpha * beta * _phi(k, -spread / (up * down), log_up + log_down)
     except OverflowError:
-        if not mean_only:
+        if k and spread:
             raise _out_of_range("variance", k, k_gain) from None
-        mean = math.inf  # the powers are nonnegative; whoever reads this mean refuses it
-    if var < 0.0:
-        # Cancellation noise among the terms is bounded by their magnitude;
-        # a negative result beyond that cannot come from rounding.
-        cancellation_scale = max(1.0, sum(abs(t) for t in terms))
-        if var < -NEGATIVE_VARIANCE_TOL * cancellation_scale:
-            raise InternalConsistencyError(
-                f"variance evaluated to {var}, far below zero; this is a bug"
-            )
-        var = 0.0
-    # theta = 0 makes both product factors identically 1: the mean is exactly 0
-    return (0.0 if theta == 0.0 else mean), var
+    return mean, var
 
 
 def _scaled(value: float, scale: float, moment: str, stage: int, k_gain: float) -> float:
@@ -193,9 +195,7 @@ def variance_gain(
 ) -> float:
     """Variance of the cumulative gain-loss at the given stage.
 
-    Tiny negative values from floating-point cancellation are clamped to 0;
-    anything beyond the tolerance raises, since the expression is a variance
-    and cannot be negative for valid inputs.
+    It is a sum of nonnegative terms, so it is never negative and never clamped.
     """
     check_domain(stage, 0, alpha, v0, k_gain, 1.0, mu, sigma2)
     var = _moments(alpha, k_gain, int(stage), mu, sigma2)[1]
@@ -269,4 +269,4 @@ def check_robust_growth(k_gain: float, stage: int, mu: float, v0: float = 1.0) -
     check_domain(stage, 1)
     here = expected_gain(0.5, k_gain, stage, mu, v0)
     there = expected_gain(0.5, k_gain, stage + 1, mu, v0)
-    return there >= here - 1e-12
+    return there >= here

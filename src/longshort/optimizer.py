@@ -157,17 +157,17 @@ def _bisect_std(
     tol: float,
     non_monotone_error: type[Exception],
 ) -> tuple[float, float, int]:
-    """Bisect the increasing map K -> std(G) for the target crossing.
+    """Bisect the increasing map K -> std(G) for a std in [target_std - tol, target_std].
 
-    Bracket endpoints carry their std values; a midpoint falling outside
-    [std(lo), std(hi)] means the map is not monotone on the bracket, which
-    triggers ``non_monotone_error``.
+    If the bracket closes first, its feasible end ``lo`` is the answer. A
+    midpoint outside [std(lo), std(hi)] means the map is not monotone on the
+    bracket, which triggers ``non_monotone_error``.
     """
     lo, hi = 0.0, k_max
     s_lo, s_hi = 0.0, s_max
     slack = 1e-12 * max(1.0, s_max)
-    mid, s_mid, iterations = 0.0, 0.0, 0
-    while iterations < _MAX_BISECTIONS:
+    iterations = 0
+    while iterations < _MAX_BISECTIONS and (hi - lo) > 1e-15 * k_max:
         mid = 0.5 * (lo + hi)
         s_mid = std_at(mid)
         iterations += 1
@@ -175,13 +175,13 @@ def _bisect_std(
             raise non_monotone_error(
                 f"std at K={mid} is {s_mid}, outside bracket [{s_lo}, {s_hi}]"
             )
-        if abs(s_mid - target_std) <= tol or (hi - lo) <= 1e-15 * k_max:
+        if target_std - tol <= s_mid <= target_std:
             return mid, s_mid, iterations
         if s_mid < target_std:
             lo, s_lo = mid, s_mid
         else:
             hi, s_hi = mid, s_mid
-    return mid, s_mid, iterations
+    return lo, s_lo, iterations
 
 
 def _solve(std_at, mean_at, k_max, target_std, tol, stage, too_large, error) -> OptimalGainResult:
@@ -223,7 +223,7 @@ def solve_optimal_gain(
 
     Feasible targets lie strictly between 0 and s_max = std at k_max; at the
     solution the std constraint binds, and the expected gain is positive
-    because mu != 0. The bisection stops once |std - target_std| <= tol * v0:
+    because mu != 0. The fit's std lies in [target_std - tol * v0, target_std]:
     ``tol`` is relative to the account size, so scaling v0 and the target
     together scales the fit and leaves K* where it was.
     """
@@ -249,9 +249,9 @@ def solve_optimal_gain_empirical(
 
     One bank of paths (fixed by the seed) is shared across every probed gain,
     so the estimated std is a deterministic increasing function and bisection
-    behaves as in the closed-form case, stopping once |std - target_std| <=
-    tol * v0. The reported expected gain uses the closed form with the PMF's
-    mean, which is exact for independent draws.
+    behaves as in the closed-form case: the estimated std at the fit lies in
+    [target_std - tol * v0, target_std]. The reported expected gain uses the
+    closed form with the PMF's mean, which is exact for independent draws.
     """
     if n_paths < MIN_MC_PATHS:
         raise InvalidParameterError(f"n_paths must be >= {MIN_MC_PATHS}, got {n_paths}")

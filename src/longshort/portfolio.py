@@ -141,7 +141,7 @@ def optimize_portfolio(
     """Solve the gain-selection problem independently per asset.
 
     Each asset gets capital v0/m and its own (pmf, target_std), and its
-    bisection stops once |std - target_std| <= tol * v0/m. Every
+    bisection stops at a std in [target_std - tol * v0/m, target_std]. Every
     per-asset solve shares the same seed: the solves are marginal, so
     sharing random numbers is harmless and keeps identical assets with
     identical targets at identical gains.

@@ -3,11 +3,17 @@
 The independent oracle for the mean/variance expressions is exhaustive
 enumeration over small discrete models (see test_montecarlo.py for the
 enumeration itself); here the frozen expected values were computed by hand
-from the product definition or by that oracle.
+from the product definition, by that oracle, or by the exact rational oracle
+bench/oracle.py (tests/data/kernel_oracle.json, written by
+tests/data/make_kernel_oracle.py).
 """
 
+import importlib.util
+import json
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +161,13 @@ class TestCheckRpe:
         with pytest.raises(StageTooSmallError):
             check_rpe(0.5, 1, 0.1)
 
+    def test_small_gain_long_horizon_stays_positive(self):
+        # a cancelling evaluation of the powers made this value negative;
+        # 3.997775602700381e-06 is the exact mean rounded once (bench/oracle.py)
+        res = check_rpe(4.37692602360789e-09, 718, 0.0012, 562994178294.941)
+        assert res.positive
+        assert res.value == pytest.approx(3.997775602700381e-06, rel=1e-12)
+
 
 class TestCounterexampleSearch:
     def test_balanced_has_none(self):
@@ -219,6 +232,22 @@ class TestRobustGrowth:
         with pytest.raises(InvalidParameterError):
             check_robust_growth(0.5, 0, 0.1)
 
+    def test_small_gain_long_horizon(self):
+        assert check_robust_growth(4.37692602360789e-09, 718, 0.0012, 562994178294.941)
+
+    def test_monotone_in_stage_with_no_slack(self):
+        rng = np.random.default_rng(1515)
+        n = 20_000
+        gains = 10.0 ** rng.uniform(-8.0, 0.0, n)
+        drifts = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-4.0, -0.5, n)
+        stages = rng.integers(1, 1201, n)
+        v0s = 10.0 ** rng.uniform(-12.0, 12.0, n)
+        shrinking = [
+            case for case in zip(gains.tolist(), stages.tolist(), drifts.tolist(), v0s.tolist())
+            if not check_robust_growth(*case)
+        ]
+        assert shrinking == []
+
 
 class TestAgainstExactBinomialSum:
     """Closed forms vs the exact rational moments of a two-point model: the gain
@@ -261,6 +290,65 @@ class TestAgainstExactBinomialSum:
             cf_var = Fraction(variance_gain(alpha, k_gain, stage, mu, sigma2))
             assert abs(cf_mean - mean) <= self.REL_TOL * abs(mean)
             assert abs(cf_var - var) <= self.REL_TOL * abs(var)
+
+
+def _bench_oracle():
+    path = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault(spec.name, module)  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestAgainstRationalOracle:
+    """Closed forms vs bench/oracle.py's exact rational moments at 520 seeded cases:
+    K log-uniform in [1e-8, 1], stages 1-1000, alpha = 1/2 or uniform, for the
+    worked example and three daily-volatility models. The oracle needs about
+    half a second per case at stage 1000, so its values are read from a table;
+    the table's cheap rows are recomputed here to show it is the oracle's."""
+
+    ROWS = json.loads((Path(__file__).parent / "data" / "kernel_oracle.json").read_text())
+    REL_TOL = 1e-12
+
+    def test_table_is_the_oracles(self):
+        oracle = _bench_oracle()
+        cheap = [row for row in self.ROWS if row["stage"] <= 60]
+        assert len(cheap) >= 20
+        for row in cheap:
+            m = oracle.moments_from_mu_sigma(row["mu"], row["sigma"])
+            args = (m, row["k_gain"], row["stage"], 1, Fraction(row["alpha"]))
+            assert float(oracle.exact_mean(*args)) == row["mean"]
+            assert float(oracle.exact_variance(*args)) == row["variance"]
+
+    def test_table_covers_the_domain(self):
+        assert len(self.ROWS) >= 500
+        halves = sum(row["alpha"] == 0.5 for row in self.ROWS)
+        assert min(halves, len(self.ROWS) - halves) >= 200
+        stages = [row["stage"] for row in self.ROWS]
+        assert min(stages) <= 5 and max(stages) >= 990
+        gains = [row["k_gain"] for row in self.ROWS]
+        assert min(gains) < 1e-7 and max(gains) > 0.1
+
+    def test_variance_and_std(self):
+        for row in self.ROWS:
+            args = (row["alpha"], row["k_gain"], row["stage"], row["mu"], row["sigma"] ** 2)
+            exact = row["variance"]
+            assert abs(variance_gain(*args) - exact) <= self.REL_TOL * exact, row
+            assert abs(std_gain(*args) - math.sqrt(exact)) <= self.REL_TOL * math.sqrt(exact), row
+
+    def test_mean(self):
+        # Off balance the mean crosses zero, so its error is measured against
+        # alpha*(1+K*mu)**k + (1-alpha)*(1-K*mu)**k, the mean's size plus 1.
+        for row in self.ROWS:
+            got = expected_gain(row["alpha"], row["k_gain"], row["stage"], row["mu"])
+            scale = abs(row["mean"]) if row["alpha"] == 0.5 else row["scale"]
+            assert abs(got - row["mean"]) <= self.REL_TOL * scale, row
+
+    def test_admissible_boundary(self):
+        # K*mu = 1: the short leg ends at 0, the long leg at 2**5
+        assert expected_gain(0.5, 1.0, 5, 1.0) == pytest.approx(15.0, rel=1e-15)
+        assert expected_gain(0.5, 1.0, 5, -0.5) == pytest.approx(0.5 * (0.5**5 + 1.5**5) - 1.0)
 
 
 class TestOneDomainCheck:

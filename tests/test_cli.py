@@ -51,6 +51,17 @@ class TestCurveCommand:
         assert manifest["command"] == "curve"
         assert manifest["outputs"] == [str(out)]
 
+    def test_small_gain_std_column_strictly_increases(self, tmp_path):
+        out = tmp_path / "curve.csv"
+        rc = cli.main(
+            ["curve", *TOY_FLAGS, "--stage", "90", "--k-max", "1e-4", "--grid", "1001",
+             "--out", str(out)]
+        )
+        assert rc == 0
+        stds = np.array([float(r["std"]) for r in _read_csv(out)])
+        assert stds[0] == 0.0
+        assert np.all(np.diff(stds) > 0.0)
+
     def test_degenerate_moments_flat_curve(self, tmp_path):
         out = tmp_path / "flat.csv"
         rc = cli.main(
@@ -98,6 +109,16 @@ class TestOptimizeCommand:
         assert abs(payload["k_star"] - k_paper) <= 0.01
         assert payload["alpha"] == 0.5
         assert payload["expected_gain"] > 0.0
+
+    @pytest.mark.parametrize("stage", ["10", "90"])
+    def test_tiny_budget_fits_below_it(self, tmp_path, stage):
+        out = tmp_path / "res.json"
+        rc = cli.main(
+            ["optimize", *TOY_FLAGS, "--stage", stage, "--target-std", "1e-7", "--out", str(out)]
+        )
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        assert 1e-7 - 1e-9 <= payload["achieved_std"] <= 1e-7
 
     def test_nonpositive_target_rejected(self, tmp_path, capsys):
         rc = cli.main(

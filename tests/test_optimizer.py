@@ -200,6 +200,12 @@ class TestSolveOptimalGain:
         assert abs(scaled.k_star - unit.k_star) <= 1e-9
         assert scaled.achieved_std == pytest.approx(0.1 * v0, rel=2e-8)
 
+    @pytest.mark.parametrize("target", [0.3, 1e-6])
+    def test_fit_stays_within_budget(self, target):
+        res = solve_optimal_gain(**TOY, stage=90, target_std=target)
+        assert target - 1e-9 <= res.achieved_std <= target
+        assert res.achieved_std == std_gain(0.5, res.k_star, 90, TOY["mu"], TOY["sigma2"])
+
     def test_target_too_large_reports_ceiling(self):
         s_max = std_gain(0.5, 1.0, 10, TOY["mu"], TOY["sigma2"])
         with pytest.raises(TargetTooLargeError) as exc_info:
@@ -217,6 +223,13 @@ class TestBisectionHelper:
         bump = lambda k: 1.0 - (k - 0.5) ** 2  # noqa: E731
         with pytest.raises(InternalConsistencyError):
             _bisect_std(bump, 1.0, bump(1.0), 0.9, 1e-12, InternalConsistencyError)
+
+    def test_closed_bracket_returns_its_feasible_end(self):
+        # no probe of a step can land in [0.5 - tol, 0.5]; the bracket closes on the step
+        step = lambda k: 0.0 if k < 0.3 else 1.0  # noqa: E731
+        k, val, _ = _bisect_std(step, 1.0, 1.0, 0.5, 1e-3, AssertionError)
+        assert val == 0.0
+        assert 0.3 - 1e-14 <= k < 0.3
 
     def test_converges_on_monotone_function(self):
         k, val, iters = _bisect_std(lambda x: x**3, 2.0, 8.0, 1.0, 1e-12, AssertionError)
@@ -236,6 +249,12 @@ class TestSolveEmpirical:
         assert res.expected_gain == pytest.approx(
             expected_gain(0.5, res.k_star, 30, model.mu), rel=1e-12
         )
+
+    @pytest.mark.parametrize("target", [0.01, 0.15])
+    def test_fit_stays_within_budget(self, target):
+        pmf = ReturnModel.from_moments(-0.05, 0.1).pmf
+        res = solve_optimal_gain_empirical(pmf, 1.0, 10, target, n_paths=2000, seed=1)
+        assert target - 1e-3 <= res.achieved_std <= target
 
     def test_deterministic_given_seed(self):
         pmf = ReturnModel.from_moments(-0.05, 0.1).pmf
