@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import (
     InadmissibleGainError,
@@ -83,7 +82,7 @@ def check_domain(
     defaults pass, so a caller names only what it has.
     """
     if stage is not None:
-        if isinstance(stage, bool) or not isinstance(stage, (int, np.integer)):
+        if isinstance(stage, bool) or not isinstance(stage, Integral):
             raise InvalidParameterError(f"stage must be an integer, got {stage!r}")
         if stage < min_stage:
             if min_stage > 1:
@@ -157,7 +156,9 @@ def _moments(alpha: float, k_gain: float, k: int, mu: float, sigma2: float) -> t
         if near:
             mean = alpha * _phi(k, theta) + beta * _phi(k, -theta) + (alpha - beta) * k * theta
         else:
-            up_k, down_k = math.exp(k * log_up), math.exp(k * log_down)
+            # A leg of weight 0 adds nothing, and its powers may leave double range.
+            up_k = math.exp(k * log_up) if alpha else 0.0
+            down_k = math.exp(k * log_down) if beta else 0.0
             mean = alpha * up_k + beta * down_k - 1.0
         if k and spread:  # else no stage, no gain or a deterministic return path
             if near:  # c1 = alpha * up**(k-1) - beta * down**(k-1), each power as 1 + expm1
@@ -165,9 +166,13 @@ def _moments(alpha: float, k_gain: float, k: int, mu: float, sigma2: float) -> t
                 c1 += alpha - beta
             else:
                 c1 = alpha * up_k / up - beta * down_k / down
-            var = k * spread * c1 * c1 + alpha * alpha * _phi(k, spread / (up * up), 2.0 * log_up)
-            var += beta * beta * _phi(k, spread / (down * down), 2.0 * log_down)
-            var += 2.0 * alpha * beta * _phi(k, -spread / (up * down), log_up + log_down)
+            var = k * spread * c1 * c1
+            if alpha:
+                var += alpha * alpha * _phi(k, spread / (up * up), 2.0 * log_up)
+            if beta:
+                var += beta * beta * _phi(k, spread / (down * down), 2.0 * log_down)
+            if alpha and beta:
+                var += 2.0 * alpha * beta * _phi(k, -spread / (up * down), log_up + log_down)
     except OverflowError:
         if k and spread:
             raise _out_of_range("variance", k, k_gain) from None

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from . import __version__
@@ -81,12 +82,17 @@ _FLAGS = {
 }
 _MODEL_FLAGS = ("--mu", "--sigma", "--prices", "--price-column", "--v0", "--seed")
 
+# argparse reads "-3e-05" as a flag, since its negative-number pattern has no
+# exponent; repr() writes small numbers in exactly that form.
+_NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="longshort",
         description="Balanced double-linear long-short feedback trading tools",
     )
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     subcommands = (
@@ -144,6 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     for name, help_text, flags in subcommands:
         p_sub = sub.add_parser(name, help=help_text)
+        p_sub._negative_number_matcher = _NEGATIVE_NUMBER
         for flag in flags:
             flag, keywords = (flag, {}) if isinstance(flag, str) else flag
             p_sub.add_argument(flag, **{**_FLAGS.get(flag, {}), **keywords})

@@ -4,8 +4,11 @@
 command is known to run, so the library and numpy load for commands alone.
 Each command, named after its subcommand, takes the parsed flags and returns
 a :class:`_Run`: its results, with the manifest parameters named in the
-``_MANIFESTS`` table. :func:`write_run` checks every output path and then
-writes the outputs, the manifest and the summary line.
+``_MANIFESTS`` table. Four things are decided in one place each: whether the
+outputs can be written (:func:`_check_outputs`), a gain fit (:func:`_fit`),
+where the manifest goes and whether it records the seed (the rule beside
+``_MANIFESTS``, which :func:`write_run` applies), and a portfolio config's
+asset keys (``_ASSET_KEYS``).
 """
 
 from __future__ import annotations
@@ -51,6 +54,12 @@ _MANIFESTS = {
     "toy": ("repro toy", ("mu", "sigma", "v0", "target_std", "stages")),
     "tsla": ("repro tsla", ("train_prices", "test_prices", "price_column", "target_std", "v0")),
 }
+# A manifest sits at <stem>.manifest.json, the stem being the run's --out or
+# output prefix, else at manifest.json in --out-dir. It records the resolved
+# seed when the run reads a price file or samples paths: when it sets one of
+# the _SEEDED_BY values.
+_STEMS = ("out", "out_prefix")
+_SEEDED_BY = ("prices", "train_prices", "portfolio_config", "n_paths")
 
 
 @dataclass
@@ -58,10 +67,8 @@ class _Run:
     """What a command computed, for the write step to write and record."""
 
     manifest: str  # a key of _MANIFESTS
-    manifest_path: str
     outputs: list[tuple[str, Callable]]  # (path, write) pairs, listed in the manifest
     message: str
-    seed: int | None
     values: dict = field(default_factory=dict)  # manifest values that replace the flags'
 
 
@@ -71,66 +78,56 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _check_output_dirs(*paths, files=()) -> None:
+def _check_outputs(args, files) -> None:
     """Refuse outputs that cannot be written, before anything is written.
 
-    Each of ``paths``, an output flag's value, must lie in an existing
-    directory, and none of ``files``, the files the command writes, may be
+    repro's --out-dir must not be empty; it and its missing parents are
+    created, so the nearest of them that exists must be a directory. Every
+    other output flag (--out, --trajectory-out, --out-prefix) must lie in an
+    existing directory. None of ``files``, the files the run writes, may be
     empty or an existing directory.
     """
-    for path in paths:
-        if path is None:
-            continue
-        parent = os.path.dirname(os.fspath(path))
+    out_dir = existing = getattr(args, "out_dir", None)
+    if out_dir == "":
+        raise OutputFileError("output directory path is empty")
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        raise OutputFileError(f"{out_dir}: output directory {existing} is not a directory")
+    for name in ("out", "trajectory_out", "out_prefix"):
+        path = getattr(args, name, None)
+        parent = os.path.dirname(path or "")
         if parent and not os.path.isdir(parent):
             why = "is not a directory" if os.path.exists(parent) else "does not exist"
             raise OutputFileError(f"{path}: output directory {parent} {why}")
     for path in files:
         if path == "":
             raise OutputFileError("output file path is empty")
-        if path is not None and os.path.isdir(path):
+        if os.path.isdir(path):
             raise OutputFileError(f"{path}: output file is an existing directory")
-
-
-def _make_out_dir(out_dir, *names) -> None:
-    """Create ``out_dir`` for the files ``names``, refusing first what cannot be written.
-
-    ``out_dir`` must not be empty. It and its missing parents are created,
-    so the nearest of them that exists must be a directory; if ``out_dir``
-    exists, none of ``names`` may be a directory inside it.
-    """
-    existing = os.fspath(out_dir)
-    if not existing:
-        raise OutputFileError("output directory path is empty")
-    while existing and not os.path.exists(existing):
-        existing = os.path.dirname(existing)
-    if existing and not os.path.isdir(existing):
-        raise OutputFileError(f"{out_dir}: output directory {existing} is not a directory")
-    if os.path.isdir(out_dir):
-        _check_output_dirs(files=[os.path.join(out_dir, name) for name in names])
-    os.makedirs(out_dir, exist_ok=True)
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
 
 
 def write_run(args, run: _Run) -> None:
     """Check every output path, then write the outputs, the manifest and the summary line."""
-    paths = [path for path, _ in run.outputs] + [run.manifest_path]
-    if args.command == "repro":
-        _make_out_dir(args.out_dir, *(os.path.basename(path) for path in paths))
-    else:
-        flags = [getattr(args, name, None) for name in ("out", "trajectory_out", "out_prefix")]
-        _check_output_dirs(*flags, files=paths)
-    for path, write in run.outputs:
-        write(path)
     command, names = _MANIFESTS[run.manifest]
     values = {**vars(args), **run.values}
+    stem = next((values[name] for name in _STEMS if values.get(name) is not None), None)
+    manifest_path = (
+        f"{stem}.manifest.json" if stem is not None else os.path.join(args.out_dir, "manifest.json")
+    )
+    _check_outputs(args, [path for path, _ in run.outputs] + [manifest_path])
+    for path, write in run.outputs:
+        write(path)
     manifest = {
         "command": command,
         "parameters": {name: values[name] for name in names},
-        "seed": run.seed,
+        "seed": args.seed if any(values.get(name) for name in _SEEDED_BY) else None,
         "outputs": [str(path) for path, _ in run.outputs],
         "tool_version": __version__,
     }
-    _write_json(run.manifest_path, manifest)
+    _write_json(manifest_path, manifest)
     print(run.message)
 
 
@@ -145,22 +142,17 @@ class _Model(NamedTuple):
     ticker: str | None
 
 
-def _resolve_model(
-    prices, price_column, stage=None, target_std=None, tol=None, flags=None
-) -> _Model:
+def _resolve_model(args, prices, price_column, stage=None, check=None) -> _Model:
     """The return model behind a command: a price file's PMF, or --mu/--sigma.
 
-    ``flags`` are the parsed flags of a command that takes moment flags.
     A price file fixes mu, sigma2 and the gain ceiling min(1, 1/x_max), so
-    --mu, --sigma and --k-max are refused with it, before it is read; the
-    stage defaults to its number of returns. Given a ``target_std``, the
-    gain solve's domain checks run before the model is built, so that a flat
-    or one-signed PMF is refused for its drift or volatility before its
-    support bounds are. Moment flags need a stage, both moments and a
-    nonnegative sigma; k_max defaults to min(1, 1/(mu + sigma)). ``tol`` is
-    the solve's tolerance, checked with ``target_std``.
+    the command's --mu, --sigma and --k-max are refused with it, before it
+    is read; the stage defaults to its number of returns. ``check``, a fit's
+    domain check, is called with (mu, sigma2, stage) before the file's
+    support bounds are checked. Moment flags need a stage, both moments and
+    a nonnegative sigma; k_max defaults to min(1, 1/(mu + sigma)).
     """
-    moments = {name: getattr(flags, name, None) for name in ("mu", "sigma", "k_max")}
+    moments = {name: getattr(args, name, None) for name in ("mu", "sigma", "k_max")}
     if prices is None:
         mu, sigma, k_max = moments.values()
         if stage is None:
@@ -185,10 +177,27 @@ def _resolve_model(
     pmf = returns.pmf_from_returns(returns.returns_from_prices(series))
     if stage is None:
         stage = len(series) - 1
-    if target_std is not None:
-        optimizer._check_solve_domain(pmf.mean(), pmf.variance(), stage, target_std, tol)
+    if check is not None:
+        check(pmf.mean(), pmf.variance(), stage)
     model = returns.ReturnModel.from_pmf(pmf)
     return _Model(model.mu, model.sigma2, model.k_max, stage, model, series.ticker)
+
+
+def _fit(args, prices, price_column, target_std, v0, stage=None):
+    """The closed-form fit under ``target_std``: (model, optimizer.OptimalGainResult).
+
+    The tolerance is --tol, else the solver's default, set on ``args`` for
+    the manifest. The solve's domain checks run before a price file's
+    support bounds are checked, so that a flat or one-signed PMF is refused
+    for its drift or volatility first.
+    """
+    if getattr(args, "tol", None) is None:
+        args.tol = optimizer.DEFAULT_TOL
+    check = partial(optimizer._check_solve_domain, target_std=target_std, tol=args.tol)
+    fit = _resolve_model(args, prices, price_column, stage, check)
+    return fit, optimizer.solve_optimal_gain(
+        fit.mu, fit.sigma2, v0, fit.stage, fit.k_max, target_std, tol=args.tol
+    )
 
 
 def _result_payload(res: optimizer.OptimalGainResult) -> dict:
@@ -199,41 +208,31 @@ def _result_payload(res: optimizer.OptimalGainResult) -> dict:
 
 
 def curve(args) -> _Run:
-    fit = _resolve_model(args.prices, args.price_column, args.stage, flags=args)
+    fit = _resolve_model(args, args.prices, args.price_column, args.stage)
     curve = optimizer.build_curve(fit.mu, fit.sigma2, args.v0, fit.stage, fit.k_max, args.grid)
     return _Run(
         manifest="curve",
-        manifest_path=f"{args.out}.manifest.json",
         outputs=[(args.out, curve.write_csv)],
         message=f"wrote {args.out} ({args.grid} points, stage {args.stage})",
-        seed=args.seed if args.prices else None,
         values={"n_paths": None},
     )
 
 
 def optimize(args) -> _Run:
-    tol = args.tol if args.tol is not None else optimizer.DEFAULT_TOL
-    fit = _resolve_model(
-        args.prices, args.price_column, args.stage, args.target_std, tol, flags=args
-    )
-    res = optimizer.solve_optimal_gain(
-        fit.mu, fit.sigma2, args.v0, fit.stage, fit.k_max, args.target_std, tol=tol
-    )
+    fit, res = _fit(args, args.prices, args.price_column, args.target_std, args.v0, args.stage)
     return _Run(
         manifest="optimize",
-        manifest_path=f"{args.out}.manifest.json",
         outputs=[(args.out, partial(_write_json, payload=_result_payload(res)))],
         message=(
             f"k_star={res.k_star:.6f} achieved_std={res.achieved_std:.6f} "
             f"expected_gain={res.expected_gain:.6f}"
         ),
-        seed=args.seed if args.prices else None,
-        values={"n_paths": None, "stage": fit.stage, "tol": tol},
+        values={"n_paths": None, "stage": fit.stage},
     )
 
 
 def simulate(args) -> _Run:
-    fit = _resolve_model(args.prices, args.price_column, args.stage, flags=args)
+    fit = _resolve_model(args, args.prices, args.price_column, args.stage)
     model = fit.model
     if model is None:
         model = returns.ReturnModel.from_moments(args.mu, args.sigma)
@@ -250,21 +249,16 @@ def simulate(args) -> _Run:
         outputs.append((args.trajectory_out, dynamics.simulate(config, sample).write_csv))
     return _Run(
         manifest="simulate",
-        manifest_path=f"{args.out}.manifest.json",
         outputs=outputs,
         message=f"mean={est.mean:.6f} std={est.std:.6f} (n={est.n_paths}, seed={est.seed})",
-        seed=args.seed,
     )
 
 
 def _backtest_single(
-    args, train_path, test_path, out_prefix: str, target_std: float, v0: float, tol: float
+    args, train_path, test_path, out_prefix: str, target_std: float, v0: float
 ) -> tuple[dict, list]:
     """Fit on the training file and replay the test file: (summary, outputs)."""
-    fit = _resolve_model(train_path, args.price_column, target_std=target_std, tol=tol)
-    res = optimizer.solve_optimal_gain(
-        fit.mu, fit.sigma2, v0, fit.stage, fit.k_max, target_std, tol=tol
-    )
+    fit, res = _fit(args, train_path, args.price_column, target_std, v0)
 
     test_returns = returns.returns_from_prices(
         returns.load_prices_csv(test_path, column=args.price_column)
@@ -298,7 +292,6 @@ def _backtest_single(
 
 
 def backtest(args) -> _Run:
-    tol = args.tol if args.tol is not None else optimizer.DEFAULT_TOL
     if args.portfolio_config:
         for name in ("train_prices", "test_prices", "target_std"):
             if getattr(args, name) is not None:
@@ -307,25 +300,23 @@ def backtest(args) -> _Run:
                     "lists every asset's price files and target"
                 )
         v0, assets = _read_portfolio_config(args.portfolio_config, args.v0)
-        return _backtest_portfolio(args, args.portfolio_config, v0, assets, tol, args.out_prefix)
+        return _backtest_portfolio(args, args.portfolio_config, v0, assets, args.out_prefix)
     if not (args.train_prices and args.test_prices and args.target_std is not None):
         raise InvalidParameterError(
             "single-asset backtest needs --train-prices, --test-prices and --target-std"
         )
     summary, outputs = _backtest_single(
-        args, args.train_prices, args.test_prices, args.out_prefix, args.target_std, args.v0, tol
+        args, args.train_prices, args.test_prices, args.out_prefix, args.target_std, args.v0
     )
     return _Run(
         manifest="backtest",
-        manifest_path=f"{args.out_prefix}.manifest.json",
         outputs=outputs,
         message=(
             f"k_star={summary['fit']['k_star']:.6f} "
             f"terminal_gain={summary['terminal_gain']:.6f} "
             f"({100.0 * summary['terminal_return']:.2f}% on v0={args.v0})"
         ),
-        seed=args.seed,
-        values={"n_paths": None, "tol": tol},
+        values={"n_paths": None},
     )
 
 
@@ -335,10 +326,19 @@ _JSON_TYPES = {
     "string": (str, "a string"),
     "list": (list, "a list"),
 }
+# Each asset's keys in a portfolio config, in the order they are read: the
+# JSON type and the default (_REQUIRED if there is none).
+_ASSET_KEYS = {
+    "train_prices": ("string", _REQUIRED),
+    "test_prices": ("string", _REQUIRED),
+    "target_std": ("number", _REQUIRED),
+    "name": ("string", None),
+    "price_column": ("string", returns.DEFAULT_PRICE_COLUMN),
+}
 
 
 def _config_value(path, where: str, mapping: dict, key: str, kind: str, default=_REQUIRED):
-    """``mapping[key]`` if it has JSON type ``kind``; ``default`` if absent and optional."""
+    """``mapping[key]`` if it has JSON type ``kind``, a number as a float; else ``default``."""
     if key not in mapping:
         if default is _REQUIRED:
             raise ConfigKeyError(f"{path}: {where}missing key {key!r}")
@@ -347,7 +347,7 @@ def _config_value(path, where: str, mapping: dict, key: str, kind: str, default=
     types, noun = _JSON_TYPES[kind]
     if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigKeyError(f"{path}: {where}key {key!r} must be {noun}, got {value!r}")
-    return value
+    return float(value) if kind == "number" else value
 
 
 def _read_portfolio_config(path, default_v0: float) -> tuple[float, list[dict]]:
@@ -361,29 +361,18 @@ def _read_portfolio_config(path, default_v0: float) -> tuple[float, list[dict]]:
         raise InputFileError(f"{path}: malformed portfolio config ({exc})") from None
     if not isinstance(spec, dict):
         raise ConfigKeyError(f"{path}: expected a JSON object, got {spec!r}")
-    v0 = float(_config_value(path, "", spec, "v0", "number", default_v0))
+    v0 = _config_value(path, "", spec, "v0", "number", default_v0)
     assets = []
     for i, asset in enumerate(_config_value(path, "", spec, "assets", "list")):
         where = f"asset {i}: "
         if not isinstance(asset, dict):
             raise ConfigKeyError(f"{path}: {where}expected a JSON object, got {asset!r}")
-        assets.append(
-            {
-                "train_prices": _config_value(path, where, asset, "train_prices", "string"),
-                "test_prices": _config_value(path, where, asset, "test_prices", "string"),
-                "target_std": float(_config_value(path, where, asset, "target_std", "number")),
-                "name": _config_value(path, where, asset, "name", "string", None),
-                "price_column": _config_value(
-                    path, where, asset, "price_column", "string", returns.DEFAULT_PRICE_COLUMN
-                ),
-            }
-        )
+        read = partial(_config_value, path, where, asset)
+        assets.append({key: read(key, *typed) for key, typed in _ASSET_KEYS.items()})
     return v0, assets
 
 
-def _backtest_portfolio(
-    args, config_path, v0: float, assets: list[dict], tol: float, out_prefix: str
-) -> _Run:
+def _backtest_portfolio(args, config_path, v0: float, assets: list[dict], out_prefix: str) -> _Run:
     """Fit every asset with capital v0/m on its training file, then replay the test files.
 
     A refusal raised for one asset is tagged with its index, as in
@@ -394,11 +383,10 @@ def _backtest_portfolio(
     analytics.check_domain(v0=v0)
     names, fits, results, test_paths = [], [], [], []
     for i, asset in enumerate(assets):
-        column, target_std = asset["price_column"], asset["target_std"]
+        column = asset["price_column"]
         try:
-            fit = _resolve_model(asset["train_prices"], column, target_std=target_std, tol=tol)
-            res = optimizer.solve_optimal_gain(
-                fit.mu, fit.sigma2, v0 / len(assets), fit.stage, fit.k_max, target_std, tol=tol
+            fit, res = _fit(
+                args, asset["train_prices"], column, asset["target_std"], v0 / len(assets)
             )
             test = returns.load_prices_csv(asset["test_prices"], column=column)
         except DomainError as exc:
@@ -436,7 +424,6 @@ def _backtest_portfolio(
     }
     return _Run(
         manifest="portfolio",
-        manifest_path=f"{out_prefix}.manifest.json",
         outputs=[
             (f"{out_prefix}_trajectory.csv", partial(traj.write_csv, labels=names)),
             (f"{out_prefix}_summary.json", partial(_write_json, payload=summary)),
@@ -445,8 +432,9 @@ def _backtest_portfolio(
             f"k_star={[round(r.k_star, 4) for r in results]} "
             f"terminal_gain={terminal_gain:.4f} max_leverage={summary['max_leverage_ratio']:.4f}"
         ),
-        seed=args.seed,
-        values={"n_paths": None, "portfolio_config": config_path, "v0": v0, "tol": tol},
+        values={
+            "n_paths": None, "portfolio_config": config_path, "v0": v0, "out_prefix": out_prefix
+        },
     )
 
 
@@ -469,14 +457,12 @@ def _repro_toy(args) -> _Run:
     )
     return _Run(
         manifest="toy",
-        manifest_path=os.path.join(args.out_dir, "manifest.json"),
         outputs=outputs,
         message="\n".join(
             f"stage {sol['stage']:3d}: k_star={sol['k_star']:.3f} "
             f"expected_gain={sol['expected_gain']:.3f}"
             for sol in solutions
         ),
-        seed=None,
         values=parameters,
     )
 
@@ -499,18 +485,14 @@ def repro(args) -> _Run:
         p = TSLA_PRESET
         train, test = args.train_prices[0], args.test_prices[0]
         prefix = os.path.join(args.out_dir, "tsla")
-        summary, outputs = _backtest_single(
-            args, train, test, prefix, p["target_std"], p["v0"], optimizer.DEFAULT_TOL
-        )
+        summary, outputs = _backtest_single(args, train, test, prefix, p["target_std"], p["v0"])
         return _Run(
             manifest="tsla",
-            manifest_path=os.path.join(args.out_dir, "manifest.json"),
             outputs=outputs,
             message=(
                 f"k_star={summary['fit']['k_star']:.4f} "
                 f"terminal_return={100.0 * summary['terminal_return']:.2f}%"
             ),
-            seed=args.seed,
             values={"train_prices": train, "test_prices": test, **p},
         )
     # three-stock: the portfolio backtest, its config written first as three_stock_config.json
@@ -526,7 +508,7 @@ def repro(args) -> _Run:
     ]
     config_path = os.path.join(args.out_dir, "three_stock_config.json")
     prefix = os.path.join(args.out_dir, "three_stock")
-    run = _backtest_portfolio(args, config_path, p["v0"], assets, optimizer.DEFAULT_TOL, prefix)
+    run = _backtest_portfolio(args, config_path, p["v0"], assets, prefix)
     config = {"v0": p["v0"], "assets": assets}
     run.outputs.insert(0, (config_path, partial(_write_json, payload=config)))
     return run

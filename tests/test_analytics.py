@@ -409,3 +409,40 @@ class TestOneDomainCheck:
     def test_variance_must_be_finite_and_nonnegative(self, sigma2):
         with pytest.raises(InvalidParameterError, match="sigma2"):
             variance_gain(0.5, 0.1, 4, 0.05, sigma2)
+
+
+class TestZeroWeightLegs:
+    """An all-long (alpha = 1) or all-short (alpha = 0) split holds one leg; the other
+    has weight 0 and is skipped, so its powers cannot leave double range. The one leg's
+    product of (1 + theta x) gives E[G] = L**k - 1 and var(G) = (L**2 + s)**k - L**(2k),
+    with L = 1 + theta (long) or 1 - theta (short); checked at 60 digits."""
+
+    SIGMA2 = 0.25
+
+    @pytest.mark.parametrize("alpha, mu", [(1.0, -0.1), (0.0, 0.1)])
+    @pytest.mark.parametrize("stage", [1800, 8000])
+    def test_against_sixty_digits(self, alpha, mu, stage):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            leg = 1 + mpmath.mpf(mu) if alpha else 1 - mpmath.mpf(mu)
+            mean = leg**stage - 1
+            var = (leg**2 + mpmath.mpf(self.SIGMA2)) ** stage - leg ** (2 * stage)
+            got_mean = expected_gain(alpha, 1.0, stage, mu)
+            got_var = variance_gain(alpha, 1.0, stage, mu, self.SIGMA2)
+            assert abs(got_mean - mean) <= 1e-12 * abs(mean)
+            assert abs(got_var - var) <= 1e-12 * var
+        if stage == 8000:  # the held leg's variance is finite, far above 1e200
+            assert got_mean == -1.0 and 1e202 < got_var < 1e203
+
+
+class TestStageType:
+    """A stage is any integral number but a bool, numpy's integers included."""
+
+    @pytest.mark.parametrize("stage", [4, np.int64(4), np.int32(4), np.uint8(4)])
+    def test_integers_pass(self, stage):
+        assert expected_gain(0.5, 0.5, stage, 0.05) == expected_gain(0.5, 0.5, 4, 0.05)
+
+    @pytest.mark.parametrize("stage", [True, np.bool_(True), 4.0, np.float64(4.0), "4"])
+    def test_others_are_refused(self, stage):
+        with pytest.raises(InvalidParameterError, match="stage must be an integer"):
+            expected_gain(0.5, 0.5, stage, 0.05)

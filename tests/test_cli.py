@@ -1117,3 +1117,98 @@ class TestLargeInitialValue:
         assert abs(b["k_star"] - u["k_star"]) <= 1e-12
         assert b["achieved_std"] == pytest.approx(1e200 * u["achieved_std"], rel=1e-12)
         assert b["expected_gain"] == pytest.approx(1e200 * u["expected_gain"], rel=1e-12)
+
+
+def _float_flags():
+    """(subcommand, flag, dest) of every option that parses a float."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (name, action.option_strings[0], action.dest)
+        for name, parser in sub.choices.items()
+        for action in parser._actions
+        if action.type is float
+    ]
+
+
+class TestNegativeExponentNumbers:
+    """A negative number in exponent form, as repr() writes a small drift, is a value."""
+
+    VALID = {
+        "curve": ["--mu", "-0.1", "--sigma", "0.15", "--stage", "10", "--grid", "3"],
+        "optimize": ["--mu", "-0.1", "--sigma", "0.15", "--stage", "10", "--target-std", "0.1"],
+        "simulate": [
+            "--mu", "-0.1", "--sigma", "0.15", "--stage", "10", "--k-gain", "0.3",
+            "--n-paths", "50",
+        ],
+    }
+
+    def test_every_float_flag_is_covered(self):
+        flags = {(name, flag) for name, flag, _ in _float_flags()}
+        assert {name for name, _ in flags} == {"curve", "optimize", "simulate", "backtest"}
+        assert ("optimize", "--mu") in flags and ("backtest", "--tol") in flags
+
+    @pytest.mark.parametrize("value", ["-3e-05", "-1E+3", "-.5e-7"])
+    def test_every_float_flag_accepts_it(self, tmp_path, capsys, value):
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        _write_prices(train, _heavy_tailed_prices(70))
+        _write_prices(test, _heavy_tailed_prices(71))
+        valid = {
+            **self.VALID,
+            "backtest": [
+                "--train-prices", str(train), "--test-prices", str(test), "--target-std", "0.08",
+            ],
+        }
+        for name, flag, dest in _float_flags():
+            out = ["--out-prefix" if name == "backtest" else "--out", str(tmp_path / "out")]
+            argv = [name, *valid[name], flag, value, *out]  # the last occurrence wins
+            assert getattr(cli.build_parser().parse_args(argv), dest) == float(value), argv
+            assert cli.main(argv) in (0, 3), argv
+            assert "expected one argument" not in capsys.readouterr().err
+
+    def test_spaced_value_writes_what_the_joined_form_writes(self, tmp_path, monkeypatch):
+        base = ["--sigma", "0.02", "--stage", "90", "--target-std", "0.01", "--out", "fit.json"]
+        written = []
+        for name, mu in (("spaced", ["--mu", "-3e-05"]), ("joined", ["--mu=-3e-05"])):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            assert cli.main(["optimize", *mu, *base]) == 0
+            files = ("fit.json", "fit.json.manifest.json")
+            written.append([(tmp_path / name / f).read_bytes() for f in files])
+        assert written[0] == written[1]
+        assert json.loads(written[0][1])["parameters"]["mu"] == -3e-05
+
+
+class TestPresetsAreTheirBacktests:
+    """repro tsla and three-stock write what the backtests they bundle write."""
+
+    def test_tsla_is_the_single_asset_backtest(self, tmp_path):
+        train, test = tmp_path / "a.csv", tmp_path / "b.csv"
+        _write_prices(train, _heavy_tailed_prices(80))
+        _write_prices(test, _heavy_tailed_prices(81, n_returns=300, drift=0.001))
+        files = ["--train-prices", str(train), "--test-prices", str(test), "--seed", "5"]
+        out, prefix = tmp_path / "out", tmp_path / "bt"
+        assert cli.main(["repro", "tsla", *files, "--out-dir", str(out)]) == 0
+        rc = cli.main(
+            ["backtest", *files, "--target-std", "0.08", "--v0", "1", "--out-prefix", str(prefix)]
+        )
+        assert rc == 0
+        for suffix in ("_trajectory.csv", "_summary.json"):
+            assert (out / f"tsla{suffix}").read_bytes() == (tmp_path / f"bt{suffix}").read_bytes()
+
+    def test_three_stock_is_the_portfolio_backtest(self, tmp_path):
+        files = []
+        for i, (vol, drift) in enumerate([(0.035, -0.0008), (0.015, 0.0012), (0.019, 0.0009)]):
+            train, test = tmp_path / f"train{i}.csv", tmp_path / f"test{i}.csv"
+            _write_prices(train, _heavy_tailed_prices(90 + i, vol=vol, drift=drift))
+            _write_prices(test, _heavy_tailed_prices(95 + i, n_returns=200, vol=vol, drift=drift))
+            files += ["--train-prices", str(train), "--test-prices", str(test)]
+        out, prefix = tmp_path / "out", tmp_path / "bt"
+        assert cli.main(["repro", "three-stock", *files, "--out-dir", str(out)]) == 0
+        config = out / "three_stock_config.json"
+        rc = cli.main(
+            ["backtest", "--portfolio-config", str(config), "--out-prefix", str(prefix)]
+        )
+        assert rc == 0
+        for suffix in ("_trajectory.csv", "_summary.json"):
+            written = (out / f"three_stock{suffix}").read_bytes()
+            assert written == (tmp_path / f"bt{suffix}").read_bytes()

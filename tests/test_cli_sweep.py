@@ -1,0 +1,120 @@
+"""A seeded sweep of the CLI's exit codes over its whole domain.
+
+``N_CASES`` in-process ``cli.main`` calls draw ``optimize``, ``curve`` and
+``simulate`` arguments from one fixed seed. mu (of either sign), sigma,
+--k-max, --v0, --target-std and --k-gain are log-uniform over 1e-12 to 10,
+or one of the edge values 0, +-1, 5e-324 and 1e300, and are written with
+``repr()``, so that exponent forms such as ``-3e-05`` occur. Stages run from
+2 to 5,000, --grid from 2 to 50, --alpha over [0, 1] and --n-paths up to
+200; a quarter of the runs read one of two heavy-tailed price files instead
+of --mu/--sigma.
+
+Every call must exit 0 or 3: never 1 (a traceback), 2 (a usage error) or 4.
+Every fit that exits 0 must have achieved_std <= target_std, and every curve
+that exits 0 a nondecreasing std column. A failing case is fixed in the
+program, never dropped from the draw.
+"""
+
+import csv
+import json
+import math
+import random
+import traceback
+
+import numpy as np
+
+from longshort import cli
+
+SEED = 20221016
+N_CASES = 400
+EDGES = (0.0, 1.0, -1.0, 5e-324, 1e300)
+
+
+def _number(rng, signed=False):
+    if rng.random() < 0.15:
+        return rng.choice(EDGES)
+    x = 10.0 ** rng.uniform(-12.0, 1.0)
+    return -x if signed and rng.random() < 0.5 else x
+
+
+def _stage(rng):
+    return round(math.exp(rng.uniform(math.log(2), math.log(5000))))
+
+
+def _write_heavy_tailed_prices(path, seed, vol, drift):
+    """126 prices whose returns are clipped Student-t (3 dof) draws."""
+    rng = np.random.default_rng(seed)
+    steps = 1.0 + np.clip(drift + vol * rng.standard_t(3, 125) / np.sqrt(3.0), -0.45, 0.45)
+    prices = 100.0 * np.concatenate([[1.0], np.cumprod(steps)])
+    with open(path, "w") as fh:
+        fh.write("date,adj_close\n")
+        for i, p in enumerate(prices):
+            fh.write(f"2019-{1 + i // 28:02d}-{1 + i % 28:02d},{p!r}\n")
+
+
+def _case(rng, price_files, out):
+    """(command, argv) of one drawn call."""
+    command = rng.choice(("optimize", "curve", "simulate"))
+    argv = [command]
+    if rng.random() < 0.25:
+        argv += ["--prices", rng.choice(price_files)]
+    else:
+        argv += ["--mu", repr(_number(rng, signed=True)), "--sigma", repr(_number(rng))]
+    if command != "optimize" or rng.random() < 0.5:
+        argv += ["--stage", str(_stage(rng))]
+    if rng.random() < 0.5:
+        argv += ["--v0", repr(_number(rng))]
+    if command == "optimize":
+        argv += ["--target-std", repr(_number(rng))]
+    if command == "curve":
+        argv += ["--grid", str(rng.randint(2, 50))]
+    if command == "simulate":
+        argv += ["--k-gain", repr(_number(rng)), "--alpha", repr(rng.random())]
+        argv += ["--n-paths", str(rng.randint(1, 200))]
+    elif rng.random() < 0.5:
+        argv += ["--k-max", repr(_number(rng))]
+    return command, [*argv, "--out", str(out)]
+
+
+def _run(argv):
+    """(exit code, traceback or None) of one in-process call."""
+    try:
+        return cli.main(argv), None
+    except SystemExit as exc:
+        return exc.code, None
+    except Exception:  # an escaped exception is the traceback of exit 1
+        return 1, traceback.format_exc()
+
+
+def _check_output(command, argv, out):
+    if command == "optimize":
+        fit = json.loads(out.read_text())
+        target = float(argv[argv.index("--target-std") + 1])
+        assert fit["target_std"] == target
+        assert fit["achieved_std"] <= target, (argv, fit)
+    elif command == "curve":
+        with open(out, newline="") as fh:
+            stds = [float(row["std"]) for row in csv.DictReader(fh)]
+        assert all(a <= b for a, b in zip(stds, stds[1:])), (argv, stds)
+
+
+def test_exit_codes_over_the_whole_domain(tmp_path, capsys):
+    price_files = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
+    _write_heavy_tailed_prices(price_files[0], 1, 0.035, -0.0008)
+    _write_heavy_tailed_prices(price_files[1], 2, 0.015, 0.0012)
+    rng = random.Random(SEED)
+    codes, failures = {}, []
+    for i in range(N_CASES):
+        out = tmp_path / f"out{i % 2}"
+        command, argv = _case(rng, price_files, out)
+        code, trace = _run(argv)
+        capsys.readouterr()
+        codes[code] = codes.get(code, 0) + 1
+        if code not in (0, 3):
+            failures.append((code, argv, trace))
+        elif code == 0:
+            _check_output(command, argv, out)
+    assert failures == []
+    # the draw reaches both outcomes, and most runs pass the parser
+    assert codes.get(0, 0) >= N_CASES // 4 and codes.get(3, 0) >= N_CASES // 4, codes
+

@@ -133,3 +133,11 @@ def test_unknown_name_is_an_attribute_error():
         longshort.no_such_name  # noqa: B018
     with pytest.raises(ImportError):
         from longshort import no_such_name  # noqa: F401
+
+
+def test_analytics_loads_no_numpy(tmp_path):
+    # The closed forms are pure math; the array modules that commands import load numpy.
+    proc, modules = loaded_modules(tmp_path, code="import longshort.analytics")
+    assert proc.returncode == 0, proc.stderr
+    assert "longshort.analytics" in modules
+    assert "numpy" not in modules
