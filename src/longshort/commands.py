@@ -338,7 +338,10 @@ _ASSET_KEYS = {
 
 
 def _config_value(path, where: str, mapping: dict, key: str, kind: str, default=_REQUIRED):
-    """``mapping[key]`` if it has JSON type ``kind``, a number as a float; else ``default``."""
+    """``mapping[key]`` if it has JSON type ``kind``, a number as a float; else ``default``.
+
+    An integer literal beyond double range is refused, as no float holds it.
+    """
     if key not in mapping:
         if default is _REQUIRED:
             raise ConfigKeyError(f"{path}: {where}missing key {key!r}")
@@ -347,7 +350,14 @@ def _config_value(path, where: str, mapping: dict, key: str, kind: str, default=
     types, noun = _JSON_TYPES[kind]
     if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigKeyError(f"{path}: {where}key {key!r} must be {noun}, got {value!r}")
-    return float(value) if kind == "number" else value
+    if kind != "number":
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigKeyError(
+            f"{path}: {where}key {key!r} must be a number within double range"
+        ) from None
 
 
 def _read_portfolio_config(path, default_v0: float) -> tuple[float, list[dict]]:
@@ -357,7 +367,7 @@ def _read_portfolio_config(path, default_v0: float) -> tuple[float, list[dict]]:
             spec = json.load(fh)
     except OSError as exc:
         raise InputFileError(f"{path}: cannot read portfolio config ({exc.strerror})") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # a JSON, Unicode or integer-length error
         raise InputFileError(f"{path}: malformed portfolio config ({exc})") from None
     if not isinstance(spec, dict):
         raise ConfigKeyError(f"{path}: expected a JSON object, got {spec!r}")

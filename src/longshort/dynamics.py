@@ -137,20 +137,15 @@ def simulate(config: ControllerConfig, path) -> AccountTrajectory:
     # an elementwise numpy recursion would, at a fraction of the cost.
     n = x.size
     k_gain = float(config.k_gain)
-    neg_gain = -k_gain
-    v_long, v_short, u_long, u_short = (np.empty(n + 1) for _ in range(4))
-    vl_out, vs_out, ul_out, us_out = map(memoryview, (v_long, v_short, u_long, u_short))
+    v_long, v_short = np.empty(n + 1), np.empty(n + 1)
+    vl_out, vs_out = memoryview(v_long), memoryview(v_short)
     v_l = vl_out[0] = float(config.alpha * config.v0)
     v_s = vs_out[0] = float((1.0 - config.alpha) * config.v0)
     k = 0
     for x_k in memoryview(x):
-        u_l = ul_out[k] = k_gain * v_l
-        u_s = us_out[k] = neg_gain * v_s
         k += 1
-        v_l = vl_out[k] = v_l + x_k * u_l
-        v_s = vs_out[k] = v_s + x_k * u_s
-    ul_out[n] = k_gain * v_l
-    us_out[n] = neg_gain * v_s
+        v_l = vl_out[k] = v_l + x_k * (k_gain * v_l)
+        v_s = vs_out[k] = v_s - x_k * (k_gain * v_s)
 
     # An account that leaves double range stays inf or NaN at every later
     # stage, so the terminal values show whether any value overflowed.
@@ -160,6 +155,7 @@ def simulate(config: ControllerConfig, path) -> AccountTrajectory:
         )
 
     v_total = v_long + v_short
+    u_long, u_short = k_gain * v_long, -k_gain * v_short
     return AccountTrajectory(
         v_long=_frozen_array(v_long),
         v_short=_frozen_array(v_short),

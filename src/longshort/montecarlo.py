@@ -17,20 +17,16 @@ Two estimators with deliberately different conventions:
   population moments. It never touches the closed forms, which makes it the
   independent oracle they are validated against.
 
-Paths are drawn in fixed-size batches, each from its own generator seeded by
-(seed, batch_index); results are therefore reproducible no matter how the
-batches would be scheduled across workers. Each batch's draws equal those of
-``rng.choice(n_atoms, size=..., p=weights)``: the same uniforms are mapped to
-atoms through a guide table that returns the same indices as the cdf search
-``Generator.choice`` runs, only faster. A block's uniforms, atom indices and
+A seed is one stream: the paths come from the sampler in
+:mod:`longshort.returns`, whose path 0 is ``sample_path(model, stage, seed)``,
+the trajectory ``simulate --trajectory-out`` writes. A block's uniforms, atom indices and
 draws live in buffers allocated once per draw, so the working set is about
 25 bytes per block entry whatever the number of paths; 512-row blocks keep
 it at 1.5 MiB for 125 stages, and smaller blocks cost time in the per-stage
-recursion without saving much more. Paths are stage-major; a gain probe
-checks survivability once, against the bank's extreme returns or, when
-streamed, the model's support bounds that every drawn return lies within,
-and then runs the account recursion of
-:func:`longshort.dynamics.terminal_gains`, so its gains match
+recursion without saving much more. Paths are stage-major; a gain probe,
+banked or streamed, checks survivability once, against the model's support
+bounds that every drawn return lies within, and then runs the account
+recursion of :func:`longshort.dynamics.terminal_gains`, so its gains match
 :func:`longshort.dynamics.simulate` bit for bit.
 """
 
@@ -48,12 +44,10 @@ from .errors import (
     EnumerationTooLargeError,
     InadmissibleGainError,
     InvalidParameterError,
+    SimulationOverflowError,
 )
-from .returns import EmpiricalPMF, ReturnModel, _check_seed
+from .returns import EmpiricalPMF, ReturnModel, _check_seed, _path_chunks
 
-BATCH_SIZE = 16_384
-CHUNK_ROWS = 512  # paths drawn at a time, within one batch
-GUIDE_BUCKETS = 4_096  # a power of two, so u * GUIDE_BUCKETS is exact
 ENUMERATION_CAP = 10_000_000
 
 
@@ -70,78 +64,6 @@ class McEstimate:
     stage: int
 
 
-def _atom_lookup(cdf: np.ndarray, size: int):
-    """``lookup(u, scratch)``: ``cdf.searchsorted(u, side="right")`` through a guide table.
-
-    Bucket ``j`` holds the uniforms in [j/G, (j+1)/G). Its guide entry counts
-    the cdf values <= j/G, a lower bound on the answer for every uniform in
-    the bucket: G is a power of two, so ``floor(u * G) / G <= u`` holds
-    exactly. Stepping up while ``cdf[idx] <= u`` then stops at the count of
-    cdf values <= u, which is the ``side="right"`` answer; it stops by
-    ``cdf[-1] == 1 > u`` at the latest. Only uniforms in a bucket that a
-    cdf value splits take a step.
-
-    ``u`` is 1-d, at most ``size`` long, and ``scratch`` is a float buffer
-    of its length that the lookup overwrites. The indices come back in a
-    buffer allocated here once, which the caller finishes with before the
-    next lookup. Every index gathered lies in range, so the gathers use
-    ``mode="clip"``, which skips the copy that numpy's bounds-checked
-    ``take`` makes of its output.
-    """
-    guide = cdf.searchsorted(np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS, side="right")
-    idx_buf = np.empty(size, dtype=np.intp)
-    step_buf = np.empty(size, dtype=bool)
-
-    def lookup(u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        idx = idx_buf[: u.size]
-        bucket = scratch.view(np.intp)  # spent once the guide is read
-        np.multiply(u, GUIDE_BUCKETS, out=bucket, casting="unsafe")  # floor, as u >= 0
-        np.take(guide, bucket, out=idx, mode="clip")
-        below = np.take(cdf, idx, out=scratch, mode="clip")
-        pending = np.flatnonzero(np.less_equal(below, u, out=step_buf[: u.size]))
-        while pending.size:
-            idx[pending] += 1
-            pending = pending[cdf[idx[pending]] <= u[pending]]
-        return idx
-
-    return lookup
-
-
-def _path_chunks(model: ReturnModel, n_paths: int, stage: int, seed: int):
-    """Yield ``(start, block)``: the sampled paths ``start, start+1, ...``.
-
-    Blocks are stage-major, hold at most ``CHUNK_ROWS`` paths and never cross
-    a batch. Each batch's consecutive ``rng.random`` calls continue one
-    stream, so the blocks are, entry for entry, the rows of
-    ``rng.choice(values.size, size=(batch_rows, stage), p=weights)``, which
-    draws ``rng.random`` of that size and searches this same normalised cdf.
-    Every block is the same reused buffer: a consumer finishes with (or
-    copies) it before asking for the next. The uniforms and atom indices
-    live in buffers reused the same way, so drawing allocates nothing of a
-    block's size per block.
-    """
-    values = model.pmf.values
-    cdf = model.pmf.weights.cumsum()
-    cdf /= cdf[-1]
-    size = min(CHUNK_ROWS, n_paths) * stage
-    uniforms = np.empty(size)
-    drawn = np.empty(size)
-    lookup = _atom_lookup(cdf, size)
-    for batch, batch_start in enumerate(range(0, n_paths, BATCH_SIZE)):
-        batch_stop = min(batch_start + BATCH_SIZE, n_paths)
-        rng = np.random.default_rng([seed, batch])
-        for start in range(batch_start, batch_stop, CHUNK_ROWS):
-            rows = min(CHUNK_ROWS, batch_stop - start)
-            u, flat = uniforms[: rows * stage], drawn[: rows * stage]
-            rng.random(out=u)
-            # The path-major draws overwrite their spent uniforms, then are
-            # transposed into the stage-major block.
-            picked = np.take(values, lookup(u, flat), out=u, mode="clip")
-            block = flat.reshape((rows, stage), order="F")
-            np.copyto(block, picked.reshape(rows, stage))
-            yield start, block
-
-
 def _check_draw(stage: int, n_paths: int, seed: int) -> None:
     check_domain(stage, 1)
     if n_paths < 2:
@@ -149,9 +71,21 @@ def _check_draw(stage: int, n_paths: int, seed: int) -> None:
     _check_seed(seed)
 
 
+def _check_probe(model: ReturnModel, alpha: float, k_gain: float, v0: float) -> None:
+    check_domain(alpha=alpha, v0=v0, k_gain=k_gain, k_max=model.k_max)
+    # Every drawn return is an atom of the PMF, between the support bounds.
+    dynamics._check_survivable(k_gain, model.bounds.x_min, model.bounds.x_max)
+
+
 def _summarise(gains: np.ndarray, seed: int, stage: int) -> McEstimate:
-    mean = float(gains.mean())
-    variance = float(gains.var(ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        mean = float(gains.mean())
+        variance = float(gains.var(ddof=1))
+    for name, value in (("mean", mean), ("variance", variance)):
+        if not math.isfinite(value):
+            raise SimulationOverflowError(
+                f"the sample {name} of the gain-loss leaves double range at stage {stage}"
+            )
     std = math.sqrt(variance)
     return McEstimate(
         mean=mean,
@@ -168,8 +102,8 @@ class McGainEstimator:
     """A fixed bank of sampled return paths for repeated gain probes.
 
     The bank is stage-major (one contiguous column per stage) and read-only.
-    Its smallest and largest returns, found once when it is drawn, decide
-    every probe's survivability check.
+    Every probe checks survivability against the model's support bounds,
+    as :func:`estimate_gain_stats` does.
     """
 
     def __init__(self, model: ReturnModel, stage: int, n_paths: int, seed: int):
@@ -179,15 +113,12 @@ class McGainEstimator:
         self.n_paths = int(n_paths)
         self.seed = int(seed)
         self.paths = np.empty((self.n_paths, self.stage), order="F")
-        for start, block in _path_chunks(model, self.n_paths, self.stage, self.seed):
+        for start, block in _path_chunks(model.pmf, self.n_paths, self.stage, self.seed):
             self.paths[start : start + block.shape[0]] = block
         self.paths.flags.writeable = False
-        self._x_min = float(self.paths.min())
-        self._x_max = float(self.paths.max())
 
     def estimate(self, alpha: float, k_gain: float, v0: float) -> McEstimate:
-        check_domain(alpha=alpha, v0=v0, k_gain=k_gain, k_max=self.model.k_max)
-        dynamics._check_survivable(k_gain, self._x_min, self._x_max)
+        _check_probe(self.model, alpha, k_gain, v0)
         gains = dynamics._terminal_gains(alpha, k_gain, v0, self.paths)
         return _summarise(gains, self.seed, self.stage)
 
@@ -209,11 +140,9 @@ def estimate_gain_stats(
     the ``n_paths`` terminal gains, never the bank.
     """
     _check_draw(stage, n_paths, seed)
-    check_domain(alpha=alpha, v0=v0, k_gain=k_gain, k_max=model.k_max)
-    # Every drawn return is an atom of the PMF, between the support bounds.
-    dynamics._check_survivable(k_gain, model.bounds.x_min, model.bounds.x_max)
+    _check_probe(model, alpha, k_gain, v0)
     gains = np.empty(int(n_paths))
-    for start, block in _path_chunks(model, int(n_paths), int(stage), int(seed)):
+    for start, block in _path_chunks(model.pmf, int(n_paths), int(stage), int(seed)):
         gains[start : start + block.shape[0]] = dynamics._terminal_gains(
             alpha, k_gain, v0, block
         )

@@ -26,6 +26,7 @@ from . import analytics
 from .errors import (
     InternalConsistencyError,
     InvalidParameterError,
+    MomentOverflowError,
     NonMonotoneEstimateError,
     TargetNonpositiveError,
     TargetTooLargeError,
@@ -165,7 +166,8 @@ def _bisect_std(
     """
     lo, hi = 0.0, k_max
     s_lo, s_hi = 0.0, s_max
-    slack = 1e-12 * max(1.0, s_max)
+    # An s_max past double range is +inf; the slack then scales with the target.
+    slack = 1e-12 * max(1.0, s_max if s_max < math.inf else target_std)
     iterations = 0
     while iterations < _MAX_BISECTIONS and (hi - lo) > 1e-15 * k_max:
         mid = 0.5 * (lo + hi)
@@ -225,12 +227,24 @@ def solve_optimal_gain(
     solution the std constraint binds, and the expected gain is positive
     because mu != 0. The fit's std lies in [target_std - tol * v0, target_std]:
     ``tol`` is relative to the account size, so scaling v0 and the target
-    together scales the fit and leaves K* where it was.
+    together scales the fit and leaves K* where it was. A probe whose std
+    leaves double range lies above every finite target, so long horizons fit
+    wherever the std at K* is finite; only the fit's own expected gain must
+    stay in range.
     """
     _check_solve_domain(mu, sigma2, stage, target_std, tol)
     at = _exact_probe(mu, sigma2, v0, stage, k_max)
+    k = int(stage)
+
+    def std_at(k_gain: float) -> float:
+        try:
+            variance = analytics._moments(0.5, k_gain, k, mu, sigma2)[1]
+        except MomentOverflowError:
+            return math.inf
+        return v0 * math.sqrt(variance)
+
     return _solve(
-        lambda k: at(k)[1], lambda k: at(k)[0], k_max, target_std, tol * v0, stage,
+        std_at, lambda k: at(k)[0], k_max, target_std, tol * v0, stage,
         "target_std={target_std} >= s_max={s_max}; cap at k_max explicitly "
         "if running at the ceiling is intended", InternalConsistencyError,
     )

@@ -2,8 +2,17 @@
 
 Prices s(k) turn into simple returns x(k) = (s(k+1) - s(k)) / s(k); observed
 returns turn into an empirical PMF placing weight count/n on each distinct
-value; a :class:`ReturnModel` wraps a PMF together with certified support
-bounds and its first two moments, and can be sampled reproducibly.
+value; a :class:`ReturnModel` wraps a PMF together with the support bounds
+and first two moments it derives from it, and can be sampled reproducibly.
+
+A seed is one random stream. Every return path drawn with it, for a
+trajectory or for a Monte-Carlo estimate, comes from that stream through one
+sampler, ``CHUNK_ROWS`` paths at a time; :func:`sample_path` is its path 0.
+The draws equal those of ``rng.choice(n_atoms, size=(n_paths, stage),
+p=weights)``: the same uniforms are mapped to atoms through a guide table
+that returns the same indices as the cdf search ``rng.choice`` runs, only
+faster. Parallel draws would start the one stream at a path's offset
+(``PCG64.advance``) rather than split it into batches.
 
 All distributions here are discrete. PMF moments use the population (1/n)
 convention: the PMF is treated as the exact distribution, not as a sample
@@ -15,7 +24,7 @@ from __future__ import annotations
 import csv
 import os
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,6 +46,8 @@ from .errors import (
 
 WEIGHT_SUM_TOL = 1e-12
 
+CHUNK_ROWS = 512  # sampled paths drawn at a time
+GUIDE_BUCKETS = 4_096  # a power of two, so u * GUIDE_BUCKETS is exact
 _CSV_BLOCK_ROWS = 1024  # rows formatted at a time; write time is flat from 128 to 4096
 
 
@@ -153,33 +164,32 @@ class EmpiricalPMF:
         return hash((self.values.tobytes(), self.weights.tobytes()))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ReturnModel:
-    """A return distribution with certified bounds and moments.
+    """A return distribution: a PMF, and the support bounds and moments derived from it.
 
-    The support endpoints are the bounds themselves, so the survivability
-    analysis driven by (x_min, x_max) is tight for the distribution.
+    The bounds are the support endpoints, so the survivability analysis driven
+    by (x_min, x_max) is tight for the distribution. Equal PMFs, equal models.
     """
 
     pmf: EmpiricalPMF
-    bounds: ReturnBounds
-    mu: float
-    sigma2: float
+    bounds: ReturnBounds = field(init=False, compare=False)
+    mu: float = field(init=False, compare=False)
+    sigma2: float = field(init=False, compare=False)
 
     def __post_init__(self):
-        check_domain(sigma2=self.sigma2)
-        lo, hi = float(self.pmf.values[0]), float(self.pmf.values[-1])
-        if lo != self.bounds.x_min or hi != self.bounds.x_max:
-            raise InvalidBoundsError(
-                "x_min and x_max must be the endpoints of the PMF support"
-            )
-        if not (self.bounds.x_min <= self.mu <= self.bounds.x_max):
+        bounds = ReturnBounds(float(self.pmf.values[0]), float(self.pmf.values[-1]))
+        mu, sigma2 = self.pmf.mean(), self.pmf.variance()
+        check_domain(sigma2=sigma2)  # it overflows for atoms near the top of double range
+        if not (bounds.x_min <= mu <= bounds.x_max):
             raise InvalidParameterError("mean must lie within the support bounds")
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "sigma2", sigma2)
 
     @classmethod
     def from_pmf(cls, pmf: EmpiricalPMF) -> "ReturnModel":
-        bounds = ReturnBounds(float(pmf.values[0]), float(pmf.values[-1]))
-        return cls(pmf=pmf, bounds=bounds, mu=pmf.mean(), sigma2=pmf.variance())
+        return cls(pmf)
 
     @classmethod
     def two_point(cls, x_down: float, x_up: float, p_up: float = 0.5) -> "ReturnModel":
@@ -209,14 +219,6 @@ class ReturnModel:
     @property
     def k_max(self) -> float:
         return self.bounds.k_max
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ReturnModel):
-            return NotImplemented
-        return self.pmf == other.pmf
-
-    def __hash__(self):
-        return hash(self.pmf)
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,8 +273,76 @@ def _check_seed(seed) -> None:
         raise InvalidParameterError(f"seed must be nonnegative, got {seed}")
 
 
+def _atom_lookup(cdf: np.ndarray, size: int):
+    """``lookup(u, scratch)``: ``cdf.searchsorted(u, side="right")`` through a guide table.
+
+    Bucket ``j`` holds the uniforms in [j/G, (j+1)/G). Its guide entry counts
+    the cdf values <= j/G, a lower bound on the answer for every uniform in
+    the bucket: G is a power of two, so ``floor(u * G) / G <= u`` holds
+    exactly. Stepping up while ``cdf[idx] <= u`` then stops at the count of
+    cdf values <= u, which is the ``side="right"`` answer; it stops by
+    ``cdf[-1] == 1 > u`` at the latest. Only uniforms in a bucket that a
+    cdf value splits take a step.
+
+    ``u`` is 1-d, at most ``size`` long, and ``scratch`` is a float buffer
+    of its length that the lookup overwrites. The indices come back in a
+    buffer allocated here once, which the caller finishes with before the
+    next lookup. Every index gathered lies in range, so the gathers use
+    ``mode="clip"``, which skips the copy that numpy's bounds-checked
+    ``take`` makes of its output.
+    """
+    guide = cdf.searchsorted(np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS, side="right")
+    idx_buf = np.empty(size, dtype=np.intp)
+    step_buf = np.empty(size, dtype=bool)
+
+    def lookup(u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        idx = idx_buf[: u.size]
+        bucket = scratch.view(np.intp)  # spent once the guide is read
+        np.multiply(u, GUIDE_BUCKETS, out=bucket, casting="unsafe")  # floor, as u >= 0
+        np.take(guide, bucket, out=idx, mode="clip")
+        below = np.take(cdf, idx, out=scratch, mode="clip")
+        pending = np.flatnonzero(np.less_equal(below, u, out=step_buf[: u.size]))
+        while pending.size:
+            idx[pending] += 1
+            pending = pending[cdf[idx[pending]] <= u[pending]]
+        return idx
+
+    return lookup
+
+
+def _path_chunks(pmf: EmpiricalPMF, n_paths: int, stage: int, seed):
+    """Yield ``(start, block)``: the seed's sampled paths ``start, start+1, ...``.
+
+    Consecutive ``rng.random`` calls continue the seed's one stream, so the
+    stage-major blocks are, entry for entry, the rows of ``rng.choice(n_atoms,
+    size=(n_paths, stage), p=weights)``, which draws ``rng.random`` of that
+    size and searches this same normalised cdf. Every block is the same
+    reused buffer: a consumer finishes with (or copies) it before asking for
+    the next. The uniforms and atom indices live in buffers reused the same
+    way, so drawing allocates nothing of a block's size per block.
+    """
+    values = pmf.values
+    cdf = pmf.weights.cumsum()
+    cdf /= cdf[-1]
+    size = min(CHUNK_ROWS, n_paths) * stage
+    uniforms = np.empty(size)
+    drawn = np.empty(size)
+    lookup = _atom_lookup(cdf, size)
+    rng = np.random.default_rng(seed)
+    for start in range(0, n_paths, CHUNK_ROWS):
+        rows = min(CHUNK_ROWS, n_paths - start)
+        u, flat = uniforms[: rows * stage], drawn[: rows * stage]
+        rng.random(out=u)
+        # The path-major draws overwrite their spent uniforms, then are
+        # transposed into the stage-major block.
+        picked = np.take(values, lookup(u, flat), out=u, mode="clip")
+        block = flat.reshape((rows, stage), order="F")
+        np.copyto(block, picked.reshape(rows, stage))
+        yield start, block
+
+
 def sample_path(model: ReturnModel | EmpiricalPMF, n: int, seed) -> np.ndarray:
-    """Draw ``n`` independent returns; deterministic given seed.
+    """Draw ``n`` independent returns: path 0 of the seed's paths at stage ``n``.
 
     Accepts a full model or a bare PMF: one-sided or point-mass distributions
     cannot carry the two-sided support bounds a model certifies, but they can
@@ -282,9 +352,8 @@ def sample_path(model: ReturnModel | EmpiricalPMF, n: int, seed) -> np.ndarray:
         raise InvalidParameterError("n must be at least 1")
     _check_seed(seed)
     pmf = model.pmf if isinstance(model, ReturnModel) else model
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(pmf.values.size, size=n, p=pmf.weights)
-    out = pmf.values[idx]
+    _, block = next(_path_chunks(pmf, 1, n, seed))
+    out = block.reshape(n)
     out.flags.writeable = False
     return out
 

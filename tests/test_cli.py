@@ -3,7 +3,9 @@
 import argparse
 import csv
 import json
+import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +211,21 @@ class TestSimulateCommand:
         manifest = json.loads((tmp_path / "est.json.manifest.json").read_text())
         assert str(traj) in manifest["outputs"]
 
+    def test_variance_past_double_range_is_refused(self, tmp_path, capsys):
+        # v0 = 1e300 puts the gains near 1e300, whose squared spread overflows.
+        argv = [
+            "simulate", "--mu", "4.697142325910983e-06", "--sigma", "6.711119629768038e-06",
+            "--stage", "660", "--v0", "1e+300", "--k-gain", "7.070976877571752e-10",
+            "--alpha", "0.32581032260071263", "--n-paths", "94",
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main([*argv, "--out", str(tmp_path / "est.json")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: the sample variance of the gain-loss leaves double range at stage 660\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_prices_payload_equals_the_bank_estimate(self, tmp_path):
         from longshort import (
@@ -469,6 +486,27 @@ class TestInputFiles:
         rc, err = self._portfolio(tmp_path, capsys, {"assets": [asset, {**asset, key: value}]})
         assert rc == 3
         assert f"asset 1: key {key!r} must be" in err
+
+    def test_integer_beyond_double_range(self, tmp_path, capsys):
+        big = 10**400
+        rc, err = self._portfolio(tmp_path, capsys, {"v0": big, "assets": []})
+        assert rc == 3
+        path = tmp_path / "portfolio.json"
+        assert err == f"error: {path}: key 'v0' must be a number within double range\n"
+        asset = {**self._asset(tmp_path), "target_std": big}
+        rc, err = self._portfolio(tmp_path, capsys, {"assets": [asset]})
+        assert rc == 3
+        assert err == (
+            f"error: {path}: asset 0: key 'target_std' must be a number within double range\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "portfolio.json", "test.csv", "train.csv"
+        ]
+
+    def test_integer_too_long_to_read(self, tmp_path, capsys):
+        rc, err = self._portfolio(tmp_path, capsys, None, text='{"v0": ' + "1" * 5000 + "}")
+        assert rc == 3
+        assert "malformed portfolio config (Exceeds the limit (4300 digits)" in err
 
     def test_config_not_an_object(self, tmp_path, capsys):
         rc, err = self._portfolio(tmp_path, capsys, [1, 2])
@@ -1073,21 +1111,29 @@ class TestRefusedInputs:
 
 
 class TestLongHorizons:
-    """A closed form that leaves double range is a typed refusal (exit 3), not a traceback."""
+    """A curve whose closed form leaves double range is a typed refusal (exit 3), not a
+    traceback. A fit is not: an s_max past double range lies above every finite target,
+    and std(K*) is far from overflow."""
 
     @pytest.mark.parametrize("stage", [3_500, 10**4, 10**5])
-    @pytest.mark.parametrize("command", ["optimize", "curve"])
+    @pytest.mark.parametrize("command", ["curve"])
     def test_overflow_exits_3(self, tmp_path, capsys, command, stage):
-        rest = ["--target-std", "1"] if command == "optimize" else []
         out = tmp_path / "out"
-        rc = cli.main(
-            [command, *TOY_FLAGS, "--stage", str(stage), *rest, "--out", str(out)]
-        )
+        rc = cli.main([command, *TOY_FLAGS, "--stage", str(stage), "--out", str(out)])
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("error: the variance of the gain-loss leaves double range")
         assert f"at stage {stage} with k_gain=" in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("stage", [3_500, 10**4, 10**5])
+    def test_fit_stays_within_budget(self, tmp_path, stage):
+        out = tmp_path / "out.json"
+        argv = ["optimize", *TOY_FLAGS, "--stage", str(stage), "--target-std", "1"]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        fit = json.loads(out.read_text())
+        assert 1.0 - 1e-9 <= fit["achieved_std"] <= 1.0
+        assert 0.0 < fit["k_star"] < 0.01 and math.isfinite(fit["expected_gain"])
 
 
 class TestLargeInitialValue:

@@ -1,15 +1,18 @@
 """A seeded sweep of the CLI's exit codes over its whole domain.
 
-``N_CASES`` in-process ``cli.main`` calls draw ``optimize``, ``curve`` and
-``simulate`` arguments from one fixed seed. mu (of either sign), sigma,
---k-max, --v0, --target-std and --k-gain are log-uniform over 1e-12 to 10,
-or one of the edge values 0, +-1, 5e-324 and 1e300, and are written with
-``repr()``, so that exponent forms such as ``-3e-05`` occur. Stages run from
-2 to 5,000, --grid from 2 to 50, --alpha over [0, 1] and --n-paths up to
-200; a quarter of the runs read one of two heavy-tailed price files instead
-of --mu/--sigma.
+``N_CASES`` in-process ``cli.main`` calls draw ``optimize``, ``curve``,
+``simulate``, ``backtest`` and ``repro`` arguments from one fixed seed. mu
+(of either sign), sigma, --k-max, --v0, --target-std, --tol and --k-gain are
+log-uniform over 1e-12 to 10, or one of the edge values 0, +-1, 5e-324 and
+1e300, and are written with ``repr()``, so that exponent forms such as
+``-3e-05`` occur. Stages run from 2 to 5,000, --grid from 2 to 50, --alpha
+over [0, 1] and --n-paths up to 200; a quarter of the model runs read one of
+two heavy-tailed price files instead of --mu/--sigma. Backtests (one asset,
+or a portfolio config whose numbers are such values or integer literals of
+300 to 420 digits) and the three ``repro`` presets read the same two files.
 
 Every call must exit 0 or 3: never 1 (a traceback), 2 (a usage error) or 4.
+Every JSON file a call writes must be strict JSON, without NaN or Infinity.
 Every fit that exits 0 must have achieved_std <= target_std, and every curve
 that exits 0 a nondecreasing std column. A failing case is fixed in the
 program, never dropped from the draw.
@@ -49,12 +52,50 @@ def _write_heavy_tailed_prices(path, seed, vol, drift):
     with open(path, "w") as fh:
         fh.write("date,adj_close\n")
         for i, p in enumerate(prices):
-            fh.write(f"2019-{1 + i // 28:02d}-{1 + i % 28:02d},{p!r}\n")
+            fh.write(f"2019-{1 + i // 28:02d}-{1 + i % 28:02d},{float(p)!r}\n")
 
 
-def _case(rng, price_files, out):
-    """(command, argv) of one drawn call."""
-    command = rng.choice(("optimize", "curve", "simulate"))
+def _json_number(rng):
+    """A config number: a drawn value written with ``repr()``, or a long integer literal."""
+    if rng.random() < 0.1:
+        return "1" + "0" * rng.randint(300, 420)
+    return repr(_number(rng))
+
+
+def _portfolio_config(rng, price_files, path):
+    assets = [
+        '{"train_prices": %s, "test_prices": %s, "target_std": %s}'
+        % (json.dumps(rng.choice(price_files)), json.dumps(rng.choice(price_files)),
+           _json_number(rng))
+        for _ in range(rng.randint(1, 3))
+    ]
+    v0 = f'"v0": {_json_number(rng)}, ' if rng.random() < 0.5 else ""
+    path.write_text('{%s"assets": [%s]}' % (v0, ", ".join(assets)))
+
+
+def _case(rng, price_files, out_dir):
+    """(command, argv) of one drawn call, writing under ``out_dir``."""
+    command = rng.choice(("optimize", "curve", "simulate", "backtest", "repro"))
+    if command == "repro":
+        preset = rng.choice(("toy", "tsla", "three-stock"))
+        n_files = {"toy": 0, "tsla": 1, "three-stock": 3}[preset]
+        argv = [command, preset]
+        for flag in ("--train-prices", "--test-prices"):
+            for _ in range(n_files):
+                argv += [flag, rng.choice(price_files)]
+        return command, [*argv, "--out-dir", str(out_dir / "repro")]
+    if command == "backtest":
+        if rng.random() < 0.5:
+            argv = [command, "--train-prices", rng.choice(price_files)]
+            argv += ["--test-prices", rng.choice(price_files), "--target-std", repr(_number(rng))]
+        else:
+            _portfolio_config(rng, price_files, out_dir / "portfolio.json")
+            argv = [command, "--portfolio-config", str(out_dir / "portfolio.json")]
+        if rng.random() < 0.5:
+            argv += ["--v0", repr(_number(rng))]
+        if rng.random() < 0.5:
+            argv += ["--tol", repr(_number(rng))]
+        return command, [*argv, "--out-prefix", str(out_dir / "bt")]
     argv = [command]
     if rng.random() < 0.25:
         argv += ["--prices", rng.choice(price_files)]
@@ -73,7 +114,8 @@ def _case(rng, price_files, out):
         argv += ["--n-paths", str(rng.randint(1, 200))]
     elif rng.random() < 0.5:
         argv += ["--k-max", repr(_number(rng))]
-    return command, [*argv, "--out", str(out)]
+    out = "out.csv" if command == "curve" else "out.json"
+    return command, [*argv, "--out", str(out_dir / out)]
 
 
 def _run(argv):
@@ -86,16 +128,36 @@ def _run(argv):
         return 1, traceback.format_exc()
 
 
-def _check_output(command, argv, out):
+def _strict_json(path):
+    def refuse(constant):
+        raise AssertionError(f"{path} holds {constant}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def _within_budget(fit):
+    assert fit["achieved_std"] <= fit["target_std"], fit
+
+
+def _check_outputs(command, argv, out_dir):
+    written = {p.relative_to(out_dir).as_posix(): p for p in out_dir.rglob("*") if p.is_file()}
+    payloads = {name: _strict_json(p) for name, p in written.items() if name.endswith(".json")}
     if command == "optimize":
-        fit = json.loads(out.read_text())
         target = float(argv[argv.index("--target-std") + 1])
-        assert fit["target_std"] == target
-        assert fit["achieved_std"] <= target, (argv, fit)
+        assert payloads["out.json"]["target_std"] == target
+        _within_budget(payloads["out.json"])
     elif command == "curve":
-        with open(out, newline="") as fh:
+        with open(written["out.csv"], newline="") as fh:
             stds = [float(row["std"]) for row in csv.DictReader(fh)]
         assert all(a <= b for a, b in zip(stds, stds[1:])), (argv, stds)
+    for name, payload in payloads.items():
+        if name.endswith("summary.json"):
+            for fit in [payload.get("fit")] + [a["fit"] for a in payload.get("assets", [])]:
+                if fit is not None:
+                    _within_budget(fit)
+        elif name.endswith("toy_results.json"):
+            for fit in payload["solutions"]:
+                _within_budget(fit)
 
 
 def test_exit_codes_over_the_whole_domain(tmp_path, capsys):
@@ -105,16 +167,16 @@ def test_exit_codes_over_the_whole_domain(tmp_path, capsys):
     rng = random.Random(SEED)
     codes, failures = {}, []
     for i in range(N_CASES):
-        out = tmp_path / f"out{i % 2}"
-        command, argv = _case(rng, price_files, out)
+        out_dir = tmp_path / f"case{i}"
+        out_dir.mkdir()
+        command, argv = _case(rng, price_files, out_dir)
         code, trace = _run(argv)
         capsys.readouterr()
         codes[code] = codes.get(code, 0) + 1
         if code not in (0, 3):
             failures.append((code, argv, trace))
         elif code == 0:
-            _check_output(command, argv, out)
+            _check_outputs(command, argv, out_dir)
     assert failures == []
     # the draw reaches both outcomes, and most runs pass the parser
     assert codes.get(0, 0) >= N_CASES // 4 and codes.get(3, 0) >= N_CASES // 4, codes
-

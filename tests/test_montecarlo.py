@@ -21,8 +21,8 @@ from longshort import (
     terminal_gains,
     variance_gain,
 )
-from longshort import montecarlo
-from longshort.montecarlo import BATCH_SIZE, CHUNK_ROWS, GUIDE_BUCKETS, _atom_lookup
+from longshort import montecarlo, returns
+from longshort.returns import CHUNK_ROWS, GUIDE_BUCKETS, _atom_lookup
 
 
 @pytest.fixture
@@ -44,7 +44,7 @@ class TestEstimateGainStats:
         assert a != c
 
     def test_batching_is_transparent(self, two_point_model):
-        # n_paths above one batch and not a multiple of the batch size
+        # n_paths over many chunks and not a multiple of the chunk size
         est = estimate_gain_stats(two_point_model, 0.5, 1.0, 1.0, 2, n_paths=20_000, seed=5)
         assert est.n_paths == 20_000
         assert est.std_error_of_mean == pytest.approx(est.std / math.sqrt(20_000))
@@ -92,15 +92,10 @@ class TestEstimateGainStats:
 
 def _reference_bank(model, n_paths, stage, seed):
     """The path bank as ``Generator.choice`` draws it: row-major, one
-    ``rng.choice`` call per (seed, batch)."""
-    values = model.pmf.values
-    out = np.empty((n_paths, stage))
-    for batch, start in enumerate(range(0, n_paths, BATCH_SIZE)):
-        stop = min(start + BATCH_SIZE, n_paths)
-        rng = np.random.default_rng([seed, batch])
-        idx = rng.choice(values.size, size=(stop - start, stage), p=model.pmf.weights)
-        out[start:stop] = values[idx]
-    return out
+    ``rng.choice`` call per seed."""
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(model.pmf.n_atoms, size=(n_paths, stage), p=model.pmf.weights)
+    return model.pmf.values[idx]
 
 
 def _clustered_pmf():
@@ -174,9 +169,8 @@ STREAM_MODELS = ("two_point", "uniform_grid", "clustered")
 class TestStreamMatchesBank:
     """The streamed one-shot estimate equals a probe of the stored bank, bit for bit.
 
-    Path counts straddle the edges of the first chunk, of a later chunk and
-    of a batch, so blocks that end a batch early and batches that hold one
-    chunk, several or a part of one are drawn.
+    Path counts straddle the edges of the first chunk and of later ones,
+    so that a part of a chunk, one chunk and many are drawn from one stream.
     """
 
     @pytest.mark.parametrize("stage", [1, 125])
@@ -185,8 +179,8 @@ class TestStreamMatchesBank:
         [
             2,
             *(n for edge in (CHUNK_ROWS, 4 * CHUNK_ROWS) for n in (edge - 1, edge, edge + 1)),
-            BATCH_SIZE,
-            BATCH_SIZE + 1,
+            32 * CHUNK_ROWS,
+            32 * CHUNK_ROWS + 1,
             50_000,
         ],
     )
@@ -195,7 +189,7 @@ class TestStreamMatchesBank:
         model = BANK_MODELS[name]()
         seed = 23
         estimator = McGainEstimator(model, stage, n_paths, seed)
-        if n_paths <= BATCH_SIZE + 1:
+        if n_paths <= 32 * CHUNK_ROWS + 1:
             assert np.array_equal(estimator.paths, _reference_bank(model, n_paths, stage, seed))
         for k_gain in (0.0, 0.1 * model.k_max, model.k_max):
             for alpha in (0.0, 0.5, 1.0):
@@ -204,14 +198,21 @@ class TestStreamMatchesBank:
 
     def test_blocks_are_the_bank_in_order(self):
         model = BANK_MODELS["clustered"]()
-        n_paths, stage = BATCH_SIZE + CHUNK_ROWS + 5, 7
+        n_paths, stage = 4 * CHUNK_ROWS + 5, 7
         reference = _reference_bank(model, n_paths, stage, 4)
         starts = []
-        for start, block in montecarlo._path_chunks(model, n_paths, stage, 4):
+        for start, block in returns._path_chunks(model.pmf, n_paths, stage, 4):
             assert block.flags.f_contiguous and block.shape[0] <= CHUNK_ROWS
             assert np.array_equal(block, reference[start : start + block.shape[0]])
             starts.append(start)
-        assert starts == [*range(0, BATCH_SIZE, CHUNK_ROWS), BATCH_SIZE, BATCH_SIZE + CHUNK_ROWS]
+        assert starts == [0, CHUNK_ROWS, 2 * CHUNK_ROWS, 3 * CHUNK_ROWS, 4 * CHUNK_ROWS]
+
+    @pytest.mark.parametrize("name", sorted(BANK_MODELS))
+    def test_sample_path_is_path_zero(self, name):
+        model = BANK_MODELS[name]()
+        for seed, stage in ((0, 1), (5, 125), (2**40, 3_000)):
+            bank = McGainEstimator(model, stage, 2, seed).paths
+            assert np.array_equal(returns.sample_path(model, stage, seed), bank[0])
 
 
 def _raised(call):

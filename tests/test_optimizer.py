@@ -7,6 +7,7 @@ acceptance suite.
 """
 
 import csv
+import math
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from longshort import (
     InternalConsistencyError,
     InvalidParameterError,
     MeanStdCurve,
+    MomentOverflowError,
     NonMonotoneEstimateError,
     ReturnModel,
     StageTooSmallError,
@@ -213,6 +215,40 @@ class TestSolveOptimalGain:
         assert exc_info.value.s_max == pytest.approx(s_max)
 
 
+class TestLongHorizons:
+    """Past stage 3,395 the toy std at k_max leaves double range, so s_max is +inf
+    and every finite target is feasible; K* itself sits far from overflow."""
+
+    @staticmethod
+    def _exact_std(k_gain, stage):
+        # The balanced G = (P + Q)/2 - 1, P and Q the products of 1 + Kx and 1 - Kx,
+        # at 60 digits: its variance is (E[P^2] + E[Q^2] + 2 E[PQ] - (E[P] + E[Q])^2) / 4.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            k, mu = mpmath.mpf(k_gain), mpmath.mpf(TOY["mu"])
+            m2 = mpmath.mpf(TOY["sigma2"]) + mu * mu
+            p, q = (1 + k * mu) ** stage, (1 - k * mu) ** stage
+            pp = (1 + 2 * k * mu + k * k * m2) ** stage
+            qq = (1 - 2 * k * mu + k * k * m2) ** stage
+            pq = (1 - k * k * m2) ** stage
+            return float(mpmath.sqrt((pp + qq + 2 * pq - (p + q) ** 2) / 4))
+
+    @pytest.mark.parametrize("stage", [3_500, 10**4])
+    def test_fit_against_sixty_digits(self, stage):
+        res = solve_optimal_gain(**TOY, stage=stage, target_std=1.0)
+        exact = self._exact_std(res.k_star, stage)
+        assert 1.0 - 1e-9 <= exact <= 1.0
+        assert abs(res.achieved_std - exact) <= 1e-12 * exact
+
+    def test_the_fits_own_mean_must_stay_in_range(self):
+        # The unit fit's mean is 11.3 times its std, so at v0 = 1.5e308 the std
+        # of 1.5e308 is finite and the mean is not.
+        with pytest.raises(MomentOverflowError, match="expected gain"):
+            solve_optimal_gain(TOY["mu"], TOY["sigma2"], 1.5e308, 3_500, 1.0, 1.5e308)
+        with pytest.raises(MomentOverflowError):
+            build_curve(**TOY, stage=3_500, grid_size=3)
+
+
 class TestBisectionHelper:
     def test_non_monotone_function_detected(self):
         bump = lambda k: 1.0 - (k - 0.5) ** 2  # noqa: E731 -- rises then falls
@@ -230,6 +266,12 @@ class TestBisectionHelper:
         k, val, _ = _bisect_std(step, 1.0, 1.0, 0.5, 1e-3, AssertionError)
         assert val == 0.0
         assert 0.3 - 1e-14 <= k < 0.3
+
+    def test_infinite_ceiling_keeps_the_monotone_check(self):
+        # With s_max = +inf the slack scales with the target, not with s_max.
+        bump = lambda k: min(k, 1.0 - k) if k < 0.9 else math.inf  # noqa: E731
+        with pytest.raises(NonMonotoneEstimateError):
+            _bisect_std(bump, 1.0, math.inf, 0.9, 1e-12, NonMonotoneEstimateError)
 
     def test_converges_on_monotone_function(self):
         k, val, iters = _bisect_std(lambda x: x**3, 2.0, 8.0, 1.0, 1e-12, AssertionError)

@@ -153,11 +153,28 @@ class TestReturnModel:
         with pytest.raises(InvalidBoundsError):
             ReturnModel.from_pmf(pmf_from_returns([-0.02, -0.01]))
 
-    @pytest.mark.parametrize("sigma2", [-0.01, math.nan, math.inf])
+    @pytest.mark.parametrize("sigma2", [math.nan, math.inf])
     def test_variance_must_be_finite_and_nonnegative(self, sigma2):
-        model = ReturnModel.two_point(-0.1, 0.1)
-        with pytest.raises(InvalidParameterError, match="sigma2"):
-            ReturnModel(pmf=model.pmf, bounds=model.bounds, mu=0.0, sigma2=sigma2)
+        # A PMF's variance is a sum of weighted squares, never negative. An atom
+        # near the top of double range overflows it; a NaN atom between finite
+        # endpoints makes it NaN.
+        values = [-0.5, 1e200] if sigma2 == math.inf else [-0.5, math.nan, 0.5]
+        pmf = EmpiricalPMF(np.array(values), np.full(len(values), 1.0 / len(values)))
+        with np.errstate(over="ignore"):
+            assert np.array_equal(pmf.variance(), sigma2, equal_nan=True)
+            with pytest.raises(InvalidParameterError, match="sigma2"):
+                ReturnModel(pmf)
+
+    def test_the_pmf_is_the_only_field(self):
+        pmf = pmf_from_returns([-0.12, -0.03, 0.01, 0.04, 0.2])
+        model = ReturnModel(pmf)
+        assert (model.bounds.x_min, model.bounds.x_max) == (-0.12, 0.2)
+        assert (model.mu, model.sigma2) == (pmf.mean(), pmf.variance())
+        assert model == ReturnModel.from_pmf(pmf_from_returns([0.2, -0.12, -0.03, 0.01, 0.04]))
+        assert hash(model) == hash(ReturnModel.from_pmf(pmf))
+        assert model != ReturnModel.two_point(-0.12, 0.2)
+        with pytest.raises(TypeError):
+            ReturnModel(pmf, model.bounds, model.mu, model.sigma2)
 
     def test_from_moments(self):
         model = ReturnModel.from_moments(-0.1, 0.15)
@@ -210,6 +227,17 @@ class TestSamplePath:
         draws = sample_path(model, 10_000, seed=3)
         assert draws.min() >= model.bounds.x_min
         assert draws.max() <= model.bounds.x_max
+
+    @pytest.mark.parametrize(
+        "n_atoms, n, seed", [(1, 5, 0), (2, 1, 3), (7, 3_000, 42), (125, 777, 2**40)]
+    )
+    def test_equals_generator_choice(self, n_atoms, n, seed):
+        # The draws that ``Generator.choice`` makes from the same seed, entry for entry.
+        rng = np.random.default_rng(n_atoms)
+        weights = rng.random(n_atoms) ** 4 + 1e-9
+        pmf = EmpiricalPMF(np.linspace(-0.5, 0.5, n_atoms), weights / weights.sum())
+        want = pmf.values[np.random.default_rng(seed).choice(n_atoms, size=n, p=pmf.weights)]
+        assert np.array_equal(sample_path(pmf, n, seed), want)
 
     def test_n_validated(self):
         model = ReturnModel.two_point(-0.1, 0.1)
