@@ -27,7 +27,7 @@ from .errors import (
     ReturnOutOfBoundsError,
     SimulationOverflowError,
 )
-from .returns import ReturnBounds, ReturnModel, _frozen_array, _write_csv
+from .returns import ReturnModel, _frozen_array, _write_csv
 
 
 @dataclass(frozen=True)
@@ -35,10 +35,9 @@ class ControllerConfig:
     """An (alpha, k_gain) controller with initial account v0.
 
     ``k_max`` is derived from the return model's upper support bound as
-    min(1, 1/x_max); build configs through :meth:`for_model` or
-    :meth:`for_bounds` rather than passing it free-form. Gains in
-    [0, k_max] keep both sub-accounts nonnegative on in-bounds paths and
-    keep every trade cash-financed.
+    min(1, 1/x_max); build configs through :meth:`for_model` rather than
+    passing it free-form. Gains in [0, k_max] keep both sub-accounts
+    nonnegative on in-bounds paths and keep every trade cash-financed.
     """
 
     alpha: float
@@ -50,16 +49,10 @@ class ControllerConfig:
         check_domain(alpha=self.alpha, v0=self.v0, k_gain=self.k_gain, k_max=self.k_max)
 
     @classmethod
-    def for_bounds(
-        cls, bounds: ReturnBounds, *, alpha: float, k_gain: float, v0: float
-    ) -> "ControllerConfig":
-        return cls(alpha=alpha, k_gain=k_gain, v0=v0, k_max=bounds.k_max)
-
-    @classmethod
     def for_model(
         cls, model: ReturnModel, *, alpha: float, k_gain: float, v0: float
     ) -> "ControllerConfig":
-        return cls.for_bounds(model.bounds, alpha=alpha, k_gain=k_gain, v0=v0)
+        return cls(alpha=alpha, k_gain=k_gain, v0=v0, k_max=model.k_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,16 +95,6 @@ class CashFinancingAudit:
     cash_financed: bool
 
 
-def _check_survivable(k_gain: float, x_min: float, x_max: float) -> None:
-    # 1 + K*x and 1 - K*x are monotone in x under IEEE rounding, so the
-    # extreme returns decide survivability for every return between them.
-    if 1.0 + k_gain * x_min < 0.0 or 1.0 - k_gain * x_max < 0.0:
-        worst = k_gain * max(-x_min, x_max)
-        raise ReturnOutOfBoundsError(
-            f"|k_gain * x| reaches {worst}, breaking account nonnegativity"
-        )
-
-
 def _check_path(k_gain: float, path: np.ndarray) -> None:
     # Survivability guard: factors 1 + K*x and 1 - K*x must stay nonnegative.
     # This is the strongest check expressible from the config alone; staying
@@ -122,7 +105,13 @@ def _check_path(k_gain: float, path: np.ndarray) -> None:
     x_max = float(np.fmax.reduce(path, axis=None, initial=-np.inf))
     if x_min <= -1.0:
         raise ReturnOutOfBoundsError("returns must be strictly above -1")
-    _check_survivable(k_gain, x_min, x_max)
+    # 1 + K*x and 1 - K*x are monotone in x under IEEE rounding, so the
+    # extreme returns decide survivability for every return between them.
+    if 1.0 + k_gain * x_min < 0.0 or 1.0 - k_gain * x_max < 0.0:
+        worst = k_gain * max(-x_min, x_max)
+        raise ReturnOutOfBoundsError(
+            f"|k_gain * x| reaches {worst}, breaking account nonnegativity"
+        )
 
 
 def simulate(config: ControllerConfig, path) -> AccountTrajectory:
@@ -194,7 +183,7 @@ def _terminal_gains(alpha: float, k_gain: float, v0: float, x: np.ndarray) -> np
     accounts[1] = (1.0 - alpha) * v0
     gains = np.array([[k_gain], [-k_gain]])
     step = np.empty((2, rows))
-    with np.errstate(over="ignore"):  # overflow is detected and raised below
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN is refused below
         for k in range(x.shape[1]):
             np.multiply(accounts, gains, out=step)
             step *= x[:, k]

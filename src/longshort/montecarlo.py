@@ -24,9 +24,10 @@ draws live in buffers allocated once per draw, so the working set is about
 25 bytes per block entry whatever the number of paths; 512-row blocks keep
 it at 1.5 MiB for 125 stages, and smaller blocks cost time in the per-stage
 recursion without saving much more. Paths are stage-major; a gain probe,
-banked or streamed, checks survivability once, against the model's support
-bounds that every drawn return lies within, and then runs the account
-recursion of :func:`longshort.dynamics.terminal_gains`, so its gains match
+banked or streamed, checks its gain once against the model's ceiling k_max,
+which keeps every atom of the PMF survivable, so no drawn return needs a
+look; it then runs the account recursion of
+:func:`longshort.dynamics.terminal_gains`, so its gains match
 :func:`longshort.dynamics.simulate` bit for bit.
 """
 
@@ -72,9 +73,9 @@ def _check_draw(stage: int, n_paths: int, seed: int) -> None:
 
 
 def _check_probe(model: ReturnModel, alpha: float, k_gain: float, v0: float) -> None:
+    # Every drawn return lies in [x_min, x_max], and K <= k_max = min(1, fl(1/x_max))
+    # gives fl(K*x_max) <= 1 and fl(K*x_min) >= x_min > -1: every atom survives.
     check_domain(alpha=alpha, v0=v0, k_gain=k_gain, k_max=model.k_max)
-    # Every drawn return is an atom of the PMF, between the support bounds.
-    dynamics._check_survivable(k_gain, model.bounds.x_min, model.bounds.x_max)
 
 
 def _summarise(gains: np.ndarray, seed: int, stage: int) -> McEstimate:
@@ -102,8 +103,8 @@ class McGainEstimator:
     """A fixed bank of sampled return paths for repeated gain probes.
 
     The bank is stage-major (one contiguous column per stage) and read-only.
-    Every probe checks survivability against the model's support bounds,
-    as :func:`estimate_gain_stats` does.
+    Every probe checks its gain against the model's ceiling k_max, as
+    :func:`estimate_gain_stats` does.
     """
 
     def __init__(self, model: ReturnModel, stage: int, n_paths: int, seed: int):

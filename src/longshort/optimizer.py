@@ -49,10 +49,6 @@ class MeanStdCurve:
     k_grid: np.ndarray
     stds: np.ndarray
     means: np.ndarray
-    stage: int
-    mu: float
-    sigma2: float
-    v0: float
 
     def __post_init__(self):
         k = np.asarray(self.k_grid, dtype=float)
@@ -88,22 +84,8 @@ class OptimalGainResult:
     iterations: int
 
 
-def _exact_probe(mu: float, sigma2: float, v0: float, stage: int, k_max: float) -> Callable:
-    """The closed-form (mean, std) at a gain in [0, k_max], after one validation."""
-    # Every domain check is monotone in the gain, so passing k_max passes [0, k_max].
-    analytics.check_domain(stage, 2, 0.5, v0, k_max, 1.0, mu, sigma2)
-    k = int(stage)
-
-    def at(k_gain: float) -> tuple[float, float]:
-        mean, var = analytics._moments(0.5, k_gain, k, mu, sigma2)
-        mean = analytics._scaled(mean, v0, "expected gain", k, k_gain)
-        return mean, analytics._scaled(math.sqrt(var), v0, "variance", k, k_gain)
-
-    return at
-
-
-def _trace_curve(at: Callable, k_max: float, grid_size: int, **fields) -> MeanStdCurve:
-    """``at``'s (mean, std) on an even gain grid over [0, k_max], as a curve with ``fields``."""
+def _trace_curve(at: Callable, k_max: float, grid_size: int) -> MeanStdCurve:
+    """``at``'s (mean, std) on an even gain grid over [0, k_max], as a curve."""
     if grid_size < 2:
         raise InvalidParameterError(f"grid_size must be >= 2, got {grid_size}")
     grid = np.linspace(0.0, k_max, grid_size)
@@ -113,7 +95,7 @@ def _trace_curve(at: Callable, k_max: float, grid_size: int, **fields) -> MeanSt
     mean_out, std_out = memoryview(means), memoryview(stds)
     for i, k_gain in enumerate(memoryview(grid)):
         mean_out[i], std_out[i] = at(k_gain)
-    return MeanStdCurve(k_grid=grid, stds=stds, means=means, **fields)
+    return MeanStdCurve(k_grid=grid, stds=stds, means=means)
 
 
 def build_curve(
@@ -124,8 +106,16 @@ def build_curve(
     The grid spans [0, k_max] inclusive; the first point is always the
     origin (not trading costs nothing and earns nothing).
     """
-    at = _exact_probe(mu, sigma2, v0, stage, k_max)
-    return _trace_curve(at, k_max, grid_size, stage=int(stage), mu=mu, sigma2=sigma2, v0=v0)
+    # Every domain check is monotone in the gain, so passing k_max passes [0, k_max].
+    analytics.check_domain(stage, 2, 0.5, v0, k_max, 1.0, mu, sigma2)
+    k = int(stage)
+
+    def at(k_gain: float) -> tuple[float, float]:
+        mean, var = analytics._moments(0.5, k_gain, k, mu, sigma2)
+        mean = analytics._scaled(mean, v0, "expected gain", k, k_gain)
+        return mean, analytics._scaled(math.sqrt(var), v0, "variance", k, k_gain)
+
+    return _trace_curve(at, k_max, grid_size)
 
 
 def build_curve_empirical(
@@ -145,8 +135,7 @@ def build_curve_empirical(
     estimator = McGainEstimator(model, stage, n_paths, seed)
     mean_std = attrgetter("mean", "std")
     return _trace_curve(
-        lambda k: mean_std(estimator.estimate(0.5, k, v0)), model.k_max, grid_size,
-        stage=int(stage), mu=model.mu, sigma2=model.sigma2, v0=v0,
+        lambda k: mean_std(estimator.estimate(0.5, k, v0)), model.k_max, grid_size
     )
 
 
@@ -186,13 +175,17 @@ def _bisect_std(
     return lo, s_lo, iterations
 
 
-def _solve(std_at, mean_at, k_max, target_std, tol, stage, too_large, error) -> OptimalGainResult:
-    """Refuse a target at or above s_max = ``std_at(k_max)``, else bisect ``std_at`` for it."""
+def _solve(std_at, mu, v0, k_max, target_std, tol, stage, too_large, error) -> OptimalGainResult:
+    """Refuse a target at or above s_max = ``std_at(k_max)``, else bisect ``std_at`` for it.
+
+    The fit's expected gain is the closed form at drift ``mu``, exact for independent draws.
+    """
     s_max = std_at(k_max)
     if target_std >= s_max:
         raise TargetTooLargeError(too_large.format(target_std=target_std, s_max=s_max), s_max=s_max)
-    k_star, achieved, iterations = _bisect_std(std_at, k_max, s_max, target_std, tol, error)
-    return OptimalGainResult(k_star, achieved, mean_at(k_star), target_std, int(stage), iterations)
+    k_star, achieved, iterations = _bisect_std(std_at, k_max, s_max, target_std, tol * v0, error)
+    mean = analytics.expected_gain(0.5, k_star, stage, mu, v0)
+    return OptimalGainResult(k_star, achieved, mean, target_std, int(stage), iterations)
 
 
 def _check_solve_domain(
@@ -233,7 +226,8 @@ def solve_optimal_gain(
     stay in range.
     """
     _check_solve_domain(mu, sigma2, stage, target_std, tol)
-    at = _exact_probe(mu, sigma2, v0, stage, k_max)
+    # Every domain check is monotone in the gain, so passing k_max passes [0, k_max].
+    analytics.check_domain(stage, 2, 0.5, v0, k_max, 1.0, mu, sigma2)
     k = int(stage)
 
     def std_at(k_gain: float) -> float:
@@ -244,7 +238,7 @@ def solve_optimal_gain(
         return v0 * math.sqrt(variance)
 
     return _solve(
-        std_at, lambda k: at(k)[0], k_max, target_std, tol * v0, stage,
+        std_at, mu, v0, k_max, target_std, tol, stage,
         "target_std={target_std} >= s_max={s_max}; cap at k_max explicitly "
         "if running at the ceiling is intended", InternalConsistencyError,
     )
@@ -275,8 +269,6 @@ def solve_optimal_gain_empirical(
     model = ReturnModel.from_pmf(pmf)
     estimator = McGainEstimator(model, stage, n_paths, seed)
     return _solve(
-        lambda k: estimator.estimate(0.5, k, v0).std,
-        lambda k: analytics.expected_gain(0.5, k, stage, mu, v0),
-        model.k_max, target_std, tol * v0, stage,
+        lambda k: estimator.estimate(0.5, k, v0).std, mu, v0, model.k_max, target_std, tol, stage,
         "target_std={target_std} >= estimated s_max={s_max}", NonMonotoneEstimateError,
     )

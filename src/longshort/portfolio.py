@@ -11,7 +11,7 @@ sub-account.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ from .errors import (
     LengthMismatchError,
     PortfolioAssetError,
 )
-from .optimizer import DEFAULT_MC_TOL, OptimalGainResult, solve_optimal_gain_empirical
+from .optimizer import OptimalGainResult, solve_optimal_gain_empirical
 from .returns import EmpiricalPMF, ReturnModel, _frozen_array, _write_csv
 
 PORTFOLIO_DEFAULT_N_PATHS = 20_000
@@ -36,6 +36,8 @@ class PortfolioConfig:
 
     assets: tuple[tuple[ReturnModel, float], ...]
     v0: float
+    # Derived: each asset's balanced controller at v0/m, built and checked once.
+    controllers: tuple[dynamics.ControllerConfig, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "assets", tuple(self.assets))
@@ -43,13 +45,16 @@ class PortfolioConfig:
             raise InvalidParameterError("portfolio needs at least one asset")
         check_domain(v0=self.v0)
         # Validate per-asset admissibility eagerly, tagged by asset.
+        controllers = []
         for i, (model, k_gain) in enumerate(self.assets):
             try:
-                dynamics.ControllerConfig.for_model(
+                cfg = dynamics.ControllerConfig.for_model(
                     model, alpha=0.5, k_gain=k_gain, v0=self.per_asset_v0
                 )
             except DomainError as exc:
                 raise PortfolioAssetError(i, str(exc)) from exc
+            controllers.append(cfg)
+        object.__setattr__(self, "controllers", tuple(controllers))
 
     @property
     def n_assets(self) -> int:
@@ -108,10 +113,7 @@ def run_portfolio(config: PortfolioConfig, paths: Sequence) -> PortfolioTrajecto
     n = arrays[0].size + 1
     total_gain, total_value, committed = np.zeros(n), np.zeros(n), np.zeros(n)
     asset_gains = []
-    for i, ((model, k_gain), path) in enumerate(zip(config.assets, arrays)):
-        cfg = dynamics.ControllerConfig.for_model(
-            model, alpha=0.5, k_gain=k_gain, v0=config.per_asset_v0
-        )
+    for i, (cfg, path) in enumerate(zip(config.controllers, arrays)):
         try:
             traj = dynamics.simulate(cfg, path)
         except DomainError as exc:
@@ -134,14 +136,14 @@ def optimize_portfolio(
     assets: Sequence[tuple[EmpiricalPMF, float]],
     v0: float,
     stage: int,
-    tol: float = DEFAULT_MC_TOL,
     n_paths: int = PORTFOLIO_DEFAULT_N_PATHS,
     seed: int = 0,
 ) -> list[OptimalGainResult]:
     """Solve the gain-selection problem independently per asset.
 
     Each asset gets capital v0/m and its own (pmf, target_std), and its
-    bisection stops at a std in [target_std - tol * v0/m, target_std]. Every
+    bisection, at the empirical solver's default ``DEFAULT_MC_TOL``, stops at
+    a std in [target_std - DEFAULT_MC_TOL * v0/m, target_std]. Every
     per-asset solve shares the same seed: the solves are marginal, so
     sharing random numbers is harmless and keeps identical assets with
     identical targets at identical gains.
@@ -155,7 +157,7 @@ def optimize_portfolio(
         try:
             results.append(
                 solve_optimal_gain_empirical(
-                    pmf, per_asset_v0, stage, target_std, tol=tol, n_paths=n_paths, seed=seed
+                    pmf, per_asset_v0, stage, target_std, n_paths=n_paths, seed=seed
                 )
             )
         except DomainError as exc:

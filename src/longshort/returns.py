@@ -100,8 +100,9 @@ class ReturnBounds:
 class EmpiricalPMF:
     """Discrete return distribution in canonical form.
 
-    Values are sorted strictly ascending with exact duplicates merged, every
-    weight is positive, and weights sum to one within ``WEIGHT_SUM_TOL``.
+    Every value and weight is finite, values are sorted strictly ascending
+    with exact duplicates merged, every weight is positive, and weights sum to
+    one within ``WEIGHT_SUM_TOL``.
     """
 
     values: np.ndarray
@@ -110,6 +111,9 @@ class EmpiricalPMF:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
+        # First: NaN fails every comparison below, so it would pass them all.
+        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(weights))):
+            raise InvalidPmfError("every value and weight must be finite")
         if values.ndim != 1 or weights.ndim != 1 or values.size != weights.size:
             raise InvalidPmfError("values and weights must be 1-d arrays of equal length")
         if values.size == 0:

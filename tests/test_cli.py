@@ -227,6 +227,20 @@ class TestSimulateCommand:
         )
         assert list(tmp_path.iterdir()) == []
 
+    def test_account_overflow_is_refused_without_warnings(self, tmp_path, capsys):
+        # Past double range a short account meets inf - inf, which numpy would
+        # warn about before the typed refusal.
+        argv = [
+            "simulate", "--mu", "0.02", "--sigma", "0.13", "--stage", "80000",
+            "--k-gain", "0.8", "--n-paths", "10",
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main([*argv, "--out", str(tmp_path / "est.json")])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: account value overflowed double precision\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_prices_payload_equals_the_bank_estimate(self, tmp_path):
         from longshort import (
             McGainEstimator, ReturnModel, load_prices_csv, pmf_from_returns, returns_from_prices,

@@ -5,17 +5,20 @@
 (of either sign), sigma, --k-max, --v0, --target-std, --tol and --k-gain are
 log-uniform over 1e-12 to 10, or one of the edge values 0, +-1, 5e-324 and
 1e300, and are written with ``repr()``, so that exponent forms such as
-``-3e-05`` occur. Stages run from 2 to 5,000, --grid from 2 to 50, --alpha
-over [0, 1] and --n-paths up to 200; a quarter of the model runs read one of
-two heavy-tailed price files instead of --mu/--sigma. Backtests (one asset,
+``-3e-05`` occur. Stages run from 2 to 100,000 for ``optimize`` and
+``curve`` and to 5,000 for ``simulate``, whose cost grows with stage times
+paths; --grid runs from 2 to 50, --alpha over [0, 1] and --n-paths up to
+200; a quarter of the model runs read one of two heavy-tailed price files
+instead of --mu/--sigma. Backtests (one asset,
 or a portfolio config whose numbers are such values or integer literals of
 300 to 420 digits) and the three ``repro`` presets read the same two files.
 
-Every call must exit 0 or 3: never 1 (a traceback), 2 (a usage error) or 4.
-Every JSON file a call writes must be strict JSON, without NaN or Infinity.
-Every fit that exits 0 must have achieved_std <= target_std, and every curve
-that exits 0 a nondecreasing std column. A failing case is fixed in the
-program, never dropped from the draw.
+Every call must exit 0 or 3: never 1 (a traceback), 2 (a usage error) or 4,
+and no call may raise a warning, numpy's included. Every JSON file a call
+writes must be strict JSON, without NaN or Infinity. Every fit that exits 0
+must have achieved_std <= target_std, and every curve that exits 0 a
+nondecreasing std column. A failing case is fixed in the program, never
+dropped from the draw.
 """
 
 import csv
@@ -25,6 +28,7 @@ import random
 import traceback
 
 import numpy as np
+import pytest
 
 from longshort import cli
 
@@ -40,8 +44,8 @@ def _number(rng, signed=False):
     return -x if signed and rng.random() < 0.5 else x
 
 
-def _stage(rng):
-    return round(math.exp(rng.uniform(math.log(2), math.log(5000))))
+def _stage(rng, top):
+    return round(math.exp(rng.uniform(math.log(2), math.log(top))))
 
 
 def _write_heavy_tailed_prices(path, seed, vol, drift):
@@ -102,7 +106,7 @@ def _case(rng, price_files, out_dir):
     else:
         argv += ["--mu", repr(_number(rng, signed=True)), "--sigma", repr(_number(rng))]
     if command != "optimize" or rng.random() < 0.5:
-        argv += ["--stage", str(_stage(rng))]
+        argv += ["--stage", str(_stage(rng, 5_000 if command == "simulate" else 100_000))]
     if rng.random() < 0.5:
         argv += ["--v0", repr(_number(rng))]
     if command == "optimize":
@@ -160,6 +164,7 @@ def _check_outputs(command, argv, out_dir):
                 _within_budget(fit)
 
 
+@pytest.mark.filterwarnings("error")
 def test_exit_codes_over_the_whole_domain(tmp_path, capsys):
     price_files = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
     _write_heavy_tailed_prices(price_files[0], 1, 0.035, -0.0008)

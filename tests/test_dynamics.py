@@ -55,12 +55,12 @@ def awkward_columns(n, m, seed):
 
 class TestControllerConfig:
     def test_k_max_from_bounds(self):
-        cfg = ControllerConfig.for_bounds(
-            ReturnBounds(-0.2, 0.5), alpha=0.5, k_gain=0.3, v0=1.0
+        cfg = ControllerConfig.for_model(
+            ReturnModel.two_point(-0.2, 0.5), alpha=0.5, k_gain=0.3, v0=1.0
         )
         assert cfg.k_max == 1.0
-        cfg = ControllerConfig.for_bounds(
-            ReturnBounds(-0.2, 2.0), alpha=0.5, k_gain=0.3, v0=1.0
+        cfg = ControllerConfig.for_model(
+            ReturnModel.two_point(-0.2, 2.0), alpha=0.5, k_gain=0.3, v0=1.0
         )
         assert cfg.k_max == 0.5
 
@@ -212,7 +212,7 @@ class TestReplayBitwise:
             x[n // 3] = -0.6
         bounds = ReturnBounds(float(min(x.min(), -0.6)), float(x.max()))
         for k_gain in (0.0, bounds.k_max):
-            config = ControllerConfig.for_bounds(bounds, alpha=alpha, k_gain=k_gain, v0=2.5)
+            config = ControllerConfig(alpha=alpha, k_gain=k_gain, v0=2.5, k_max=bounds.k_max)
             traj = simulate(config, x)
             expected = _reference_simulate(config, x)
             for name, want in expected.items():

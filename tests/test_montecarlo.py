@@ -13,6 +13,7 @@ from longshort import (
     InvalidParameterError,
     LongShortError,
     McGainEstimator,
+    ReturnBounds,
     ReturnModel,
     estimate_exact_small,
     estimate_gain_stats,
@@ -61,10 +62,33 @@ class TestEstimateGainStats:
         assert first == second  # same paths, same gain, same numbers
 
     def test_admissibility_checked_against_model(self):
+        # The bank, the stream and the enumeration, given the model or its bare
+        # PMF, refuse a gain past the ceiling with the same type.
         model = ReturnModel.two_point(-0.5, 2.0, 0.5)  # k_max = 0.5
         estimator = McGainEstimator(model, 3, 100, seed=0)
-        with pytest.raises(InadmissibleGainError):
-            estimator.estimate(0.5, 0.6, 1.0)
+        for k_gain in (0.6, 0.8):
+            calls = [
+                lambda: estimator.estimate(0.5, k_gain, 1.0),
+                lambda: estimate_gain_stats(model, 0.5, k_gain, 1.0, 3, n_paths=100, seed=0),
+                lambda: estimate_exact_small(model, 0.5, k_gain, 1.0, 3),
+                lambda: estimate_exact_small(model.pmf, 0.5, k_gain, 1.0, 3),
+            ]
+            for call in calls:
+                with pytest.raises(InadmissibleGainError):
+                    call()
+
+    def test_the_ceiling_keeps_every_atom_survivable(self):
+        # K <= min(1, fl(1/x_max)) gives fl(K * x_max) <= 1, and K <= 1 with
+        # x_min > -1 gives fl(K * x_min) >= x_min > -1, so a probe's gain check
+        # against k_max covers every atom of the PMF.
+        rng = np.random.default_rng(20221016)
+        x_maxes = 10.0 ** rng.uniform(-300.0, 300.0, 20_000)
+        x_mins = -rng.uniform(np.nextafter(0.0, 1.0), 1.0, x_maxes.size)
+        x_mins[:2] = np.nextafter(-1.0, 0.0), -5e-324
+        for x_min, x_max in zip(x_mins.tolist(), x_maxes.tolist()):
+            k_max = ReturnBounds(x_min, x_max).k_max
+            assert 1.0 - k_max * x_max >= 0.0, x_max
+            assert 1.0 + k_max * x_min >= 0.0, x_min
 
     def test_preconditions(self, two_point_model):
         with pytest.raises(InvalidParameterError):

@@ -83,14 +83,24 @@ class TestBuildCurve:
 
     @pytest.mark.parametrize("stage", [10, 90, 1000])
     def test_values_match_numpy_scalar_evaluation(self, stage):
-        curve = build_curve(**TOY, stage=stage, grid_size=2001)
         grid = np.linspace(0.0, TOY["k_max"], 2001)
-        mu, sigma2, v0 = TOY["mu"], TOY["sigma2"], TOY["v0"]
-        stds = np.array([std_gain(0.5, k, stage, mu, sigma2, v0) for k in grid])
-        means = np.array([expected_gain(0.5, k, stage, mu, v0) for k in grid])
+        mu, sigma2 = TOY["mu"], TOY["sigma2"]
         assert isinstance(grid[1], np.float64)
-        assert np.array_equal(curve.stds, stds)
-        assert np.array_equal(curve.means, means)
+        for v0 in (TOY["v0"], 1e-12, 33.3, 1e200):
+            curve = build_curve(mu, sigma2, v0, stage, TOY["k_max"], grid_size=2001)
+            stds = np.array([std_gain(0.5, k, stage, mu, sigma2, v0) for k in grid])
+            means = np.array([expected_gain(0.5, k, stage, mu, v0) for k in grid])
+            assert np.array_equal(curve.stds, stds), v0
+            assert np.array_equal(curve.means, means), v0
+
+    def test_overflow_names_the_first_gain_past_range(self):
+        # Each point is scaled by v0 as it is evaluated, so the refusal names
+        # the first grid gain whose scaled std leaves double range.
+        with pytest.raises(MomentOverflowError) as exc_info:
+            build_curve(-0.1, 0.0225, 1e200, 3000, 1.0, 2001)
+        assert str(exc_info.value) == (
+            "the variance of the gain-loss leaves double range at stage 3000 with k_gain=0.8025"
+        )
 
     @pytest.mark.parametrize("n", [2, *BLOCK_EDGES, 10_000])
     def test_csv_bytes_match_csv_writer_rows(self, tmp_path, n):
@@ -98,7 +108,7 @@ class TestBuildCurve:
         # the gain grid must rise from 0; the positive awkward values lead it
         rising = np.sort(AWKWARD_FLOATS[AWKWARD_FLOATS > 0.0])
         k_grid = np.concatenate([[0.0], rising, 1e17 + 64.0 * np.arange(n)])[:n]
-        curve = MeanStdCurve(k_grid, stds, means, stage=10, mu=0.01, sigma2=0.02, v0=1.0)
+        curve = MeanStdCurve(k_grid, stds, means)
         out = tmp_path / "curve.csv"
         curve.write_csv(out)
         ref = tmp_path / "ref.csv"

@@ -134,6 +134,24 @@ class TestPmfFromReturns:
         with pytest.raises(InvalidPmfError):
             EmpiricalPMF(np.array([-0.1, 0.1]), np.array([1.1, -0.1]))  # negative weight
 
+    @pytest.mark.parametrize(
+        "values, weights",
+        [
+            ([-0.1, math.nan, 0.1], [0.25, 0.5, 0.25]),
+            ([-0.1, math.inf], [0.5, 0.5]),
+            ([-0.1, 0.1], [math.nan, 1.0]),
+        ],
+        ids=["nan-atom", "inf-atom", "nan-weight"],
+    )
+    def test_non_finite_pmf_refused(self, values, weights):
+        # NaN fails every comparison, so only an explicit check refuses it.
+        with pytest.raises(InvalidPmfError, match="finite"):
+            EmpiricalPMF(np.array(values), np.array(weights))
+
+    def test_non_finite_return_refused(self):
+        with pytest.raises(InvalidPmfError, match="finite"):
+            pmf_from_returns([0.1, -0.2, math.nan])
+
 
 class TestReturnModel:
     def test_bounds_are_support_endpoints(self):
@@ -156,12 +174,15 @@ class TestReturnModel:
     @pytest.mark.parametrize("sigma2", [math.nan, math.inf])
     def test_variance_must_be_finite_and_nonnegative(self, sigma2):
         # A PMF's variance is a sum of weighted squares, never negative. An atom
-        # near the top of double range overflows it; a NaN atom between finite
-        # endpoints makes it NaN.
-        values = [-0.5, 1e200] if sigma2 == math.inf else [-0.5, math.nan, 0.5]
-        pmf = EmpiricalPMF(np.array(values), np.full(len(values), 1.0 / len(values)))
+        # near the top of double range overflows it; a NaN atom, which would
+        # make it NaN, is refused with the PMF, so it never reaches a model.
+        if math.isnan(sigma2):
+            with pytest.raises(InvalidPmfError, match="finite"):
+                EmpiricalPMF(np.array([-0.5, math.nan, 0.5]), np.full(3, 1.0 / 3))
+            return
+        pmf = EmpiricalPMF(np.array([-0.5, 1e200]), np.full(2, 0.5))
         with np.errstate(over="ignore"):
-            assert np.array_equal(pmf.variance(), sigma2, equal_nan=True)
+            assert pmf.variance() == sigma2
             with pytest.raises(InvalidParameterError, match="sigma2"):
                 ReturnModel(pmf)
 
