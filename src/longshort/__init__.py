@@ -7,46 +7,21 @@ gain selection under a standard-deviation budget, Monte-Carlo estimation from
 empirical return distributions, and single/multi-asset backtesting.
 
 The public names below are resolved on first access (PEP 562), each from the
-submodule that defines it, so ``import longshort`` loads no submodule and no
-numpy; ``from longshort import *`` loads them all.
+submodule that defines it, so ``import longshort`` loads only ``errors``,
+which imports nothing, and no numpy; ``from longshort import *`` loads them
+all.
 """
 
 import importlib
 
+from . import errors
+
 __version__ = "0.1.0"
 
-# Each public name, under the submodule that defines it.
+# Each public name, under the submodule that defines it; the error types are
+# every public name of ``errors``.
 _EXPORTS = {
-    "errors": (
-        "ConfigKeyError",
-        "DomainError",
-        "EmptyReturnsError",
-        "EnumerationTooLargeError",
-        "InadmissibleGainError",
-        "InputFileError",
-        "InternalConsistencyError",
-        "InvalidBoundsError",
-        "InvalidParameterError",
-        "InvalidPmfError",
-        "LengthMismatchError",
-        "LongShortError",
-        "MissingColumnError",
-        "MomentOverflowError",
-        "NonMonotoneEstimateError",
-        "NonPositivePriceError",
-        "OutputFileError",
-        "PortfolioAssetError",
-        "PriceParseError",
-        "ReturnBelowNegOneError",
-        "ReturnOutOfBoundsError",
-        "SimulationOverflowError",
-        "StageTooSmallError",
-        "TargetNonpositiveError",
-        "TargetTooLargeError",
-        "TooShortError",
-        "ZeroDriftError",
-        "ZeroVolatilityError",
-    ),
+    "errors": tuple(name for name in vars(errors) if not name.startswith("_")),
     "defaults": ("DEFAULT_N_PATHS",),
     "returns": (
         "EmpiricalPMF",
@@ -64,7 +39,6 @@ _EXPORTS = {
         "ControllerConfig",
         "audit_cash_financing",
         "simulate",
-        "terminal_gains",
     ),
     "analytics": (
         "GainLossStats",
@@ -93,7 +67,6 @@ _EXPORTS = {
         "solve_optimal_gain_empirical",
     ),
     "portfolio": (
-        "PORTFOLIO_DEFAULT_N_PATHS",
         "PortfolioConfig",
         "PortfolioTrajectory",
         "optimize_portfolio",

@@ -28,9 +28,11 @@ recording the command, parameters, seed, and output paths, so any output can
 be regenerated byte-for-byte. Exit codes: 0 success, 2 usage error, 3 domain
 or precondition error (bad input, such as a number that is not finite, a
 negative --sigma or seed, a flag that conflicts with --prices or with
---portfolio-config, or an output path that cannot be written: an empty
-path, a missing directory, or a file that is a directory), 4
-internal-consistency violation (a bug, not bad input).
+--portfolio-config; an output path that cannot be written: an empty path, a
+missing directory, a file that is a directory, or a write that the OS
+refuses, after which the run's written files are removed; or a request too
+large for memory, such as 10**15 paths), 4 internal-consistency violation (a
+bug, not bad input).
 
 The default seed is 0, overridable by the LONGSHORT_SEED environment
 variable and then by --seed; a negative seed is refused (exit 3) before any
@@ -188,6 +190,10 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except MemoryError as exc:  # a request too large to allocate, such as 10**15 paths
+        why = str(exc) or "allocation failed"
+        print(f"error: not enough memory for this request ({why})", file=sys.stderr)
         return EXIT_DOMAIN
 
 

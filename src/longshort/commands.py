@@ -13,6 +13,7 @@ asset keys (``_ASSET_KEYS``).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import asdict, dataclass, field
@@ -81,11 +82,11 @@ def _write_json(path, payload) -> None:
 def _check_outputs(args, files) -> None:
     """Refuse outputs that cannot be written, before anything is written.
 
-    repro's --out-dir must not be empty; it and its missing parents are
-    created, so the nearest of them that exists must be a directory. Every
-    other output flag (--out, --trajectory-out, --out-prefix) must lie in an
-    existing directory. None of ``files``, the files the run writes, may be
-    empty or an existing directory.
+    repro's --out-dir must not be empty; :func:`write_run` creates it and
+    its missing parents, so the nearest of them that exists must be a
+    directory. Every other output flag (--out, --trajectory-out,
+    --out-prefix) must lie in an existing directory. None of ``files``, the
+    files the run writes, may be empty or an existing directory.
     """
     out_dir = existing = getattr(args, "out_dir", None)
     if out_dir == "":
@@ -105,8 +106,27 @@ def _check_outputs(args, files) -> None:
             raise OutputFileError("output file path is empty")
         if os.path.isdir(path):
             raise OutputFileError(f"{path}: output file is an existing directory")
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
+
+
+def _write_all(writes) -> None:
+    """Run each ``(path, write)`` in turn, or refuse, removing what they wrote.
+
+    The refusal is an ``OutputFileError`` naming the path and the OS reason
+    (a name too long, no permission, a full disk). The files written before
+    it are removed, and so is the refused one unless it existed before its
+    write, so no output is left without its manifest.
+    """
+    written = []
+    for path, write in writes:
+        existed = os.path.lexists(path)
+        try:
+            write(path)
+        except OSError as exc:
+            for done in written if existed else [*written, path]:
+                with contextlib.suppress(OSError):
+                    os.remove(done)
+            raise OutputFileError(f"{path}: cannot write output ({exc.strerror or exc})") from None
+        written.append(path)
 
 
 def write_run(args, run: _Run) -> None:
@@ -118,8 +138,8 @@ def write_run(args, run: _Run) -> None:
         f"{stem}.manifest.json" if stem is not None else os.path.join(args.out_dir, "manifest.json")
     )
     _check_outputs(args, [path for path, _ in run.outputs] + [manifest_path])
-    for path, write in run.outputs:
-        write(path)
+    if getattr(args, "out_dir", None):
+        _write_all([(args.out_dir, partial(os.makedirs, exist_ok=True))])
     manifest = {
         "command": command,
         "parameters": {name: values[name] for name in names},
@@ -127,7 +147,7 @@ def write_run(args, run: _Run) -> None:
         "outputs": [str(path) for path, _ in run.outputs],
         "tool_version": __version__,
     }
-    _write_json(manifest_path, manifest)
+    _write_all([*run.outputs, (manifest_path, partial(_write_json, payload=manifest))])
     print(run.message)
 
 

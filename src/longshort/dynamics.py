@@ -156,26 +156,17 @@ def simulate(config: ControllerConfig, path) -> AccountTrajectory:
     )
 
 
-def terminal_gains(alpha: float, k_gain: float, v0: float, paths) -> np.ndarray:
-    """Terminal gain-loss for a batch of paths, one per row.
-
-    Applies exactly the same stepwise recursion as :func:`simulate`,
-    vectorized across rows, so per-path results agree bitwise.
-    """
-    x = np.atleast_2d(np.asarray(paths, dtype=float))
-    check_domain(alpha=alpha, v0=v0, k_gain=k_gain)
-    _check_path(k_gain, x)
-    return _terminal_gains(alpha, k_gain, v0, x)
-
-
 def _terminal_gains(alpha: float, k_gain: float, v0: float, x: np.ndarray) -> np.ndarray:
-    """The recursion behind :func:`terminal_gains`, on already-checked inputs.
+    """Terminal gain-loss for a batch of paths, one per row, on already-checked inputs.
 
+    The caller checks the gain and the paths' survivability first; the
+    Monte-Carlo estimators do it once per probe, against the model's ceiling.
     Each step computes ``v + x * (K * v)`` with the same roundings as
-    :func:`simulate`, written into reused buffers; a stage-major (Fortran
-    order) ``x`` makes every column read contiguous. The long and short
-    accounts are the two rows of one array, so each stage costs three numpy
-    calls whatever the number of paths.
+    :func:`simulate`, so each row's gain equals simulate's bit for bit. The
+    steps write into reused buffers; a stage-major (Fortran order) ``x``
+    makes every column read contiguous. The long and short accounts are the
+    two rows of one array, so each stage costs three numpy calls whatever
+    the number of paths.
     """
     rows = x.shape[0]
     accounts = np.empty((2, rows))

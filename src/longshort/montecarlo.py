@@ -26,8 +26,8 @@ it at 1.5 MiB for 125 stages, and smaller blocks cost time in the per-stage
 recursion without saving much more. Paths are stage-major; a gain probe,
 banked or streamed, checks its gain once against the model's ceiling k_max,
 which keeps every atom of the PMF survivable, so no drawn return needs a
-look; it then runs the account recursion of
-:func:`longshort.dynamics.terminal_gains`, so its gains match
+look; it then runs the batched account recursion
+``dynamics._terminal_gains``, so its gains match
 :func:`longshort.dynamics.simulate` bit for bit.
 """
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import dynamics
 from .analytics import check_domain
+from .defaults import DEFAULT_N_PATHS
 from .errors import (
     DomainError,
     InvalidParameterError,
@@ -26,8 +27,6 @@ from .errors import (
 )
 from .optimizer import OptimalGainResult, solve_optimal_gain_empirical
 from .returns import EmpiricalPMF, ReturnModel, _frozen_array, _write_csv
-
-PORTFOLIO_DEFAULT_N_PATHS = 20_000
 
 
 @dataclass(frozen=True)
@@ -77,12 +76,9 @@ class PortfolioTrajectory:
     def n_stages(self) -> int:
         return int(self.total_gain_loss.size - 1)
 
-    def write_csv(self, path, labels: Sequence[str] | None = None) -> None:
-        """Columns: k, one gain column per asset, total_gain_loss, leverage_ratio."""
-        m = len(self.asset_gain_loss)
-        if labels is None:
-            labels = [f"asset{i + 1}" for i in range(m)]
-        if len(labels) != m:
+    def write_csv(self, path, labels: Sequence[str]) -> None:
+        """Columns: k, one ``gain_<label>`` column per asset, total_gain_loss, leverage_ratio."""
+        if len(labels) != len(self.asset_gain_loss):
             raise InvalidParameterError("need exactly one label per asset")
         _write_csv(
             path,
@@ -136,7 +132,7 @@ def optimize_portfolio(
     assets: Sequence[tuple[EmpiricalPMF, float]],
     v0: float,
     stage: int,
-    n_paths: int = PORTFOLIO_DEFAULT_N_PATHS,
+    n_paths: int = DEFAULT_N_PATHS,
     seed: int = 0,
 ) -> list[OptimalGainResult]:
     """Solve the gain-selection problem independently per asset.

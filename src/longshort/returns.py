@@ -25,7 +25,7 @@ import csv
 import os
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -130,18 +130,6 @@ class EmpiricalPMF:
         object.__setattr__(self, "values", _frozen_array(values))
         object.__setattr__(self, "weights", _frozen_array(weights))
 
-    @classmethod
-    def from_atoms(cls, atoms: Iterable[tuple[float, float]]) -> "EmpiricalPMF":
-        """Build from (value, weight) pairs, merging exact duplicates by weight."""
-        merged: dict[float, float] = {}
-        for value, weight in atoms:
-            merged[float(value)] = merged.get(float(value), 0.0) + float(weight)
-        if not merged:
-            raise EmptyReturnsError("no atoms supplied")
-        values = np.array(sorted(merged))
-        weights = np.array([merged[v] for v in values])
-        return cls(values, weights)
-
     @property
     def atoms(self) -> tuple[tuple[float, float], ...]:
         return tuple(zip(self.values.tolist(), self.weights.tolist()))
@@ -209,16 +197,6 @@ class ReturnModel:
         if sigma <= 0.0:
             raise InvalidParameterError("sigma must be positive to pin two distinct atoms")
         return cls.two_point(mu - sigma, mu + sigma, 0.5)
-
-    @classmethod
-    def uniform_grid(cls, x_min: float, x_max: float, n_atoms: int) -> "ReturnModel":
-        """Equally weighted atoms on an evenly spaced grid including both endpoints."""
-        if n_atoms < 2:
-            raise InvalidParameterError("uniform grid needs at least 2 atoms")
-        values = np.linspace(x_min, x_max, n_atoms)
-        weights = np.full(n_atoms, 1.0 / n_atoms)
-        pmf = EmpiricalPMF(values, weights)
-        return cls.from_pmf(pmf)
 
     @property
     def k_max(self) -> float:

@@ -359,7 +359,7 @@ class TestOneDomainCheck:
     def _entry_points(alpha=0.5, k_gain=0.5, v0=1.0):
         from longshort import (
             ControllerConfig, McGainEstimator, ReturnModel, estimate_exact_small,
-            estimate_gain_stats, terminal_gains,
+            estimate_gain_stats,
         )
 
         model = ReturnModel.two_point(-0.1, 0.1)
@@ -367,7 +367,6 @@ class TestOneDomainCheck:
             lambda: expected_gain(alpha, k_gain, 4, 0.05, v0),
             lambda: variance_gain(alpha, k_gain, 4, 0.05, 0.01, v0),
             lambda: ControllerConfig(alpha=alpha, k_gain=k_gain, v0=v0, k_max=1.0),
-            lambda: terminal_gains(alpha, k_gain, v0, [[0.1, -0.1]]),
             lambda: McGainEstimator(model, 4, 10, 0).estimate(alpha, k_gain, v0),
             lambda: estimate_gain_stats(model, alpha, k_gain, v0, 4, 10, 0),
             lambda: estimate_exact_small(model, alpha, k_gain, v0, 2),

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import errno
 import json
 import math
 import os
@@ -527,6 +528,19 @@ class TestInputFiles:
         assert rc == 3
         assert "expected a JSON object" in err
 
+    def test_asset_not_an_object(self, tmp_path, capsys):
+        rc, err = self._portfolio(tmp_path, capsys, {"assets": [self._asset(tmp_path), "tsla"]})
+        assert rc == 3
+        assert err == (
+            f"error: {tmp_path / 'portfolio.json'}: asset 1: expected a JSON object, got 'tsla'\n"
+        )
+
+    def test_config_with_no_assets(self, tmp_path, capsys):
+        rc, err = self._portfolio(tmp_path, capsys, {"assets": []})
+        assert rc == 3
+        assert err == f"error: {tmp_path / 'portfolio.json'}: no assets listed\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["portfolio.json"]
+
 
 class TestSeedEnvOverride:
     def test_env_var_supplies_default_seed(self, tmp_path, monkeypatch):
@@ -548,6 +562,16 @@ class TestSeedEnvOverride:
         )
         assert rc == 0
         assert json.loads(out.read_text())["seed"] == 7
+
+    def test_env_var_that_is_not_an_integer(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "abc")
+        out = tmp_path / "est.json"
+        rc = cli.main(
+            ["simulate", *TOY_FLAGS, "--k-gain", "0.2", "--stage", "5", "--out", str(out)]
+        )
+        assert rc == 3
+        assert capsys.readouterr().err == "error: LONGSHORT_SEED='abc' is not an integer\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 def _heavy_tailed_prices(seed, n_returns=125, vol=0.035, drift=-0.0008, clip=0.45):
@@ -802,6 +826,88 @@ class TestOutputDirectories:
         assert afile.read_text() == "a file, not a directory"
 
 
+class TestOutputsTheOsRefuses:
+    """A write that the OS refuses exits 3 with one error line and leaves no output."""
+
+    OPTIMIZE = ["optimize", *TOY_FLAGS, "--stage", "10", "--target-std", "0.1"]
+
+    @pytest.mark.parametrize(
+        "stem, refused",
+        [("a" * 300, ".json"), ("b" * 245, ".json.manifest.json")],
+        ids=["output-name-too-long", "manifest-name-too-long"],
+    )
+    def test_name_too_long(self, tmp_path, capsys, stem, refused):
+        # The second result file is 250 characters and is written; its
+        # 264-character manifest is refused, so the result file is removed.
+        out = tmp_path / f"{stem}.json"
+        assert cli.main([*self.OPTIMIZE, "--out", str(out)]) == 3
+        refused_path = tmp_path / (stem + refused)
+        assert capsys.readouterr().err == (
+            f"error: {refused_path}: cannot write output (File name too long)\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_dir_name_too_long(self, tmp_path, capsys):
+        out_dir = tmp_path / ("c" * 300)
+        assert cli.main(["repro", "toy", "--out-dir", str(out_dir)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {out_dir}: cannot write output (File name too long)\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("manifest_existed", [False, True])
+    def test_full_disk_removes_what_the_run_wrote(
+        self, tmp_path, capsys, monkeypatch, manifest_existed
+    ):
+        # The manifest write fails partway. The curve written before it goes;
+        # the manifest goes too unless it was there before the run.
+        write_json = commands._write_json
+
+        def disk_fills(path, payload):
+            with open(path, "w") as fh:
+                fh.write("{")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        monkeypatch.setattr(commands, "_write_json", disk_fills)
+        out = tmp_path / "curve.csv"
+        manifest = tmp_path / "curve.csv.manifest.json"
+        if manifest_existed:
+            write_json(manifest, {"an": "earlier run"})
+        rc = cli.main(["curve", *TOY_FLAGS, "--stage", "10", "--grid", "5", "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: cannot write output (No space left on device)\n"
+        )
+        assert list(tmp_path.iterdir()) == ([manifest] if manifest_existed else [])
+
+
+class TestRequestsTooLargeForMemory:
+    """A request too large to allocate exits 3 with one error line, not a traceback.
+
+    Every size here is 10**15 or more, beyond the address space, so numpy
+    refuses it before touching any memory.
+    """
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--mu", "0.01", "--sigma", "0.02", "--stage", "10", "--k-gain", "0.5",
+             "--n-paths", "1000000000000000"],
+            ["simulate", "--mu", "0.01", "--sigma", "0.02", "--stage", "1000000000000000",
+             "--k-gain", "0.5", "--n-paths", "2"],
+            ["curve", "--mu", "0.01", "--sigma", "0.02", "--stage", "10",
+             "--grid", "1000000000000000"],
+        ],
+        ids=["simulate-paths", "simulate-stage", "curve-grid"],
+    )
+    def test_exits_3(self, tmp_path, capsys, argv):
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: not enough memory for this request (Unable to allocate")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+
 # The CLI surface as it stood before the parser was built from a flag table:
 # per (subcommand, help), every action's class, option strings, default,
 # type, required flag, choices and help, in order.
@@ -972,6 +1078,26 @@ class TestRefusedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_moment_flags_need_mu_and_sigma(self, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        assert cli.main(["curve", "--mu", "0.1", "--stage", "10", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: supply either --prices or both --mu and --sigma\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_single_asset_backtest_needs_all_three_flags(self, tmp_path, capsys):
+        train = tmp_path / "train.csv"
+        _write_prices(train, _geometric_prices(1, 40))
+        rc = cli.main(
+            ["backtest", "--train-prices", str(train), "--out-prefix", str(tmp_path / "b")]
+        )
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: single-asset backtest needs --train-prices, --test-prices and --target-std\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["train.csv"]
 
     def test_non_finite_portfolio_target(self, tmp_path, capsys):
         train, test = tmp_path / "train.csv", tmp_path / "test.csv"

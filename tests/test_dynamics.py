@@ -18,8 +18,8 @@ from longshort import (
     SimulationOverflowError,
     audit_cash_financing,
     simulate,
-    terminal_gains,
 )
+from longshort.dynamics import _terminal_gains
 from longshort.returns import _CSV_BLOCK_ROWS
 
 
@@ -93,6 +93,10 @@ class TestSimulate:
         assert np.all(traj.v_total == 1.0)
         assert np.all(traj.gain_loss == 0.0)
         assert np.all(traj.u_net == 0.0)
+
+    def test_path_must_be_one_dimensional(self):
+        with pytest.raises(InvalidParameterError, match="1-d"):
+            simulate(_config(), [[0.1, -0.1], [0.05, 0.0]])
 
     def test_one_step_balanced_full_gain(self):
         traj = simulate(_config(k_gain=1.0), [0.1])
@@ -228,21 +232,10 @@ class TestTerminalGains:
     def test_matches_simulate_bitwise(self):
         rng = np.random.default_rng(3)
         paths = rng.uniform(-0.3, 0.4, size=(40, 17))
-        gains = terminal_gains(0.3, 0.7, 2.5, paths)
+        gains = _terminal_gains(0.3, 0.7, 2.5, paths)
         for row, expected in zip(paths, gains):
             traj = simulate(_config(alpha=0.3, k_gain=0.7, v0=2.5), row)
             assert traj.gain_loss[-1] == expected
-
-    def test_single_path_input(self):
-        out = terminal_gains(0.5, 1.0, 1.0, [0.1, 0.1])
-        assert out.shape == (1,)
-        assert out[0] == pytest.approx(0.01, abs=1e-15)
-
-    def test_domain_checks(self):
-        with pytest.raises(InadmissibleGainError):
-            terminal_gains(0.5, 1.5, 1.0, [[0.1]])
-        with pytest.raises(ReturnOutOfBoundsError):
-            terminal_gains(0.5, 1.0, 1.0, [[-1.2]])
 
 
 class TestAudit:

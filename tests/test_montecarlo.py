@@ -19,10 +19,9 @@ from longshort import (
     estimate_gain_stats,
     expected_gain,
     pmf_from_returns,
-    terminal_gains,
     variance_gain,
 )
-from longshort import montecarlo, returns
+from longshort import dynamics, montecarlo, returns
 from longshort.returns import CHUNK_ROWS, GUIDE_BUCKETS, _atom_lookup
 
 
@@ -136,7 +135,9 @@ BANK_MODELS = {
     "equal_125": lambda: ReturnModel.from_pmf(pmf_from_returns(np.linspace(-0.2, 0.25, 125))),
     "clustered": lambda: ReturnModel.from_pmf(_clustered_pmf()),
     "two_point": lambda: ReturnModel.two_point(-0.1, 0.2, 0.75),
-    "uniform_grid": lambda: ReturnModel.uniform_grid(-0.2, 0.3, 10),
+    "uniform_grid": lambda: ReturnModel(
+        EmpiricalPMF(np.linspace(-0.2, 0.3, 10), np.full(10, 1.0 / 10))
+    ),
 }
 
 
@@ -159,7 +160,7 @@ class TestBankMatchesChoice:
             cdf = model.pmf.weights.cumsum()
             assert np.bincount((cdf * GUIDE_BUCKETS).astype(int)).max() >= 20
         for k_gain in (0.0, 0.1 * model.k_max, model.k_max):
-            gains = terminal_gains(0.5, k_gain, 1.0, reference)
+            gains = dynamics._terminal_gains(0.5, k_gain, 1.0, reference)
             variance = float(gains.var(ddof=1))
             est = estimator.estimate(0.5, k_gain, 1.0)
             assert est.mean == float(gains.mean())
@@ -317,7 +318,7 @@ class TestMemory:
 
 
 class TestEstimateRefusals:
-    """``estimate`` refuses what :func:`terminal_gains` refuses, with the same types."""
+    """``estimate`` refuses what a ``ControllerConfig`` refuses, with the same types."""
 
     @pytest.fixture
     def estimator(self, two_point_model):
@@ -401,7 +402,7 @@ class TestExactEnumeration:
         assert stats.variance == pytest.approx(want_var, rel=1e-12)
 
     def test_cap_enforced(self):
-        model = ReturnModel.uniform_grid(-0.2, 0.3, 10)
+        model = ReturnModel(EmpiricalPMF(np.linspace(-0.2, 0.3, 10), np.full(10, 1.0 / 10)))
         with pytest.raises(EnumerationTooLargeError):
             estimate_exact_small(model, 0.5, 0.5, 1.0, 8)  # 10^8 sequences
 

@@ -53,6 +53,11 @@ class TestBuildCurve:
         assert curve.k_grid[-1] == 1.0
         assert curve.k_grid.size == 50
 
+    def test_grid_must_start_at_zero(self):
+        k = np.array([0.1, 0.5, 1.0])
+        with pytest.raises(InvalidParameterError, match="start at 0"):
+            MeanStdCurve(k, np.zeros(3), np.zeros(3))
+
     def test_strictly_increasing_when_moments_nondegenerate(self):
         curve = build_curve(**TOY, stage=30, grid_size=80)
         assert np.all(np.diff(curve.stds) > 0.0)

@@ -161,6 +161,15 @@ class TestRunPortfolio:
         assert lines[0] == "k,gain_aaa,gain_bbb,total_gain_loss,leverage_ratio"
         assert len(lines) == 7
 
+    def test_csv_needs_one_label_per_asset(self, tmp_path):
+        cfg = PortfolioConfig(assets=((MODEL_A, 0.3), (MODEL_B, 0.4)), v0=1.0)
+        traj = run_portfolio(cfg, _paths(6, 2, 5))
+        out = tmp_path / "portfolio.csv"
+        for labels in (["aaa"], ["aaa", "bbb", "ccc"]):
+            with pytest.raises(InvalidParameterError, match="one label per asset"):
+                traj.write_csv(out, labels=labels)
+        assert not out.exists()
+
     @pytest.mark.parametrize("n", [1, *BLOCK_EDGES, 10_000])
     def test_bytes_match_csv_writer_rows(self, tmp_path, n):
         gains = tuple(awkward_columns(n, 2, seed=n))
@@ -197,6 +206,10 @@ class TestOptimizePortfolio:
         direct = solve_optimal_gain_empirical(pmf, 3.0, 15, 0.05, n_paths=4000, seed=8)
         via_portfolio = optimize_portfolio([(pmf, 0.05)], 3.0, 15, n_paths=4000, seed=8)
         assert via_portfolio[0] == direct
+
+    def test_no_assets_rejected(self):
+        with pytest.raises(InvalidParameterError, match="at least one"):
+            optimize_portfolio([], 1.0, 10, n_paths=2000)
 
     def test_identical_assets_identical_gains(self):
         pmf = MODEL_B.pmf

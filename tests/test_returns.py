@@ -95,6 +95,8 @@ class TestPmfFromReturns:
     def test_empty_rejected(self):
         with pytest.raises(EmptyReturnsError):
             pmf_from_returns([])
+        with pytest.raises(EmptyReturnsError, match="at least one atom"):
+            EmpiricalPMF(np.array([]), np.array([]))
 
     def test_total_loss_rejected(self):
         with pytest.raises(ReturnBelowNegOneError):
@@ -102,12 +104,8 @@ class TestPmfFromReturns:
         with pytest.raises(ReturnBelowNegOneError):
             pmf_from_returns([-1.5])
 
-    def test_duplicates_merged_and_sorted(self):
-        pmf = EmpiricalPMF.from_atoms([(0.2, 0.25), (-0.1, 0.5), (0.2, 0.25)])
-        assert pmf.atoms == ((-0.1, 0.5), (0.2, 0.5))
-
     def test_canonical_equality(self):
-        a = EmpiricalPMF.from_atoms([(0.1, 0.5), (-0.1, 0.5)])
+        a = EmpiricalPMF(np.array([-0.1, 0.1]), np.array([0.5, 0.5]))
         b = pmf_from_returns([-0.1, 0.1])
         assert a == b
 
@@ -133,6 +131,10 @@ class TestPmfFromReturns:
             EmpiricalPMF(np.array([-0.1, 0.1]), np.array([0.5, 0.4]))  # sum != 1
         with pytest.raises(InvalidPmfError):
             EmpiricalPMF(np.array([-0.1, 0.1]), np.array([1.1, -0.1]))  # negative weight
+        with pytest.raises(InvalidPmfError, match="1-d arrays of equal length"):
+            EmpiricalPMF(np.array([[-0.1, 0.1]]), np.array([[0.5, 0.5]]))  # 2-d
+        with pytest.raises(InvalidPmfError, match="1-d arrays of equal length"):
+            EmpiricalPMF(np.array([-0.1, 0.1]), np.array([0.5, 0.25, 0.25]))  # unequal lengths
 
     @pytest.mark.parametrize(
         "values, weights",
@@ -186,6 +188,19 @@ class TestReturnModel:
             with pytest.raises(InvalidParameterError, match="sigma2"):
                 ReturnModel(pmf)
 
+    def test_mean_outside_support_by_rounding_rejected(self):
+        # The weights sum to 1 + 6e-13, within WEIGHT_SUM_TOL, and the mean
+        # rounds to 1.00000000000045, above the largest atom.
+        pmf = EmpiricalPMF(np.array([-0.5, 1.0]), np.array([1e-13, 1 + 5e-13]))
+        assert pmf.mean() > pmf.values[-1]
+        with pytest.raises(InvalidParameterError, match="within the support bounds"):
+            ReturnModel(pmf)
+
+    @pytest.mark.parametrize("p_up", [0.0, 1.0, -0.5, 1.5, math.nan])
+    def test_two_point_probability_must_be_inside_unit_interval(self, p_up):
+        with pytest.raises(InvalidParameterError, match=r"p_up must be in \(0, 1\)"):
+            ReturnModel.two_point(-0.1, 0.1, p_up)
+
     def test_the_pmf_is_the_only_field(self):
         pmf = pmf_from_returns([-0.12, -0.03, 0.01, 0.04, 0.2])
         model = ReturnModel(pmf)
@@ -203,13 +218,6 @@ class TestReturnModel:
         assert model.sigma2 == pytest.approx(0.0225)
         assert model.bounds.x_min == pytest.approx(-0.25)
         assert model.bounds.x_max == pytest.approx(0.05)
-
-    def test_uniform_grid(self):
-        model = ReturnModel.uniform_grid(-0.2, 0.3, 6)
-        assert model.pmf.n_atoms == 6
-        assert np.allclose(model.pmf.weights, 1.0 / 6)
-        assert model.bounds.x_min == -0.2
-        assert model.bounds.x_max == 0.3
 
     def test_bounds_invariant(self):
         with pytest.raises(InvalidBoundsError):
@@ -229,7 +237,7 @@ class TestSamplePath:
         assert sample_path(model, 5, seed=9).size == 5
 
     def test_deterministic_given_seed(self):
-        model = ReturnModel.uniform_grid(-0.2, 0.3, 7)
+        model = ReturnModel(EmpiricalPMF(np.linspace(-0.2, 0.3, 7), np.full(7, 1.0 / 7)))
         a = sample_path(model, 1000, seed=42)
         b = sample_path(model, 1000, seed=42)
         assert np.array_equal(a, b)
@@ -244,7 +252,7 @@ class TestSamplePath:
         assert abs(draws.mean()) <= 3 * 0.1 / np.sqrt(n)
 
     def test_draws_stay_in_bounds(self):
-        model = ReturnModel.uniform_grid(-0.3, 0.4, 9)
+        model = ReturnModel(EmpiricalPMF(np.linspace(-0.3, 0.4, 9), np.full(9, 1.0 / 9)))
         draws = sample_path(model, 10_000, seed=3)
         assert draws.min() >= model.bounds.x_min
         assert draws.max() <= model.bounds.x_max
