@@ -29,10 +29,12 @@ be regenerated byte-for-byte. Exit codes: 0 success, 2 usage error, 3 domain
 or precondition error (bad input, such as a number that is not finite, a
 negative --sigma or seed, a flag that conflicts with --prices or with
 --portfolio-config; an output path that cannot be written: an empty path, a
-missing directory, a file that is a directory, or a write that the OS
-refuses, after which the run's written files are removed; or a request too
-large for memory, such as 10**15 paths), 4 internal-consistency violation (a
-bug, not bad input).
+file that is a directory, two outputs naming one file, or a write that the
+OS refuses, such as into a missing directory; or a request too large for
+memory, such as 10**15 paths), 4 internal-consistency violation (a bug, not
+bad input). Outputs are staged beside their paths and renamed into place
+once all are written, so a refused run leaves earlier outputs as they were
+(README, "CLI", gives the one exception, a rename the OS refuses).
 
 The default seed is 0, overridable by the LONGSHORT_SEED environment
 variable and then by --seed; a negative seed is refused (exit 3) before any

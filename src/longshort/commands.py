@@ -4,8 +4,8 @@
 command is known to run, so the library and numpy load for commands alone.
 Each command, named after its subcommand, takes the parsed flags and returns
 a :class:`_Run`: its results, with the manifest parameters named in the
-``_MANIFESTS`` table. Four things are decided in one place each: whether the
-outputs can be written (:func:`_check_outputs`), a gain fit (:func:`_fit`),
+``_MANIFESTS`` table. Four things are decided in one place each: how the
+outputs are written (:func:`_write_all`), a gain fit (:func:`_fit`),
 where the manifest goes and whether it records the seed (the rule beside
 ``_MANIFESTS``, which :func:`write_run` applies), and a portfolio config's
 asset keys (``_ASSET_KEYS``).
@@ -14,6 +14,7 @@ asset keys (``_ASSET_KEYS``).
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 from dataclasses import asdict, dataclass, field
@@ -79,67 +80,66 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _check_outputs(args, files) -> None:
-    """Refuse outputs that cannot be written, before anything is written.
+def _stage(target) -> str:
+    """A new empty file beside ``target``, with the mode ``open(target, "w")`` would give it."""
+    for n in itertools.count():  # the first name free in the directory
+        staged = os.path.join(os.path.dirname(target), f".longshort-{os.getpid()}-{n}.tmp")
+        with contextlib.suppress(FileExistsError):
+            os.close(os.open(staged, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666))
+            return staged
 
-    repro's --out-dir must not be empty; :func:`write_run` creates it and
-    its missing parents, so the nearest of them that exists must be a
-    directory. Every other output flag (--out, --trajectory-out,
-    --out-prefix) must lie in an existing directory. None of ``files``, the
-    files the run writes, may be empty or an existing directory.
+
+def _write_all(writes, out_dir=None) -> None:
+    """Write every ``(path, write)`` of a run, or refuse and leave every file as it was.
+
+    No path may be empty, an existing directory, or another path's file, nor
+    may ``out_dir``, which is created first, be empty. Each write goes to a
+    file staged beside its path's ``realpath`` (so a symlinked output is
+    written through); once all have succeeded the staged files are renamed
+    into place in order, the manifest last. An OS refusal is an
+    ``OutputFileError`` naming the path; no staged file outlives the call. A
+    rename fails only for a name the file system refuses (one too long): the
+    outputs renamed before it are removed, so none outlives its manifest.
     """
-    out_dir = existing = getattr(args, "out_dir", None)
-    if out_dir == "":
+    if out_dir == "":  # os.path.join would put its files in the working directory
         raise OutputFileError("output directory path is empty")
-    while existing and not os.path.exists(existing):
-        existing = os.path.dirname(existing)
-    if existing and not os.path.isdir(existing):
-        raise OutputFileError(f"{out_dir}: output directory {existing} is not a directory")
-    for name in ("out", "trajectory_out", "out_prefix"):
-        path = getattr(args, name, None)
-        parent = os.path.dirname(path or "")
-        if parent and not os.path.isdir(parent):
-            why = "is not a directory" if os.path.exists(parent) else "does not exist"
-            raise OutputFileError(f"{path}: output directory {parent} {why}")
-    for path in files:
+    targets = []
+    for path, _ in writes:
         if path == "":
             raise OutputFileError("output file path is empty")
         if os.path.isdir(path):
             raise OutputFileError(f"{path}: output file is an existing directory")
-
-
-def _write_all(writes) -> None:
-    """Run each ``(path, write)`` in turn, or refuse, removing what they wrote.
-
-    The refusal is an ``OutputFileError`` naming the path and the OS reason
-    (a name too long, no permission, a full disk). The files written before
-    it are removed, and so is the refused one unless it existed before its
-    write, so no output is left without its manifest.
-    """
-    written = []
-    for path, write in writes:
-        existed = os.path.lexists(path)
-        try:
-            write(path)
-        except OSError as exc:
-            for done in written if existed else [*written, path]:
-                with contextlib.suppress(OSError):
-                    os.remove(done)
-            raise OutputFileError(f"{path}: cannot write output ({exc.strerror or exc})") from None
-        written.append(path)
+        target = os.path.realpath(path) + os.sep * path.endswith(os.sep)  # keep "dir/" refused
+        if target in targets:
+            raise OutputFileError(f"{path}: two outputs of the run name this file")
+        targets.append(target)
+    undo, path = [], out_dir  # undo: the files to remove unless every rename succeeds
+    try:
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+        for (path, write), target in zip(writes, targets):
+            undo.append(_stage(target))
+            write(undo[-1])
+        for i, ((path, _), target) in enumerate(zip(writes, targets)):
+            os.replace(undo[i], target)
+            undo[i] = target
+        undo.clear()
+    except OSError as exc:
+        raise OutputFileError(f"{path}: cannot write output ({exc.strerror or exc})") from None
+    finally:
+        for name in undo:
+            with contextlib.suppress(OSError):
+                os.remove(name)
 
 
 def write_run(args, run: _Run) -> None:
-    """Check every output path, then write the outputs, the manifest and the summary line."""
+    """Write the run's outputs and its manifest as one step, then print the summary line."""
     command, names = _MANIFESTS[run.manifest]
     values = {**vars(args), **run.values}
     stem = next((values[name] for name in _STEMS if values.get(name) is not None), None)
     manifest_path = (
         f"{stem}.manifest.json" if stem is not None else os.path.join(args.out_dir, "manifest.json")
     )
-    _check_outputs(args, [path for path, _ in run.outputs] + [manifest_path])
-    if getattr(args, "out_dir", None):
-        _write_all([(args.out_dir, partial(os.makedirs, exist_ok=True))])
     manifest = {
         "command": command,
         "parameters": {name: values[name] for name in names},
@@ -147,7 +147,8 @@ def write_run(args, run: _Run) -> None:
         "outputs": [str(path) for path, _ in run.outputs],
         "tool_version": __version__,
     }
-    _write_all([*run.outputs, (manifest_path, partial(_write_json, payload=manifest))])
+    outputs = [*run.outputs, (manifest_path, partial(_write_json, payload=manifest))]
+    _write_all(outputs, getattr(args, "out_dir", None))
     print(run.message)
 
 

@@ -143,7 +143,8 @@ class EmpiricalPMF:
 
     def variance(self) -> float:
         mu = self.mean()
-        return float(self.weights @ (self.values - mu) ** 2)
+        with np.errstate(over="ignore"):  # an infinite variance is refused by check_domain
+            return float(self.weights @ (self.values - mu) ** 2)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EmpiricalPMF):
@@ -225,11 +226,14 @@ class PriceSeries:
 def returns_from_prices(series: PriceSeries) -> np.ndarray:
     """Simple per-period returns x(k) = (s(k+1) - s(k)) / s(k).
 
-    Output has length len(prices) - 1; positivity of prices guarantees every
-    return is strictly above -1.
+    Output has length len(prices) - 1. Positive prices give returns above -1
+    up to rounding; a fall to a tiny price can round to -1, and a rise
+    from one can overflow to inf. ``pmf_from_returns`` and
+    ``dynamics.simulate`` refuse both.
     """
     p = series.prices
-    out = np.diff(p) / p[:-1]
+    with np.errstate(over="ignore"):  # the typed refusal downstream decides, not a warning
+        out = np.diff(p) / p[:-1]
     out.flags.writeable = False
     return out
 

@@ -6,12 +6,13 @@ import errno
 import json
 import math
 import os
+import stat
 import warnings
 
 import numpy as np
 import pytest
 
-from longshort import cli, commands
+from longshort import cli, commands, optimizer
 from test_acceptance import TOY_REFERENCE
 
 TOY_FLAGS = ["--mu", "-0.1", "--sigma", "0.15", "--v0", "1"]
@@ -450,6 +451,34 @@ class TestInputFiles:
         _write_prices(test, _geometric_prices(2, 40))
         return {"train_prices": str(train), "test_prices": str(test), "target_std": 0.5}
 
+    @pytest.mark.parametrize(
+        "command, prices, err",
+        [
+            (["curve", "--stage", "6", "--grid", "3"], ["101.1605", "2e-308", "99.9"],
+             "returns must be strictly above -1"),
+            (["optimize", "--target-std", "0.01"], ["1e-300", "100.5287", "100.6172", "104.7601"],
+             "bounds must satisfy -1 < x_min < 0 < x_max < inf, got "
+             "x_min=0.0008803456127453777, x_max=1.005287e+302"),
+            (["backtest", "--target-std", "0.01"], ["1e-300", "100.5287", "100.6172", "104.7601"],
+             "bounds must satisfy -1 < x_min < 0 < x_max < inf, got "
+             "x_min=0.0008803456127453777, x_max=1.005287e+302"),
+        ],
+        ids=["curve-return-overflows", "optimize-variance-overflows", "backtest-variance-overflows"],
+    )
+    def test_price_file_past_double_range_warns_nothing(self, tmp_path, capsys, command, prices, err):
+        path = tmp_path / "p.csv"
+        _write_prices(path, prices)
+        if command[0] == "backtest":
+            files = ["--train-prices", str(path), "--test-prices", str(path),
+                     "--out-prefix", str(tmp_path / "bt")]
+        else:
+            files = ["--prices", str(path), "--out", str(tmp_path / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([*command, *files]) == 3
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_missing_price_file(self, tmp_path, capsys):
         missing = tmp_path / "nope.csv"
         rc = cli.main(
@@ -712,7 +741,7 @@ class TestOutputDirectories:
         )
         assert rc == 3
         assert capsys.readouterr().err == (
-            f"error: {out}: output directory {out.parent} does not exist\n"
+            f"error: {out}: cannot write output (No such file or directory)\n"
         )
         assert list(tmp_path.iterdir()) == []
         out.parent.write_text("a file, not a directory")
@@ -720,7 +749,7 @@ class TestOutputDirectories:
             ["optimize", *TOY_FLAGS, "--stage", "10", "--target-std", "0.1", "--out", str(out)]
         )
         assert rc == 3
-        assert "is not a directory" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {out}: cannot write output (Not a directory)\n"
         assert list(tmp_path.iterdir()) == [out.parent]
 
     def test_out_prefix_in_missing_directory(self, tmp_path, capsys):
@@ -733,7 +762,9 @@ class TestOutputDirectories:
              "--target-std", "0.01", "--out-prefix", str(prefix)]
         )
         assert rc == 3
-        assert f"error: {prefix}: output directory" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {prefix}_trajectory.csv: cannot write output (No such file or directory)\n"
+        )
         assert sorted(p.name for p in tmp_path.iterdir()) == ["test.csv", "train.csv"]
 
     def test_trajectory_out_in_missing_directory(self, tmp_path, capsys):
@@ -744,7 +775,9 @@ class TestOutputDirectories:
              "--n-paths", "2000", "--out", str(out), "--trajectory-out", str(traj)]
         )
         assert rc == 3
-        assert f"error: {traj}: output directory" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {traj}: cannot write output (No such file or directory)\n"
+        )
         assert list(tmp_path.iterdir()) == []
 
     def test_out_naming_a_directory(self, tmp_path, capsys):
@@ -787,6 +820,31 @@ class TestOutputDirectories:
         assert f"error: {traj}: output file" in capsys.readouterr().err
         assert list(tmp_path.rglob("*")) == [traj]
 
+    def test_trajectory_out_with_a_trailing_separator(self, tmp_path, capsys):
+        traj = f"{tmp_path / 'one_path.csv'}{os.sep}"
+        rc = cli.main(
+            ["simulate", *TOY_FLAGS, "--k-gain", "0.3", "--stage", "12", "--n-paths", "2000",
+             "--out", str(tmp_path / "est.json"), "--trajectory-out", traj]
+        )
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error: {traj}: cannot write output (No such file or directory)\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["r.json", "./r.json", "r.json.manifest.json"])
+    def test_two_outputs_naming_one_file(self, tmp_path, capsys, name):
+        # The trajectory would overwrite the estimate, or the manifest the
+        # trajectory; the run is refused before anything is written.
+        traj = f"{tmp_path}{os.sep}{name}"
+        rc = cli.main(
+            ["simulate", *TOY_FLAGS, "--k-gain", "0.3", "--stage", "5", "--n-paths", "100",
+             "--out", str(tmp_path / "r.json"), "--trajectory-out", traj]
+        )
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {traj}: two outputs of the run name this file\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_empty_out(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         rc = cli.main(["optimize", *TOY_FLAGS, "--stage", "10", "--target-std", "0.1", "--out", ""])
@@ -813,11 +871,9 @@ class TestOutputDirectories:
     def test_out_dir_that_is_not_a_directory(self, tmp_path, capsys):
         afile = tmp_path / "afile"
         afile.write_text("a file, not a directory")
-        for out_dir in (afile, afile / "sub"):
+        for out_dir, why in ((afile, "File exists"), (afile / "sub", "Not a directory")):
             assert cli.main(["repro", "toy", "--out-dir", str(out_dir)]) == 3
-            assert capsys.readouterr().err == (
-                f"error: {out_dir}: output directory {afile} is not a directory\n"
-            )
+            assert capsys.readouterr().err == f"error: {out_dir}: cannot write output ({why})\n"
         out_dir = tmp_path / "out"
         (out_dir / "toy_results.json").mkdir(parents=True)
         assert cli.main(["repro", "toy", "--out-dir", str(out_dir)]) == 3
@@ -855,13 +911,26 @@ class TestOutputsTheOsRefuses:
         )
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("manifest_existed", [False, True])
+    CURVE = ["curve", *TOY_FLAGS, "--stage", "10", "--grid", "5"]
+
+    @staticmethod
+    def _files(directory):
+        return {p.name: p.read_bytes() for p in directory.rglob("*") if p.is_file()}
+
+    @pytest.mark.parametrize("earlier_run", [False, True])
     def test_full_disk_removes_what_the_run_wrote(
-        self, tmp_path, capsys, monkeypatch, manifest_existed
+        self, tmp_path, capsys, monkeypatch, earlier_run
     ):
-        # The manifest write fails partway. The curve written before it goes;
-        # the manifest goes too unless it was there before the run.
-        write_json = commands._write_json
+        # The manifest write fails partway. Every file the run staged goes, and
+        # an earlier run's curve and manifest stay as they were, byte for byte.
+        out = tmp_path / "curve.csv"
+        manifest = tmp_path / "curve.csv.manifest.json"
+        if earlier_run:
+            assert cli.main(["curve", *TOY_FLAGS, "--stage", "12", "--grid", "7",
+                             "--out", str(out)]) == 0
+            capsys.readouterr()
+        before = self._files(tmp_path)
+        assert sorted(before) == (["curve.csv", manifest.name] if earlier_run else [])
 
         def disk_fills(path, payload):
             with open(path, "w") as fh:
@@ -869,16 +938,81 @@ class TestOutputsTheOsRefuses:
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
 
         monkeypatch.setattr(commands, "_write_json", disk_fills)
-        out = tmp_path / "curve.csv"
-        manifest = tmp_path / "curve.csv.manifest.json"
-        if manifest_existed:
-            write_json(manifest, {"an": "earlier run"})
-        rc = cli.main(["curve", *TOY_FLAGS, "--stage", "10", "--grid", "5", "--out", str(out)])
-        assert rc == 3
+        assert cli.main([*self.CURVE, "--out", str(out)]) == 3
         assert capsys.readouterr().err == (
             f"error: {manifest}: cannot write output (No space left on device)\n"
         )
-        assert list(tmp_path.iterdir()) == ([manifest] if manifest_existed else [])
+        assert self._files(tmp_path) == before
+        assert sorted(tmp_path.iterdir()) == sorted(tmp_path / name for name in before)
+
+    def test_a_writer_that_fails_otherwise_leaves_no_staged_file(self, tmp_path, monkeypatch):
+        # A bug in a writer propagates as itself, after the staged files go.
+        out = tmp_path / "curve.csv"
+        assert cli.main([*self.CURVE, "--out", str(out)]) == 0
+        before = self._files(tmp_path)
+
+        def writer_bug(path, payload):
+            with open(path, "w") as fh:
+                fh.write("{")
+            raise RuntimeError("a bug in a writer")
+
+        monkeypatch.setattr(commands, "_write_json", writer_bug)
+        with pytest.raises(RuntimeError, match="a bug in a writer"):
+            cli.main(["curve", *TOY_FLAGS, "--stage", "12", "--grid", "7", "--out", str(out)])
+        assert self._files(tmp_path) == before
+        assert len(list(tmp_path.iterdir())) == 2
+
+    def test_repro_refused_at_its_fourth_file_keeps_the_earlier_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        out_dir = tmp_path / "toy"
+        assert cli.main(["repro", "toy", "--out-dir", str(out_dir)]) == 0
+        capsys.readouterr()
+        before = self._files(tmp_path)
+        write_csv, written = optimizer.MeanStdCurve.write_csv, []
+
+        def fourth_write_fails(curve, path):
+            written.append(path)
+            if len(written) == 4:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+            write_csv(curve, path)
+
+        monkeypatch.setattr(optimizer.MeanStdCurve, "write_csv", fourth_write_fails)
+        # A different preset v0 makes every file the refused run writes differ.
+        monkeypatch.setitem(commands.TOY_PRESET, "v0", 2.0)
+        assert cli.main(["repro", "toy", "--out-dir", str(out_dir)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {out_dir / 'toy_curve_k90.csv'}: cannot write output "
+            "(No space left on device)\n"
+        )
+        assert self._files(tmp_path) == before
+        assert len(list(out_dir.iterdir())) == 6
+
+    def test_symlinked_out_is_written_through(self, tmp_path):
+        target = tmp_path / "data" / "curve.csv"
+        target.parent.mkdir()
+        target.write_text("an earlier curve")
+        link = tmp_path / "curve.csv"
+        link.symlink_to(target)
+        assert cli.main([*self.CURVE, "--out", str(link)]) == 0
+        assert cli.main([*self.CURVE, "--out", str(tmp_path / "plain.csv")]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        assert [p.name for p in target.parent.iterdir()] == ["curve.csv"]
+
+    def test_outputs_take_the_mode_of_a_new_file(self, tmp_path):
+        # Staged files are created as open(path, "w") creates one, under the
+        # umask; an output that is replaced takes that mode too.
+        out = tmp_path / "curve.csv"
+        out.write_text("an earlier curve")
+        out.chmod(0o600)
+        umask = os.umask(0o027)
+        try:
+            assert cli.main([*self.CURVE, "--out", str(out)]) == 0
+        finally:
+            os.umask(umask)
+        for path in (out, tmp_path / "curve.csv.manifest.json"):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o640
 
 
 class TestRequestsTooLargeForMemory:
