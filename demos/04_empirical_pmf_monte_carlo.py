@@ -29,7 +29,7 @@ rets = returns_from_prices(prices)
 pmf = pmf_from_returns(rets)
 model = ReturnModel.from_pmf(pmf)
 print(f"{len(prices)} prices -> {rets.size} returns -> {pmf.n_atoms} atoms")
-print(f"support [{model.bounds.x_min:.4f}, {model.bounds.x_max:.4f}], k_max = {model.k_max}")
+print(f"support [{model.x_min:.4f}, {model.x_max:.4f}], k_max = {model.k_max}")
 print(f"mu = {model.mu:.6f}, sigma = {model.sigma2**0.5:.6f}")
 
 stage, k_gain, v0 = rets.size, 0.6, 1.0

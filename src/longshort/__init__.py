@@ -26,7 +26,6 @@ _EXPORTS = {
     "returns": (
         "EmpiricalPMF",
         "PriceSeries",
-        "ReturnBounds",
         "ReturnModel",
         "load_prices_csv",
         "pmf_from_returns",

@@ -39,12 +39,12 @@ from .errors import (
 
 @dataclass(frozen=True)
 class GainLossStats:
-    """Mean, variance, and standard deviation of the gain-loss at one stage."""
+    """Mean and variance of the gain-loss at one stage, and the std derived from them."""
 
     mean: float
     variance: float
-    std: float
     stage: int
+    std = property(lambda self: math.sqrt(self.variance))
 
 
 @dataclass(frozen=True)
@@ -222,7 +222,7 @@ def gain_stats(
     """Bundle mean/variance/std at one stage."""
     mean = expected_gain(alpha, k_gain, stage, mu, v0)
     var = variance_gain(alpha, k_gain, stage, mu, sigma2, v0)
-    return GainLossStats(mean=mean, variance=var, std=math.sqrt(var), stage=int(stage))
+    return GainLossStats(mean=mean, variance=var, stage=int(stage))
 
 
 def check_rpe(k_gain: float, stage: int, mu: float, v0: float = 1.0) -> RpeCheck:

@@ -32,9 +32,9 @@ negative --sigma or seed, a flag that conflicts with --prices or with
 file that is a directory, two outputs naming one file, or a write that the
 OS refuses, such as into a missing directory; or a request too large for
 memory, such as 10**15 paths), 4 internal-consistency violation (a bug, not
-bad input). Outputs are staged beside their paths and renamed into place
-once all are written, so a refused run leaves earlier outputs as they were
-(README, "CLI", gives the one exception, a rename the OS refuses).
+bad input). Outputs are staged beside their paths, under names as long as
+theirs, and renamed into place once all are written, so a refused run
+leaves earlier outputs as they were and removes a --out-dir it created.
 
 The default seed is 0, overridable by the LONGSHORT_SEED environment
 variable and then by --seed; a negative seed is refused (exit 3) before any

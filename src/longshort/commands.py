@@ -81,9 +81,14 @@ def _write_json(path, payload) -> None:
 
 
 def _stage(target) -> str:
-    """A new empty file beside ``target``, with the mode ``open(target, "w")`` would give it."""
+    """A new empty file beside ``target``, with the mode ``open(target, "w")`` would give it.
+
+    Its name is as long as ``target``'s, so a name too long is refused here.
+    """
+    width = len(os.fsencode(os.path.basename(target)))
     for n in itertools.count():  # the first name free in the directory
-        staged = os.path.join(os.path.dirname(target), f".longshort-{os.getpid()}-{n}.tmp")
+        name = f".longshort-{os.getpid()}-{n}"
+        staged = os.path.join(os.path.dirname(target), name.ljust(width - 4, "_") + ".tmp")
         with contextlib.suppress(FileExistsError):
             os.close(os.open(staged, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666))
             return staged
@@ -95,11 +100,12 @@ def _write_all(writes, out_dir=None) -> None:
     No path may be empty, an existing directory, or another path's file, nor
     may ``out_dir``, which is created first, be empty. Each write goes to a
     file staged beside its path's ``realpath`` (so a symlinked output is
-    written through); once all have succeeded the staged files are renamed
-    into place in order, the manifest last. An OS refusal is an
-    ``OutputFileError`` naming the path; no staged file outlives the call. A
-    rename fails only for a name the file system refuses (one too long): the
-    outputs renamed before it are removed, so none outlives its manifest.
+    written through) under a name as long as the path's; once all have
+    succeeded the staged files are renamed into place in order, the manifest
+    last. An OS refusal is an ``OutputFileError`` naming the path; no staged
+    file, and no directory the call created, outlives a refusal. A rename
+    can then fail only if the directory changes under the run: the outputs
+    renamed before it are removed, so none outlives its manifest.
     """
     if out_dir == "":  # os.path.join would put its files in the working directory
         raise OutputFileError("output directory path is empty")
@@ -113,7 +119,12 @@ def _write_all(writes, out_dir=None) -> None:
         if target in targets:
             raise OutputFileError(f"{path}: two outputs of the run name this file")
         targets.append(target)
-    undo, path = [], out_dir  # undo: the files to remove unless every rename succeeds
+    # What to remove unless every rename succeeds: the files, then the
+    # directories made for out_dir, deepest first.
+    undo, created, path, head = [], [], out_dir, out_dir
+    while head and not os.path.lexists(head):
+        created.append(head)
+        head = os.path.dirname(head.rstrip(os.sep))
     try:
         if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
@@ -124,12 +135,14 @@ def _write_all(writes, out_dir=None) -> None:
             os.replace(undo[i], target)
             undo[i] = target
         undo.clear()
+        created.clear()
     except OSError as exc:
         raise OutputFileError(f"{path}: cannot write output ({exc.strerror or exc})") from None
     finally:
-        for name in undo:
-            with contextlib.suppress(OSError):
-                os.remove(name)
+        for remove, names in ((os.remove, undo), (os.rmdir, created)):
+            for name in names:
+                with contextlib.suppress(OSError):
+                    remove(name)
 
 
 def write_run(args, run: _Run) -> None:
@@ -171,7 +184,7 @@ def _resolve_model(args, prices, price_column, stage=None, check=None) -> _Model
     is read; the stage defaults to its number of returns. ``check``, a fit's
     domain check, is called with (mu, sigma2, stage) before the file's
     support bounds are checked. Moment flags need a stage, both moments and
-    a nonnegative sigma; k_max defaults to min(1, 1/(mu + sigma)).
+    a nonnegative sigma; k_max defaults to the gain ceiling at x_max = mu + sigma.
     """
     moments = {name: getattr(args, name, None) for name in ("mu", "sigma", "k_max")}
     if prices is None:
@@ -184,7 +197,7 @@ def _resolve_model(args, prices, price_column, stage=None, check=None) -> _Model
             raise InvalidParameterError(f"--sigma must be nonnegative, got {sigma}")
         if k_max is None:
             if sigma > 0.0 and mu + sigma > 0.0:
-                k_max = min(1.0, 1.0 / (mu + sigma))
+                k_max = returns.gain_ceiling(mu + sigma)
             else:
                 k_max = 1.0  # degenerate moments pin no upper support bound
         return _Model(mu, sigma * sigma, k_max, stage, None, None)
@@ -472,13 +485,14 @@ def _backtest_portfolio(args, config_path, v0: float, assets: list[dict], out_pr
 def _repro_toy(args) -> _Run:
     p = TOY_PRESET
     sigma2 = p["sigma"] ** 2
+    k_max = returns.gain_ceiling(p["mu"] + p["sigma"])
     outputs = []
     solutions = []
     for stage in p["stages"]:
-        curve = optimizer.build_curve(p["mu"], sigma2, p["v0"], stage, 1.0, 200)
+        curve = optimizer.build_curve(p["mu"], sigma2, p["v0"], stage, k_max, 200)
         outputs.append((os.path.join(args.out_dir, f"toy_curve_k{stage}.csv"), curve.write_csv))
         res = optimizer.solve_optimal_gain(
-            p["mu"], sigma2, p["v0"], stage, 1.0, p["target_std"]
+            p["mu"], sigma2, p["v0"], stage, k_max, p["target_std"]
         )
         solutions.append({"stage": stage, **_result_payload(res)})
     parameters = dict(p, stages=list(p["stages"]))

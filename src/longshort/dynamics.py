@@ -59,23 +59,27 @@ class ControllerConfig:
 class AccountTrajectory:
     """Stage-by-stage account values and controls along one return path.
 
-    All arrays have length n+1 for a path of n returns. The control triple at
-    the final stage is the standing order implied by the terminal accounts;
-    it is never filled.
+    It stores the two sub-accounts (n+1 values for n returns) and the gain
+    and v0 they ran at; the other columns derive from them, read-only and
+    rounded as ``simulate`` rounds them. The controls at the final stage
+    are the standing order implied by the terminal accounts, never filled.
     """
 
     v_long: np.ndarray
     v_short: np.ndarray
-    v_total: np.ndarray
-    gain_loss: np.ndarray
-    u_long: np.ndarray
-    u_short: np.ndarray
-    u_net: np.ndarray
+    k_gain: float
+    v0: float
+
+    v_total = property(lambda self: _frozen_array(self.v_long + self.v_short))
+    gain_loss = property(lambda self: _frozen_array(self.v_total - self.v0))
+    u_long = property(lambda self: _frozen_array(self.k_gain * self.v_long))
+    u_short = property(lambda self: _frozen_array(-self.k_gain * self.v_short))
+    u_net = property(lambda self: _frozen_array(self.u_long + self.u_short))
 
     @property
     def n_stages(self) -> int:
         """Number of returns applied (arrays have one more entry)."""
-        return int(self.v_total.size - 1)
+        return int(self.v_long.size - 1)
 
     def write_csv(self, path) -> None:
         """Columns: k, v_long, v_short, v_total, gain_loss, u_long, u_short."""
@@ -143,17 +147,7 @@ def simulate(config: ControllerConfig, path) -> AccountTrajectory:
             f"account value overflowed double precision on a path of length {n}"
         )
 
-    v_total = v_long + v_short
-    u_long, u_short = k_gain * v_long, -k_gain * v_short
-    return AccountTrajectory(
-        v_long=_frozen_array(v_long),
-        v_short=_frozen_array(v_short),
-        v_total=_frozen_array(v_total),
-        gain_loss=_frozen_array(v_total - config.v0),
-        u_long=_frozen_array(u_long),
-        u_short=_frozen_array(u_short),
-        u_net=_frozen_array(u_long + u_short),
-    )
+    return AccountTrajectory(_frozen_array(v_long), _frozen_array(v_short), k_gain, config.v0)
 
 
 def _terminal_gains(alpha: float, k_gain: float, v0: float, x: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ class InputFileError(DomainError):
 
 
 class OutputFileError(DomainError):
-    """An output path lies in a directory that does not exist."""
+    """An output path cannot be written: empty, a directory, named twice, or refused by the OS."""
 
 
 class ConfigKeyError(DomainError):

@@ -183,4 +183,4 @@ def estimate_exact_small(
     gains = v0 * (alpha * up + (1.0 - alpha) * down - 1.0)
     mean = float(prob @ gains)
     variance = float(prob @ (gains - mean) ** 2)
-    return GainLossStats(mean=mean, variance=variance, std=math.sqrt(variance), stage=int(stage))
+    return GainLossStats(mean=mean, variance=variance, stage=int(stage))

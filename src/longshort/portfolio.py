@@ -66,15 +66,19 @@ class PortfolioConfig:
 
 @dataclass(frozen=True, eq=False)
 class PortfolioTrajectory:
-    """Each asset's gain-loss series plus the aggregate gain and leverage series."""
+    """Each asset's gain-loss series and the leverage series; the total gain is derived."""
 
     asset_gain_loss: tuple[np.ndarray, ...]
-    total_gain_loss: np.ndarray
     leverage: np.ndarray
 
     @property
     def n_stages(self) -> int:
-        return int(self.total_gain_loss.size - 1)
+        return int(self.leverage.size - 1)
+
+    @property
+    def total_gain_loss(self) -> np.ndarray:
+        """The asset columns added in asset order from zeros, as ``np.sum`` of them rounds."""
+        return _frozen_array(sum(self.asset_gain_loss, np.zeros_like(self.leverage)))
 
     def write_csv(self, path, labels: Sequence[str]) -> None:
         """Columns: k, one ``gain_<label>`` column per asset, total_gain_loss, leverage_ratio."""
@@ -91,11 +95,9 @@ class PortfolioTrajectory:
 def run_portfolio(config: PortfolioConfig, paths: Sequence) -> PortfolioTrajectory:
     """Simulate every asset on its own realized path and aggregate.
 
-    All paths must have equal length; the total gain-loss at each stage is
-    the exact sum of the per-asset gain-losses. Assets are simulated one at
-    a time and added into the totals in asset order, starting from zeros,
-    which rounds exactly as ``np.sum`` over the stacked columns does; only
-    each asset's gain-loss column outlives its trajectory.
+    All paths must have equal length. Assets are simulated one at a time and
+    added into the leverage's totals in asset order, starting from zeros;
+    only each asset's gain-loss column outlives its trajectory.
     """
     if len(paths) != config.n_assets:
         raise LengthMismatchError(
@@ -107,25 +109,20 @@ def run_portfolio(config: PortfolioConfig, paths: Sequence) -> PortfolioTrajecto
         raise LengthMismatchError(f"paths have differing lengths {sorted(lengths)}")
 
     n = arrays[0].size + 1
-    total_gain, total_value, committed = np.zeros(n), np.zeros(n), np.zeros(n)
+    total_value, committed = np.zeros(n), np.zeros(n)
     asset_gains = []
     for i, (cfg, path) in enumerate(zip(config.controllers, arrays)):
         try:
             traj = dynamics.simulate(cfg, path)
         except DomainError as exc:
             raise PortfolioAssetError(i, str(exc)) from exc
-        total_gain += traj.gain_loss
         total_value += traj.v_total
         committed += np.abs(traj.u_net)
         asset_gains.append(traj.gain_loss)
         del traj  # before the next asset's trajectory is built
     leverage = np.zeros_like(total_value)
     np.divide(committed, total_value, out=leverage, where=total_value > 0.0)
-    return PortfolioTrajectory(
-        asset_gain_loss=tuple(asset_gains),
-        total_gain_loss=_frozen_array(total_gain),
-        leverage=_frozen_array(leverage),
-    )
+    return PortfolioTrajectory(tuple(asset_gains), _frozen_array(leverage))
 
 
 def optimize_portfolio(

@@ -4,6 +4,7 @@ Prices s(k) turn into simple returns x(k) = (s(k+1) - s(k)) / s(k); observed
 returns turn into an empirical PMF placing weight count/n on each distinct
 value; a :class:`ReturnModel` wraps a PMF together with the support bounds
 and first two moments it derives from it, and can be sampled reproducibly.
+The gain ceiling those bounds fix is :func:`gain_ceiling`.
 
 A seed is one random stream. Every return path drawn with it, for a
 trajectory or for a Monte-Carlo estimate, comes from that stream through one
@@ -76,24 +77,9 @@ def _write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray], *, in
             fh.writelines([",".join(row) + "\n" for row in zip(*cells)])
 
 
-@dataclass(frozen=True)
-class ReturnBounds:
-    """Certified support bounds for per-period returns, -1 < x_min < 0 < x_max."""
-
-    x_min: float
-    x_max: float
-
-    def __post_init__(self):
-        if not (-1.0 < self.x_min < 0.0 < self.x_max < np.inf):
-            raise InvalidBoundsError(
-                f"bounds must satisfy -1 < x_min < 0 < x_max < inf, "
-                f"got x_min={self.x_min}, x_max={self.x_max}"
-            )
-
-    @property
-    def k_max(self) -> float:
-        """Largest admissible feedback gain, min(1, 1/x_max)."""
-        return min(1.0, 1.0 / self.x_max)
+def gain_ceiling(x_max: float) -> float:
+    """min(1, 1/x_max): the largest gain K keeping 1 + K*x and 1 - K*x >= 0 on (-1, x_max]."""
+    return min(1.0, 1.0 / x_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,24 +147,29 @@ class EmpiricalPMF:
 class ReturnModel:
     """A return distribution: a PMF, and the support bounds and moments derived from it.
 
-    The bounds are the support endpoints, so the survivability analysis driven
-    by (x_min, x_max) is tight for the distribution. Equal PMFs, equal models.
+    The bounds are the support endpoints, -1 < x_min < 0 < x_max, so the
+    gain ceiling they fix is tight for the distribution. Equal PMFs, equal models.
     """
 
     pmf: EmpiricalPMF
-    bounds: ReturnBounds = field(init=False, compare=False)
+    x_min: float = field(init=False, compare=False)
+    x_max: float = field(init=False, compare=False)
     mu: float = field(init=False, compare=False)
     sigma2: float = field(init=False, compare=False)
 
     def __post_init__(self):
-        bounds = ReturnBounds(float(self.pmf.values[0]), float(self.pmf.values[-1]))
+        x_min, x_max = float(self.pmf.values[0]), float(self.pmf.values[-1])
+        if not (-1.0 < x_min < 0.0 < x_max < np.inf):
+            raise InvalidBoundsError(
+                f"bounds must satisfy -1 < x_min < 0 < x_max < inf, "
+                f"got x_min={x_min}, x_max={x_max}"
+            )
         mu, sigma2 = self.pmf.mean(), self.pmf.variance()
         check_domain(sigma2=sigma2)  # it overflows for atoms near the top of double range
-        if not (bounds.x_min <= mu <= bounds.x_max):
+        if not (x_min <= mu <= x_max):
             raise InvalidParameterError("mean must lie within the support bounds")
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma2", sigma2)
+        for name, value in (("x_min", x_min), ("x_max", x_max), ("mu", mu), ("sigma2", sigma2)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_pmf(cls, pmf: EmpiricalPMF) -> "ReturnModel":
@@ -201,7 +192,7 @@ class ReturnModel:
 
     @property
     def k_max(self) -> float:
-        return self.bounds.k_max
+        return gain_ceiling(self.x_max)
 
 
 @dataclass(frozen=True, eq=False)

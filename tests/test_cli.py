@@ -6,6 +6,7 @@ import errno
 import json
 import math
 import os
+import pathlib
 import stat
 import warnings
 
@@ -893,8 +894,8 @@ class TestOutputsTheOsRefuses:
         ids=["output-name-too-long", "manifest-name-too-long"],
     )
     def test_name_too_long(self, tmp_path, capsys, stem, refused):
-        # The second result file is 250 characters and is written; its
-        # 264-character manifest is refused, so the result file is removed.
+        # The second result file is 250 characters and is staged; its
+        # 264-character manifest is refused, so nothing is renamed.
         out = tmp_path / f"{stem}.json"
         assert cli.main([*self.OPTIMIZE, "--out", str(out)]) == 3
         refused_path = tmp_path / (stem + refused)
@@ -902,6 +903,18 @@ class TestOutputsTheOsRefuses:
             f"error: {refused_path}: cannot write output (File name too long)\n"
         )
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_refused_name_keeps_an_earlier_file(self, tmp_path, capsys):
+        # Each output is staged under a name as long as its own, so the
+        # manifest's name is refused before the earlier result is replaced.
+        out = tmp_path / ("b" * 245 + ".json")
+        out.write_text("earlier")
+        assert cli.main([*self.OPTIMIZE, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {out}.manifest.json: cannot write output (File name too long)\n"
+        )
+        assert list(tmp_path.iterdir()) == [out]
+        assert out.read_text() == "earlier"
 
     def test_out_dir_name_too_long(self, tmp_path, capsys):
         out_dir = tmp_path / ("c" * 300)
@@ -987,6 +1000,27 @@ class TestOutputsTheOsRefuses:
         )
         assert self._files(tmp_path) == before
         assert len(list(out_dir.iterdir())) == 6
+
+    @pytest.mark.parametrize("parent_existed", [False, True])
+    def test_refused_repro_removes_the_directories_it_created(
+        self, tmp_path, capsys, monkeypatch, parent_existed
+    ):
+        if parent_existed:
+            (tmp_path / "new").mkdir()
+        out_dir = tmp_path / "new" / "deeper"
+
+        def disk_fills(curve, path):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        monkeypatch.setattr(optimizer.MeanStdCurve, "write_csv", disk_fills)
+        assert cli.main(["repro", "toy", "--out-dir", str(out_dir)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {out_dir / 'toy_curve_k10.csv'}: cannot write output "
+            "(No space left on device)\n"
+        )
+        assert [p.relative_to(tmp_path) for p in tmp_path.rglob("*")] == (
+            [pathlib.Path("new")] if parent_existed else []
+        )
 
     def test_symlinked_out_is_written_through(self, tmp_path):
         target = tmp_path / "data" / "curve.csv"

@@ -13,6 +13,12 @@ instead of --mu/--sigma. Backtests (one asset,
 or a portfolio config whose numbers are such values or integer literals of
 300 to 420 digits) and the three ``repro`` presets read the same two files.
 
+A second set of ``N_PRICE_CASES`` calls, drawn from ``PRICE_SEED``, reads
+drawn price files instead: random headers (duplicate and missing columns,
+``date`` in any case), line ends and blank lines, prices on a random walk
+with cells such as 1e-300, 2e-308, 1e300, ``nan``, ``inf``, 0 and text
+mixed in, dates that may repeat, and rows cut short.
+
 Every call must exit 0 or 3: never 1 (a traceback), 2 (a usage error) or 4,
 and no call may raise a warning, numpy's included. Every JSON file a call
 writes must be strict JSON, without NaN or Infinity. Every fit that exits 0
@@ -35,6 +41,9 @@ from longshort import cli
 SEED = 20221016
 N_CASES = 400
 EDGES = (0.0, 1.0, -1.0, 5e-324, 1e300)
+PRICE_SEED = 20221017
+N_PRICE_CASES = 300
+PRICE_CELLS = ("1e-300", "2e-308", "1e300", "nan", "inf", "-inf", "0", "-1", "5e-324", "", "x")
 
 
 def _number(rng, signed=False):
@@ -164,17 +173,70 @@ def _check_outputs(command, argv, out_dir):
                 _within_budget(fit)
 
 
-@pytest.mark.filterwarnings("error")
-def test_exit_codes_over_the_whole_domain(tmp_path, capsys):
-    price_files = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
-    _write_heavy_tailed_prices(price_files[0], 1, 0.035, -0.0008)
-    _write_heavy_tailed_prices(price_files[1], 2, 0.015, 0.0012)
-    rng = random.Random(SEED)
+def _drawn_price_file(rng, path):
+    """Write a drawn price file: header, line end, prices and dates all drawn."""
+    header = ["date", "adj_close"]
+    if rng.random() < 0.5:
+        header = [
+            rng.choice(("adj_close", "adj_close", "date", "Date", "DATE", "close"))
+            for _ in range(rng.randint(1, 4))
+        ]
+    line_end = rng.choice(("\n", "\r\n", "\r"))
+    awkward = rng.choice((0.0, 0.0, 0.01, 0.1))  # the share of awkward cells
+    stalls = rng.choice((0.0, 0.0, 0.0, 0.1))  # the share of dates that fail to increase
+    vol = rng.choice((0.01, 0.1, 1.0))
+    price, day, lines = 10.0 ** rng.uniform(-2.0, 4.0), 0, [",".join(header)]
+    for _ in range(rng.randint(0, 40)):
+        price *= math.exp(rng.gauss(0.0, vol))
+        day += rng.choice((0, -1)) if rng.random() < stalls else 1
+        cells = []
+        for name in header:
+            if rng.random() < awkward:
+                cells.append(rng.choice(PRICE_CELLS))
+            elif name.lower() == "date":
+                cells.append(f"2019-{1 + day // 28 % 12:02d}-{1 + day % 28:02d}")
+            else:
+                cells.append(repr(price))
+        if rng.random() < 0.01:
+            cells = cells[: rng.randint(0, len(cells))]
+        lines.append(",".join(cells))
+        if rng.random() < 0.05:
+            lines.append("")
+    path.write_text(line_end.join(lines) + line_end * rng.randint(0, 1), newline="")
+    return str(path)
+
+
+def _price_case(rng, out_dir):
+    """(command, argv) of one call that reads drawn price files."""
+    train, test = (_drawn_price_file(rng, out_dir / name) for name in ("train.csv", "test.csv"))
+    command = rng.choice(("optimize", "curve", "simulate", "backtest", "repro"))
+    if command == "repro":
+        argv = [command, "tsla", "--train-prices", train, "--test-prices", test]
+        return command, [*argv, "--out-dir", str(out_dir / "repro")]
+    if command == "backtest":
+        argv = [command, "--train-prices", train, "--test-prices", test]
+        argv += ["--target-std", repr(_number(rng))]
+        return command, [*argv, "--out-prefix", str(out_dir / "bt")]
+    argv = [command, "--prices", train]
+    if command == "optimize":
+        argv += ["--target-std", repr(_number(rng))]
+    if command == "curve":
+        argv += ["--grid", str(rng.randint(2, 20))]
+    if command == "simulate":
+        argv += ["--k-gain", repr(_number(rng)), "--n-paths", str(rng.randint(1, 50))]
+    if command != "optimize" or rng.random() < 0.5:
+        argv += ["--stage", str(_stage(rng, 1_000))]
+    out = "out.csv" if command == "curve" else "out.json"
+    return command, [*argv, "--out", str(out_dir / out)]
+
+
+def _sweep(tmp_path, capsys, n_cases, draw):
+    """Run ``n_cases`` drawn calls; return the exit-code counts and the failures."""
     codes, failures = {}, []
-    for i in range(N_CASES):
+    for i in range(n_cases):
         out_dir = tmp_path / f"case{i}"
         out_dir.mkdir()
-        command, argv = _case(rng, price_files, out_dir)
+        command, argv = draw(out_dir)
         code, trace = _run(argv)
         capsys.readouterr()
         codes[code] = codes.get(code, 0) + 1
@@ -182,6 +244,25 @@ def test_exit_codes_over_the_whole_domain(tmp_path, capsys):
             failures.append((code, argv, trace))
         elif code == 0:
             _check_outputs(command, argv, out_dir)
+    return codes, failures
+
+
+@pytest.mark.filterwarnings("error")
+def test_exit_codes_over_the_whole_domain(tmp_path, capsys):
+    price_files = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
+    _write_heavy_tailed_prices(price_files[0], 1, 0.035, -0.0008)
+    _write_heavy_tailed_prices(price_files[1], 2, 0.015, 0.0012)
+    rng = random.Random(SEED)
+    codes, failures = _sweep(tmp_path, capsys, N_CASES, lambda d: _case(rng, price_files, d))
     assert failures == []
     # the draw reaches both outcomes, and most runs pass the parser
     assert codes.get(0, 0) >= N_CASES // 4 and codes.get(3, 0) >= N_CASES // 4, codes
+
+
+@pytest.mark.filterwarnings("error")
+def test_exit_codes_over_drawn_price_files(tmp_path, capsys):
+    rng = random.Random(PRICE_SEED)
+    codes, failures = _sweep(tmp_path, capsys, N_PRICE_CASES, lambda d: _price_case(rng, d))
+    assert failures == []
+    # the draw reaches both outcomes
+    assert codes.get(0, 0) >= N_PRICE_CASES // 10 and codes.get(3, 0) >= N_PRICE_CASES // 4, codes

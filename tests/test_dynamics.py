@@ -12,7 +12,6 @@ from longshort import (
     ControllerConfig,
     InadmissibleGainError,
     InvalidParameterError,
-    ReturnBounds,
     ReturnModel,
     ReturnOutOfBoundsError,
     SimulationOverflowError,
@@ -20,7 +19,7 @@ from longshort import (
     simulate,
 )
 from longshort.dynamics import _terminal_gains
-from longshort.returns import _CSV_BLOCK_ROWS
+from longshort.returns import _CSV_BLOCK_ROWS, _write_csv, gain_ceiling
 
 
 def _config(alpha=0.5, k_gain=0.5, v0=1.0, k_max=1.0):
@@ -214,9 +213,9 @@ class TestReplayBitwise:
         x[n // 2] = 1.6  # puts k_max at 1/1.6
         if n > 1:
             x[n // 3] = -0.6
-        bounds = ReturnBounds(float(min(x.min(), -0.6)), float(x.max()))
-        for k_gain in (0.0, bounds.k_max):
-            config = ControllerConfig(alpha=alpha, k_gain=k_gain, v0=2.5, k_max=bounds.k_max)
+        k_max = gain_ceiling(float(x.max()))
+        for k_gain in (0.0, k_max):
+            config = ControllerConfig(alpha=alpha, k_gain=k_gain, v0=2.5, k_max=k_max)
             traj = simulate(config, x)
             expected = _reference_simulate(config, x)
             for name, want in expected.items():
@@ -276,28 +275,32 @@ class TestTrajectoryExport:
 
     @pytest.mark.parametrize("n", [1, *BLOCK_EDGES, 10_000])
     def test_bytes_match_csv_writer_rows(self, tmp_path, n):
-        cols = awkward_columns(n, 7, seed=n)
-        traj = AccountTrajectory(*cols)
+        cols = awkward_columns(n, 6, seed=n)
+        header = ["k", "a,b", 'q"x', "v_total", "gain_loss", "u_long", "u_short"]
         out = tmp_path / "traj.csv"
-        traj.write_csv(out)
+        _write_csv(out, header, cols, index=True)
         ref = tmp_path / "ref.csv"
         with open(ref, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["k", "v_long", "v_short", "v_total", "gain_loss", "u_long", "u_short"]
-            )
-            for k in range(traj.v_total.size):
-                writer.writerow(
-                    [
-                        k,
-                        repr(float(traj.v_long[k])),
-                        repr(float(traj.v_short[k])),
-                        repr(float(traj.v_total[k])),
-                        repr(float(traj.gain_loss[k])),
-                        repr(float(traj.u_long[k])),
-                        repr(float(traj.u_short[k])),
-                    ]
-                )
+            writer.writerow(header)
+            for k in range(n):
+                writer.writerow([k, *(repr(float(col[k])) for col in cols)])
+        assert out.read_bytes() == ref.read_bytes()
+        assert out.read_text().startswith('k,"a,b","q""x",v_total')
+
+    def test_record_writes_its_columns(self, tmp_path):
+        v_long, v_short = awkward_columns(_CSV_BLOCK_ROWS + 1, 2, seed=5)
+        traj = AccountTrajectory(v_long, v_short, 0.75, 2.5)
+        out = tmp_path / "traj.csv"
+        traj.write_csv(out)
+        names = ["v_long", "v_short", "v_total", "gain_loss", "u_long", "u_short"]
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["k", *names])
+            cols = [getattr(traj, name) for name in names]
+            for k in range(traj.n_stages + 1):
+                writer.writerow([k, *(repr(float(col[k])) for col in cols)])
         assert out.read_bytes() == ref.read_bytes()
 
     def test_arrays_are_immutable(self):

@@ -13,7 +13,6 @@ from longshort import (
     InvalidParameterError,
     LongShortError,
     McGainEstimator,
-    ReturnBounds,
     ReturnModel,
     estimate_exact_small,
     estimate_gain_stats,
@@ -22,7 +21,7 @@ from longshort import (
     variance_gain,
 )
 from longshort import dynamics, montecarlo, returns
-from longshort.returns import CHUNK_ROWS, GUIDE_BUCKETS, _atom_lookup
+from longshort.returns import CHUNK_ROWS, GUIDE_BUCKETS, _atom_lookup, gain_ceiling
 
 
 @pytest.fixture
@@ -85,7 +84,7 @@ class TestEstimateGainStats:
         x_mins = -rng.uniform(np.nextafter(0.0, 1.0), 1.0, x_maxes.size)
         x_mins[:2] = np.nextafter(-1.0, 0.0), -5e-324
         for x_min, x_max in zip(x_mins.tolist(), x_maxes.tolist()):
-            k_max = ReturnBounds(x_min, x_max).k_max
+            k_max = gain_ceiling(x_max)
             assert 1.0 - k_max * x_max >= 0.0, x_max
             assert 1.0 + k_max * x_min >= 0.0, x_min
 

@@ -172,9 +172,8 @@ class TestRunPortfolio:
 
     @pytest.mark.parametrize("n", [1, *BLOCK_EDGES, 10_000])
     def test_bytes_match_csv_writer_rows(self, tmp_path, n):
-        gains = tuple(awkward_columns(n, 2, seed=n))
-        total, leverage = awkward_columns(n, 4, seed=n + 1)[2:]
-        traj = PortfolioTrajectory(gains, total, leverage)
+        *gains, leverage = awkward_columns(n, 3, seed=n)
+        traj = PortfolioTrajectory(tuple(gains), leverage)
         labels = ["a,b", 'q"x']  # a comma and a quote: the header must quote both
         out = tmp_path / "portfolio.csv"
         traj.write_csv(out, labels=labels)

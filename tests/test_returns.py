@@ -20,7 +20,6 @@ from longshort import (
     PriceParseError,
     PriceSeries,
     ReturnBelowNegOneError,
-    ReturnBounds,
     ReturnModel,
     TooShortError,
     load_prices_csv,
@@ -159,8 +158,8 @@ class TestReturnModel:
     def test_bounds_are_support_endpoints(self):
         pmf = pmf_from_returns([-0.1361, 0.02, 0.1767])
         model = ReturnModel.from_pmf(pmf)
-        assert model.bounds.x_min == -0.1361
-        assert model.bounds.x_max == 0.1767
+        assert model.x_min == -0.1361
+        assert model.x_max == 0.1767
         assert model.k_max == 1.0
 
     def test_k_max_caps_at_inverse_upper_bound(self):
@@ -204,28 +203,30 @@ class TestReturnModel:
     def test_the_pmf_is_the_only_field(self):
         pmf = pmf_from_returns([-0.12, -0.03, 0.01, 0.04, 0.2])
         model = ReturnModel(pmf)
-        assert (model.bounds.x_min, model.bounds.x_max) == (-0.12, 0.2)
+        assert (model.x_min, model.x_max) == (-0.12, 0.2)
         assert (model.mu, model.sigma2) == (pmf.mean(), pmf.variance())
         assert model == ReturnModel.from_pmf(pmf_from_returns([0.2, -0.12, -0.03, 0.01, 0.04]))
         assert hash(model) == hash(ReturnModel.from_pmf(pmf))
         assert model != ReturnModel.two_point(-0.12, 0.2)
         with pytest.raises(TypeError):
-            ReturnModel(pmf, model.bounds, model.mu, model.sigma2)
+            ReturnModel(pmf, model.x_min, model.x_max, model.mu, model.sigma2)
 
     def test_from_moments(self):
         model = ReturnModel.from_moments(-0.1, 0.15)
         assert model.mu == pytest.approx(-0.1)
         assert model.sigma2 == pytest.approx(0.0225)
-        assert model.bounds.x_min == pytest.approx(-0.25)
-        assert model.bounds.x_max == pytest.approx(0.05)
+        assert model.x_min == pytest.approx(-0.25)
+        assert model.x_max == pytest.approx(0.05)
 
     def test_bounds_invariant(self):
-        with pytest.raises(InvalidBoundsError):
-            ReturnBounds(0.1, 0.2)
-        with pytest.raises(InvalidBoundsError):
-            ReturnBounds(-1.0, 0.2)
-        with pytest.raises(InvalidBoundsError):
-            ReturnBounds(-0.1, 0.0)
+        for x_down, x_up in ((0.1, 0.2), (-0.1, 0.0)):
+            with pytest.raises(InvalidBoundsError, match=(
+                r"^bounds must satisfy -1 < x_min < 0 < x_max < inf, "
+                rf"got x_min={x_down}, x_max={x_up}$"
+            )):
+                ReturnModel.two_point(x_down, x_up)
+        with pytest.raises(ReturnBelowNegOneError):  # the PMF refuses x_min = -1 first
+            ReturnModel.two_point(-1.0, 0.2)
 
 
 class TestSamplePath:
@@ -254,8 +255,8 @@ class TestSamplePath:
     def test_draws_stay_in_bounds(self):
         model = ReturnModel(EmpiricalPMF(np.linspace(-0.3, 0.4, 9), np.full(9, 1.0 / 9)))
         draws = sample_path(model, 10_000, seed=3)
-        assert draws.min() >= model.bounds.x_min
-        assert draws.max() <= model.bounds.x_max
+        assert draws.min() >= model.x_min
+        assert draws.max() <= model.x_max
 
     @pytest.mark.parametrize(
         "n_atoms, n, seed", [(1, 5, 0), (2, 1, 3), (7, 3_000, 42), (125, 777, 2**40)]
