@@ -15,9 +15,11 @@ for mu in (-0.2, -0.05, 0.05, 0.2):
     print(f"  mu = {mu:+.2f}: E[G] = {res.value:+.6f}  positive: {res.positive}")
 print(f"  mu =  0.00: E[G] = {check_rpe(0.5, 10, 0.0).value:+.6f} (flat market earns nothing)")
 
+# The expected gain reads the gain K and the drift mu only through theta = K*mu,
+# so the search takes a split and a stage and no gain.
 print("\nuneven splits admit losing drifts (witness in scaled drift theta = K*mu):")
 for alpha in (0.0, 0.25, 0.4, 0.5, 0.6, 1.0):
-    witness = find_rpe_counterexample(alpha, 0.5, stage=4)
+    witness = find_rpe_counterexample(alpha, stage=4)
     if witness is None:
         print(f"  alpha = {alpha:.2f}: no counterexample exists")
     else:

@@ -62,9 +62,17 @@ class RpeCheck(NamedTuple):
     positive: bool
 
 
+def _check_integer(name: str, value, floor: int, too_small=InvalidParameterError) -> None:
+    """The one rule for a count or a seed: an integer, numpy's too but never a bool, >= floor."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if value < floor:
+        raise too_small(f"{name} must be >= {floor}, got {value}")
+
+
 def check_domain(
     stage=None,
-    min_stage: int = 0,
+    min_stage: int | None = None,
     alpha: float = 0.5,
     v0: float = 1.0,
     k_gain: float = 0.0,
@@ -75,19 +83,15 @@ def check_domain(
     """Refuse inputs outside the controller's admissible domain.
 
     The one check behind every public entry point: an integer ``stage`` of
-    at least ``min_stage`` (skipped when None), a split alpha in [0, 1], a
+    at least ``min_stage`` (unless that is None), a split alpha in [0, 1], a
     finite v0 > 0, a finite drift mu > -1, a ceiling k_max in (0, 1], a gain
     in [0, k_max] with k_gain*mu <= 1, and a finite sigma2 >= 0, checked in
     that order. Every comparison is written so that NaN fails it. The
     defaults pass, so a caller names only what it has.
     """
-    if stage is not None:
-        if isinstance(stage, bool) or not isinstance(stage, Integral):
-            raise InvalidParameterError(f"stage must be an integer, got {stage!r}")
-        if stage < min_stage:
-            if min_stage > 1:
-                raise StageTooSmallError(f"stage must be > {min_stage - 1}, got {stage}")
-            raise InvalidParameterError(f"stage must be >= {min_stage}, got {stage}")
+    if min_stage is not None:
+        too_small = StageTooSmallError if min_stage > 1 else InvalidParameterError
+        _check_integer("stage", stage, min_stage, too_small)
     if not 0.0 <= alpha <= 1.0:
         raise InvalidParameterError(f"alpha must be in [0, 1], got {alpha}")
     if not 0.0 < v0 < math.inf:
@@ -236,11 +240,10 @@ def check_rpe(k_gain: float, stage: int, mu: float, v0: float = 1.0) -> RpeCheck
     return RpeCheck(value=value, positive=value > 0.0)
 
 
-def find_rpe_counterexample(
-    alpha: float, k_gain: float, stage: int
-) -> RpeCounterexample | None:
-    """Search for a scaled drift theta = k_gain*mu with negative expected gain.
+def find_rpe_counterexample(alpha: float, stage: int) -> RpeCounterexample | None:
+    """Search for a scaled drift theta = K*mu with negative expected gain.
 
+    It reads no gain, as the expected gain reads K and mu only through theta.
     Returns None for the balanced split, where no counterexample exists. For
     alpha != 1/2 the slope of the gain in theta at the origin is
     stage*(2*alpha - 1), so a losing drift of the opposite sign exists
@@ -252,8 +255,6 @@ def find_rpe_counterexample(
     """
     check_domain(stage, 2, alpha)
     k = int(stage)
-    if not (0.0 < k_gain <= 1.0):
-        raise InadmissibleGainError(f"k_gain={k_gain} outside (0, 1]")
     if alpha == 0.5:
         return None
     theta = 1.0 if alpha < 0.5 else -0.5

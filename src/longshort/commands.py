@@ -52,7 +52,7 @@ _MANIFESTS = {
         "backtest",
         ("train_prices", "test_prices", "price_column", "target_std", "v0", "tol", "n_paths"),
     ),
-    "portfolio": ("backtest", ("portfolio_config", "v0", "tol", "n_paths")),
+    "portfolio": ("backtest", ("portfolio_config", "price_column", "v0", "tol", "n_paths")),
     "toy": ("repro toy", ("mu", "sigma", "v0", "target_std", "stages")),
     "tsla": ("repro tsla", ("train_prices", "test_prices", "price_column", "target_std", "v0")),
 }
@@ -333,7 +333,7 @@ def backtest(args) -> _Run:
                     f"--{name.replace('_', '-')} conflicts with --portfolio-config: the config "
                     "lists every asset's price files and target"
                 )
-        v0, assets = _read_portfolio_config(args.portfolio_config, args.v0)
+        v0, assets = _read_portfolio_config(args.portfolio_config, args)
         return _backtest_portfolio(args, args.portfolio_config, v0, assets, args.out_prefix)
     if not (args.train_prices and args.test_prices and args.target_std is not None):
         raise InvalidParameterError(
@@ -355,19 +355,21 @@ def backtest(args) -> _Run:
 
 
 _REQUIRED = object()
+_FLAG = object()  # the default is the command's flag of the same name
 _JSON_TYPES = {
     "number": ((int, float), "a number"),
     "string": (str, "a string"),
     "list": (list, "a list"),
 }
 # Each asset's keys in a portfolio config, in the order they are read: the
-# JSON type and the default (_REQUIRED if there is none).
+# JSON type and the default (_REQUIRED if there is none). An asset that names
+# no price column reads --price-column's, as a config without "v0" takes --v0.
 _ASSET_KEYS = {
     "train_prices": ("string", _REQUIRED),
     "test_prices": ("string", _REQUIRED),
     "target_std": ("number", _REQUIRED),
     "name": ("string", None),
-    "price_column": ("string", returns.DEFAULT_PRICE_COLUMN),
+    "price_column": ("string", _FLAG),
 }
 
 
@@ -394,7 +396,7 @@ def _config_value(path, where: str, mapping: dict, key: str, kind: str, default=
         ) from None
 
 
-def _read_portfolio_config(path, default_v0: float) -> tuple[float, list[dict]]:
+def _read_portfolio_config(path, args) -> tuple[float, list[dict]]:
     """(v0, assets) from a portfolio JSON file, every key present and typed."""
     try:
         with open(path, encoding="utf-8") as fh:
@@ -405,14 +407,17 @@ def _read_portfolio_config(path, default_v0: float) -> tuple[float, list[dict]]:
         raise InputFileError(f"{path}: malformed portfolio config ({exc})") from None
     if not isinstance(spec, dict):
         raise ConfigKeyError(f"{path}: expected a JSON object, got {spec!r}")
-    v0 = _config_value(path, "", spec, "v0", "number", default_v0)
+    v0 = _config_value(path, "", spec, "v0", "number", args.v0)
     assets = []
     for i, asset in enumerate(_config_value(path, "", spec, "assets", "list")):
         where = f"asset {i}: "
         if not isinstance(asset, dict):
             raise ConfigKeyError(f"{path}: {where}expected a JSON object, got {asset!r}")
         read = partial(_config_value, path, where, asset)
-        assets.append({key: read(key, *typed) for key, typed in _ASSET_KEYS.items()})
+        assets.append({
+            key: read(key, kind, getattr(args, key) if default is _FLAG else default)
+            for key, (kind, default) in _ASSET_KEYS.items()
+        })
     return v0, assets
 
 

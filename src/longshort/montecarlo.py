@@ -39,15 +39,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .analytics import GainLossStats, check_domain
+from .analytics import GainLossStats, _check_integer, check_domain
 from .defaults import DEFAULT_N_PATHS
-from .errors import (
-    EnumerationTooLargeError,
-    InadmissibleGainError,
-    InvalidParameterError,
-    SimulationOverflowError,
-)
-from .returns import EmpiricalPMF, ReturnModel, _check_seed, _path_chunks
+from .errors import EnumerationTooLargeError, SimulationOverflowError
+from .returns import EmpiricalPMF, ReturnModel, _path_chunks, gain_ceiling
 
 ENUMERATION_CAP = 10_000_000
 
@@ -65,11 +60,10 @@ class McEstimate:
     stage: int
 
 
-def _check_draw(stage: int, n_paths: int, seed: int) -> None:
-    check_domain(stage, 1)
-    if n_paths < 2:
-        raise InvalidParameterError(f"n_paths must be >= 2, got {n_paths}")
-    _check_seed(seed)
+def _check_draw(stage, n_paths, seed, min_stage: int = 1, min_paths: int = 2) -> None:
+    check_domain(stage, min_stage)
+    _check_integer("n_paths", n_paths, min_paths)
+    _check_integer("seed", seed, 0)
 
 
 def _check_probe(model: ReturnModel, alpha: float, k_gain: float, v0: float) -> None:
@@ -103,7 +97,8 @@ class McGainEstimator:
     """A fixed bank of sampled return paths for repeated gain probes.
 
     The bank is stage-major (one contiguous column per stage) and read-only.
-    Every probe checks its gain against the model's ceiling k_max, as
+    ``stage`` >= 1, ``n_paths`` >= 2 and ``seed`` >= 0 are integers. Every
+    probe checks its gain against the model's ceiling k_max, as
     :func:`estimate_gain_stats` does.
     """
 
@@ -158,14 +153,14 @@ def estimate_exact_small(
     Builds the full product distribution over atoms**stage sequences (capped
     at ``ENUMERATION_CAP``), evaluating the account product factors directly.
     Accepts a bare PMF for degenerate distributions that cannot carry
-    two-sided bounds; the gain is then checked against survivability only.
+    two-sided bounds. Either way the gain is checked against one ceiling,
+    ``gain_ceiling(max(1, x_max))``: a model's ``k_max``, and 1 for a PMF
+    with no atom above 1.
     """
-    is_model = isinstance(model, ReturnModel)
-    check_domain(stage, 0, alpha, v0, k_gain, model.k_max if is_model else 1.0)
-    pmf = model.pmf if is_model else model
-    if not is_model and float(np.max(np.abs(k_gain * pmf.values))) > 1.0:
-        raise InadmissibleGainError(f"k_gain={k_gain} breaks survivability for this PMF")
-    n_atoms = pmf.n_atoms
+    pmf = model.pmf if isinstance(model, ReturnModel) else model
+    k_max = gain_ceiling(max(1.0, float(pmf.values[-1])))
+    check_domain(stage, 0, alpha, v0, k_gain, k_max)
+    n_atoms, stage = pmf.n_atoms, int(stage)  # a numpy power would wrap past the cap
     if n_atoms**stage > ENUMERATION_CAP:
         raise EnumerationTooLargeError(
             f"{n_atoms}^{stage} sequences exceed the cap of {ENUMERATION_CAP}"
@@ -183,4 +178,4 @@ def estimate_exact_small(
     gains = v0 * (alpha * up + (1.0 - alpha) * down - 1.0)
     mean = float(prob @ gains)
     variance = float(prob @ (gains - mean) ** 2)
-    return GainLossStats(mean=mean, variance=variance, stage=int(stage))
+    return GainLossStats(mean=mean, variance=variance, stage=stage)

@@ -33,7 +33,7 @@ from .errors import (
     ZeroDriftError,
     ZeroVolatilityError,
 )
-from .montecarlo import DEFAULT_N_PATHS, McGainEstimator
+from .montecarlo import DEFAULT_N_PATHS, McGainEstimator, _check_draw
 from .returns import EmpiricalPMF, ReturnModel, _frozen_array, _write_csv
 
 DEFAULT_TOL = 1e-9
@@ -85,9 +85,7 @@ class OptimalGainResult:
 
 
 def _trace_curve(at: Callable, k_max: float, grid_size: int) -> MeanStdCurve:
-    """``at``'s (mean, std) on an even gain grid over [0, k_max], as a curve."""
-    if grid_size < 2:
-        raise InvalidParameterError(f"grid_size must be >= 2, got {grid_size}")
+    """``at``'s (mean, std) on an even gain grid of a checked ``grid_size`` over [0, k_max]."""
     grid = np.linspace(0.0, k_max, grid_size)
     means, stds = np.empty(grid_size), np.empty(grid_size)
     # Iterating a memoryview yields the grid's doubles one at a time as Python
@@ -108,6 +106,7 @@ def build_curve(
     """
     # Every domain check is monotone in the gain, so passing k_max passes [0, k_max].
     analytics.check_domain(stage, 2, 0.5, v0, k_max, 1.0, mu, sigma2)
+    analytics._check_integer("grid_size", grid_size, 2)
     k = int(stage)
 
     def at(k_gain: float) -> tuple[float, float]:
@@ -132,6 +131,7 @@ def build_curve_empirical(
     inherits the monotone shape of the exact one instead of jittering.
     """
     analytics.check_domain(stage, 2)
+    analytics._check_integer("grid_size", grid_size, 2)
     estimator = McGainEstimator(model, stage, n_paths, seed)
     mean_std = attrgetter("mean", "std")
     return _trace_curve(
@@ -249,7 +249,6 @@ def solve_optimal_gain_empirical(
     v0: float,
     stage: int,
     target_std: float,
-    tol: float = DEFAULT_MC_TOL,
     n_paths: int = DEFAULT_N_PATHS,
     seed: int = 0,
 ) -> OptimalGainResult:
@@ -258,17 +257,18 @@ def solve_optimal_gain_empirical(
     One bank of paths (fixed by the seed) is shared across every probed gain,
     so the estimated std is a deterministic increasing function and bisection
     behaves as in the closed-form case: the estimated std at the fit lies in
-    [target_std - tol * v0, target_std]. The reported expected gain uses the
-    closed form with the PMF's mean, which is exact for independent draws.
+    [target_std - DEFAULT_MC_TOL * v0, target_std], with n_paths >= MIN_MC_PATHS.
+    The reported expected gain uses the closed form with the PMF's mean,
+    which is exact for independent draws.
     """
-    if n_paths < MIN_MC_PATHS:
-        raise InvalidParameterError(f"n_paths must be >= {MIN_MC_PATHS}, got {n_paths}")
+    _check_draw(stage, n_paths, seed, 2, MIN_MC_PATHS)
     mu = pmf.mean()
     sigma2 = pmf.variance()
-    _check_solve_domain(mu, sigma2, stage, target_std, tol)
+    _check_solve_domain(mu, sigma2, stage, target_std, DEFAULT_MC_TOL)
     model = ReturnModel.from_pmf(pmf)
     estimator = McGainEstimator(model, stage, n_paths, seed)
     return _solve(
-        lambda k: estimator.estimate(0.5, k, v0).std, mu, v0, model.k_max, target_std, tol, stage,
-        "target_std={target_std} >= estimated s_max={s_max}", NonMonotoneEstimateError,
+        lambda k: estimator.estimate(0.5, k, v0).std, mu, v0, model.k_max, target_std,
+        DEFAULT_MC_TOL, stage, "target_std={target_std} >= estimated s_max={s_max}",
+        NonMonotoneEstimateError,
     )

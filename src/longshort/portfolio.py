@@ -25,7 +25,8 @@ from .errors import (
     LengthMismatchError,
     PortfolioAssetError,
 )
-from .optimizer import OptimalGainResult, solve_optimal_gain_empirical
+from .montecarlo import _check_draw
+from .optimizer import MIN_MC_PATHS, OptimalGainResult, solve_optimal_gain_empirical
 from .returns import EmpiricalPMF, ReturnModel, _frozen_array, _write_csv
 
 
@@ -135,7 +136,7 @@ def optimize_portfolio(
     """Solve the gain-selection problem independently per asset.
 
     Each asset gets capital v0/m and its own (pmf, target_std), and its
-    bisection, at the empirical solver's default ``DEFAULT_MC_TOL``, stops at
+    bisection, at the empirical solver's ``DEFAULT_MC_TOL``, stops at
     a std in [target_std - DEFAULT_MC_TOL * v0/m, target_std]. Every
     per-asset solve shares the same seed: the solves are marginal, so
     sharing random numbers is harmless and keeps identical assets with
@@ -143,6 +144,7 @@ def optimize_portfolio(
     """
     if len(assets) < 1:
         raise InvalidParameterError("need at least one (pmf, target_std) pair")
+    _check_draw(stage, n_paths, seed, 2, MIN_MC_PATHS)
     check_domain(v0=v0)
     per_asset_v0 = v0 / len(assets)
     results = []

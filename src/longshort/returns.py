@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytics import check_domain
+from .analytics import _check_integer, check_domain
 from .defaults import DEFAULT_PRICE_COLUMN
 from .errors import (
     EmptyReturnsError,
@@ -52,8 +52,8 @@ GUIDE_BUCKETS = 4_096  # a power of two, so u * GUIDE_BUCKETS is exact
 _CSV_BLOCK_ROWS = 1024  # rows formatted at a time; write time is flat from 128 to 4096
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    out = np.asarray(values, dtype=dtype)
+def _frozen_array(values) -> np.ndarray:
+    out = np.asarray(values, dtype=float)
     out.flags.writeable = False
     return out
 
@@ -244,12 +244,6 @@ def pmf_from_returns(returns: Sequence[float] | np.ndarray) -> EmpiricalPMF:
     return EmpiricalPMF(values, counts / arr.size)
 
 
-def _check_seed(seed) -> None:
-    # numpy refuses a negative integer seed with a bare ValueError.
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise InvalidParameterError(f"seed must be nonnegative, got {seed}")
-
-
 def _atom_lookup(cdf: np.ndarray, size: int):
     """``lookup(u, scratch)``: ``cdf.searchsorted(u, side="right")`` through a guide table.
 
@@ -318,16 +312,15 @@ def _path_chunks(pmf: EmpiricalPMF, n_paths: int, stage: int, seed):
         yield start, block
 
 
-def sample_path(model: ReturnModel | EmpiricalPMF, n: int, seed) -> np.ndarray:
+def sample_path(model: ReturnModel | EmpiricalPMF, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` independent returns: path 0 of the seed's paths at stage ``n``.
 
     Accepts a full model or a bare PMF: one-sided or point-mass distributions
     cannot carry the two-sided support bounds a model certifies, but they can
-    still be sampled. A negative integer seed is refused.
+    still be sampled. ``n`` is an integer >= 1 and ``seed`` one >= 0.
     """
-    if n < 1:
-        raise InvalidParameterError("n must be at least 1")
-    _check_seed(seed)
+    _check_integer("n", n, 1)
+    _check_integer("seed", seed, 0)
     pmf = model.pmf if isinstance(model, ReturnModel) else model
     _, block = next(_path_chunks(pmf, 1, n, seed))
     out = block.reshape(n)

@@ -259,8 +259,8 @@ def test_criterion_5d_counterexample_always_found_off_balance():
             if abs(alpha - 0.5) < 1e-6:
                 alpha = 0.25
             stage = int(rng.integers(2, 51))
-            k_gain = float(rng.uniform(1e-6, 1.0))
-            witness = find_rpe_counterexample(alpha, k_gain, stage)
+            rng.uniform(1e-6, 1.0)  # the gain once drawn here; kept so the stream holds
+            witness = find_rpe_counterexample(alpha, stage)
             if (
                 witness is None
                 or witness.gain_value >= 0.0

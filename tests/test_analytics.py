@@ -171,11 +171,11 @@ class TestCheckRpe:
 
 class TestCounterexampleSearch:
     def test_balanced_has_none(self):
-        assert find_rpe_counterexample(0.5, 0.7, 2) is None
-        assert find_rpe_counterexample(0.5, 1.0, 50) is None
+        assert find_rpe_counterexample(0.5, 2) is None
+        assert find_rpe_counterexample(0.5, 50) is None
 
     def test_quarter_alpha(self):
-        witness = find_rpe_counterexample(0.25, 1.0, 2)
+        witness = find_rpe_counterexample(0.25, 2)
         assert witness is not None
         assert witness.gain_value < 0.0
         assert 0.0 < witness.theta <= 1.0
@@ -183,26 +183,26 @@ class TestCounterexampleSearch:
         assert expected_gain(0.25, 1.0, 2, 0.25) == pytest.approx(-0.1875, abs=1e-15)
 
     def test_all_short_loses_on_any_rise(self):
-        witness = find_rpe_counterexample(0.0, 0.9, 2)
+        witness = find_rpe_counterexample(0.0, 2)
         assert witness is not None
         assert witness.theta > 0.0
         # alpha = 0: gain is (1 - theta)^k - 1 < 0 for any positive theta
         assert witness.gain_value == pytest.approx((1 - witness.theta) ** 2 - 1, abs=1e-15)
 
     def test_all_long_loses_on_a_fall(self):
-        witness = find_rpe_counterexample(1.0, 0.9, 3)
+        witness = find_rpe_counterexample(1.0, 3)
         assert witness is not None
         assert -1.0 < witness.theta < 0.0
 
     def test_search_direction_follows_alpha(self):
-        assert find_rpe_counterexample(0.35, 0.5, 7).theta > 0.0
-        assert find_rpe_counterexample(0.65, 0.5, 7).theta < 0.0
+        assert find_rpe_counterexample(0.35, 7).theta > 0.0
+        assert find_rpe_counterexample(0.65, 7).theta < 0.0
 
     @pytest.mark.parametrize("stage", [3_500, 10**5])
     @pytest.mark.parametrize("alpha", [0.3, 0.7])
     def test_long_horizons_skip_gains_beyond_double_range(self, alpha, stage):
         # the first probes' powers overflow; those gains count as positive
-        witness = find_rpe_counterexample(alpha, 1.0, stage)
+        witness = find_rpe_counterexample(alpha, stage)
         assert witness is not None
         assert witness.gain_value < 0.0
         assert (witness.theta > 0.0) == (alpha < 0.5)
@@ -210,9 +210,7 @@ class TestCounterexampleSearch:
 
     def test_preconditions(self):
         with pytest.raises(StageTooSmallError):
-            find_rpe_counterexample(0.25, 0.5, 1)
-        with pytest.raises(InadmissibleGainError):
-            find_rpe_counterexample(0.25, 0.0, 2)
+            find_rpe_counterexample(0.25, 1)
 
 
 class TestRobustGrowth:

@@ -345,6 +345,43 @@ class TestBacktestCommand:
         assert sum(per_asset) == pytest.approx(summary["terminal_gain"], abs=1e-12)
         assert summary["max_leverage_ratio"] <= 1.0 + 1e-12
 
+    def test_price_column_flag_reaches_portfolio_assets(self, tmp_path):
+        # An asset that names no column reads --price-column's, as a single-asset
+        # backtest does; one that names its column keeps it.
+        for name, seed in (("train", 60), ("test", 61)):
+            adj_close = _geometric_prices(seed, 90, drift=-0.001, vol=0.02)
+            close = _geometric_prices(seed + 10, 90, drift=0.002, vol=0.03)
+            with open(tmp_path / f"{name}.csv", "w") as fh:
+                fh.write("date,adj_close,close\n")
+                for i, (a, c) in enumerate(zip(adj_close, close)):
+                    fh.write(f"2019-{1 + i // 28:02d}-{1 + i % 28:02d},{a},{c}\n")
+        files = {"train_prices": str(tmp_path / "train.csv"),
+                 "test_prices": str(tmp_path / "test.csv"), "target_std": 0.02}
+        unnamed, named = tmp_path / "unnamed.json", tmp_path / "named.json"
+        unnamed.write_text(json.dumps({"assets": [files]}))
+        named.write_text(json.dumps({"assets": [{**files, "price_column": "adj_close"}]}))
+        fits = {}
+        for column in ("close", "adj_close"):
+            assert cli.main(
+                ["backtest", "--train-prices", files["train_prices"], "--test-prices",
+                 files["test_prices"], "--target-std", "0.02", "--price-column", column,
+                 "--out-prefix", str(tmp_path / column)]
+            ) == 0
+            fits[column] = json.loads((tmp_path / f"{column}_summary.json").read_text())["fit"]
+        assert fits["close"]["k_star"] != fits["adj_close"]["k_star"]
+        for column in ("close", "adj_close"):
+            for config in (unnamed, named):
+                prefix = tmp_path / f"{config.stem}_{column}"
+                assert cli.main(
+                    ["backtest", "--portfolio-config", str(config), "--price-column", column,
+                     "--out-prefix", str(prefix)]
+                ) == 0
+                summary = json.loads((tmp_path / f"{prefix.name}_summary.json").read_text())
+                read = column if config is unnamed else "adj_close"
+                assert summary["assets"][0]["fit"] == fits[read]
+                manifest = json.loads((tmp_path / f"{prefix.name}.manifest.json").read_text())
+                assert manifest["parameters"]["price_column"] == column
+
     def test_portfolio_train_lengths_must_agree(self, tmp_path, capsys):
         assets = []
         for i, n_prices in enumerate((90, 61)):

@@ -88,6 +88,32 @@ class TestEstimateGainStats:
             assert 1.0 - k_max * x_max >= 0.0, x_max
             assert 1.0 + k_max * x_min >= 0.0, x_min
 
+    def test_one_ceiling_for_a_model_and_its_pmf(self):
+        # The enumeration checks a gain against gain_ceiling(max(1, x_max)), the
+        # model's k_max, whether the atoms come as a model or as a bare PMF.
+        rng = np.random.default_rng(20221023)
+        x_maxes = 10.0 ** rng.uniform(-300.0, 300.0, 20_000)
+        x_mins = -rng.uniform(np.nextafter(0.0, 1.0), 1.0, x_maxes.size)
+        models = 0
+        for x_min, x_max in zip(x_mins.tolist(), x_maxes.tolist()):
+            pmf = EmpiricalPMF(np.array([x_min, x_max]), np.array([0.5, 0.5]))
+            sources = [pmf]
+            if x_max < 1e154:  # above, the model's variance leaves double range
+                sources.append(ReturnModel.from_pmf(pmf))
+                models += 1
+            k_max = gain_ceiling(max(1.0, x_max))
+            for source in sources:
+                estimate_exact_small(source, 0.5, k_max, 1.0, 1)
+                with pytest.raises(InadmissibleGainError):
+                    estimate_exact_small(source, 0.5, math.nextafter(k_max, 2.0), 1.0, 1)
+        assert models > 14_000
+        # No atom above 1: the ceiling is 1, for a point mass and a one-sided PMF.
+        for values in ([0.3], [-0.5, -0.2]):
+            pmf = EmpiricalPMF(np.array(values), np.full(len(values), 1.0 / len(values)))
+            estimate_exact_small(pmf, 0.5, 1.0, 1.0, 2)
+            with pytest.raises(InadmissibleGainError):
+                estimate_exact_small(pmf, 0.5, math.nextafter(1.0, 2.0), 1.0, 2)
+
     def test_preconditions(self, two_point_model):
         with pytest.raises(InvalidParameterError):
             McGainEstimator(two_point_model, 0, 100, seed=0)
@@ -95,14 +121,14 @@ class TestEstimateGainStats:
             McGainEstimator(two_point_model, 3, 1, seed=0)
 
     def test_negative_seed_refused(self, two_point_model, monkeypatch):
-        with pytest.raises(InvalidParameterError, match="seed must be nonnegative, got -1"):
+        with pytest.raises(InvalidParameterError, match="seed must be >= 0, got -1"):
             McGainEstimator(two_point_model, 3, 100, seed=-1)
 
         def no_draw(*_):
             raise AssertionError("drew paths before refusing")
 
         monkeypatch.setattr(montecarlo, "_path_chunks", no_draw)
-        with pytest.raises(InvalidParameterError, match="seed must be nonnegative, got -3"):
+        with pytest.raises(InvalidParameterError, match="seed must be >= 0, got -3"):
             estimate_gain_stats(two_point_model, 0.5, 0.5, 1.0, 3, n_paths=100, seed=-3)
 
     def test_draws_follow_weights(self):

@@ -198,9 +198,6 @@ class TestSolveOptimalGain:
     def test_tol_must_be_nonnegative_and_finite(self, tol):
         with pytest.raises(InvalidParameterError, match="tol must be nonnegative and finite"):
             solve_optimal_gain(**TOY, stage=10, target_std=0.1, tol=tol)
-        pmf = ReturnModel.from_moments(-0.05, 0.1).pmf
-        with pytest.raises(InvalidParameterError, match="tol must be nonnegative and finite"):
-            solve_optimal_gain_empirical(pmf, 1.0, 10, 0.05, tol=tol, n_paths=2000, seed=0)
 
     def test_zero_tol_runs_until_the_bracket_closes(self):
         res = solve_optimal_gain(**TOY, stage=10, target_std=0.1, tol=0.0)

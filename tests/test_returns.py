@@ -277,7 +277,7 @@ class TestSamplePath:
     @pytest.mark.parametrize("seed", [-1, np.int64(-2)])
     def test_negative_seed_refused(self, seed):
         model = ReturnModel.two_point(-0.1, 0.1)
-        with pytest.raises(InvalidParameterError, match="seed must be nonnegative"):
+        with pytest.raises(InvalidParameterError, match="seed must be >= 0, got "):
             sample_path(model, 5, seed=seed)
 
 
