@@ -25,6 +25,7 @@ unique robust choice; the predicates below expose that structure.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from numbers import Integral
 from typing import NamedTuple
@@ -62,12 +63,19 @@ class RpeCheck(NamedTuple):
     positive: bool
 
 
-def _check_integer(name: str, value, floor: int, too_small=InvalidParameterError) -> None:
-    """The one rule for a count or a seed: an integer, numpy's too but never a bool, >= floor."""
+# The most doubles a count may ask for. Near sys.maxsize bytes numpy refuses an
+# array with ValueError, not MemoryError; no memory holds half as many anyway.
+_MAX_DOUBLES = sys.maxsize // 16
+
+
+def _check_integer(name: str, value, floor: int, too_small=InvalidParameterError, ceiling=None):
+    """The one rule for counts and seeds: an integer (numpy's, never a bool) in [floor, ceiling]."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
     if value < floor:
         raise too_small(f"{name} must be >= {floor}, got {value}")
+    if ceiling is not None and value > ceiling:
+        raise InvalidParameterError(f"{name} must be <= {ceiling}, got {value}")
 
 
 def check_domain(
@@ -83,15 +91,15 @@ def check_domain(
     """Refuse inputs outside the controller's admissible domain.
 
     The one check behind every public entry point: an integer ``stage`` of
-    at least ``min_stage`` (unless that is None), a split alpha in [0, 1], a
-    finite v0 > 0, a finite drift mu > -1, a ceiling k_max in (0, 1], a gain
-    in [0, k_max] with k_gain*mu <= 1, and a finite sigma2 >= 0, checked in
-    that order. Every comparison is written so that NaN fails it. The
-    defaults pass, so a caller names only what it has.
+    at least ``min_stage`` (unless that is None) within double range, a
+    split alpha in [0, 1], a finite v0 > 0, a finite drift mu > -1, a
+    ceiling k_max in (0, 1], a gain in [0, k_max] with k_gain*mu <= 1, and a
+    finite sigma2 >= 0, checked in that order. Every comparison is written
+    so that NaN fails it. The defaults pass, so a caller names only what it has.
     """
     if min_stage is not None:
         too_small = StageTooSmallError if min_stage > 1 else InvalidParameterError
-        _check_integer("stage", stage, min_stage, too_small)
+        _check_integer("stage", stage, min_stage, too_small, ceiling=sys.float_info.max)
     if not 0.0 <= alpha <= 1.0:
         raise InvalidParameterError(f"alpha must be in [0, 1], got {alpha}")
     if not 0.0 < v0 < math.inf:

@@ -24,15 +24,17 @@ parsing, so ``--version``, ``--help`` and usage errors load neither numpy nor
 the library modules.
 
 Scalar results go to JSON, series to CSV, and every run writes a manifest
-recording the command, parameters, seed, and output paths, so any output can
-be regenerated byte-for-byte. Exit codes: 0 success, 2 usage error, 3 domain
-or precondition error (bad input, such as a number that is not finite, a
-negative --sigma or seed, a flag that conflicts with --prices or with
---portfolio-config; an output path that cannot be written: an empty path, a
-file that is a directory, two outputs naming one file, or a write that the
-OS refuses, such as into a missing directory; or a request too large for
-memory, such as 10**15 paths), 4 internal-consistency violation (a bug, not
-bad input). Outputs are staged beside their paths, under names as long as
+recording the command (``repro``'s with its preset), the seed, the output
+paths and, as parameters, every other flag the run parsed, as it resolved
+them, so that the manifest alone reruns it byte-for-byte. Exit codes: 0
+success, 2 usage error, 3 domain or precondition error (bad input, such as a
+number that is not finite, a negative --sigma or seed, a flag that conflicts
+with --prices or with --portfolio-config; an output path that cannot be
+written: an empty path, a file that is a directory, two outputs naming one
+file, or a write that the OS refuses, such as into a missing directory; or
+a request too large for memory, such as 10**15 paths, or for any array,
+such as 2**60 paths), 4 internal-consistency violation (a bug, not bad
+input). Outputs are staged beside their paths, under names as long as
 theirs, and renamed into place once all are written, so a refused run
 leaves earlier outputs as they were and removes a --out-dir it created.
 
@@ -50,7 +52,7 @@ import re
 import sys
 
 from . import __version__
-from .defaults import DEFAULT_N_PATHS, DEFAULT_PRICE_COLUMN
+from .defaults import DEFAULT_N_PATHS, DEFAULT_PRICE_COLUMN, DEFAULT_TOL
 from .errors import DomainError, InternalConsistencyError, InvalidParameterError
 
 SEED_ENV_VAR = "LONGSHORT_SEED"
@@ -81,7 +83,7 @@ _FLAGS = {
         "type": float,
         "help": "override the gain ceiling (moment flags only; refused with --prices)",
     },
-    "--tol": {"type": float},
+    "--tol": {"type": float, "default": DEFAULT_TOL},
     "--n-paths": {"type": int, "help": _FIT_N_PATHS_HELP},
 }
 _MODEL_FLAGS = ("--mu", "--sigma", "--prices", "--price-column", "--v0", "--seed")

@@ -3,12 +3,12 @@
 :mod:`longshort.cli` parses the flags and imports this module only once a
 command is known to run, so the library and numpy load for commands alone.
 Each command, named after its subcommand, takes the parsed flags and returns
-a :class:`_Run`: its results, with the manifest parameters named in the
-``_MANIFESTS`` table. Four things are decided in one place each: how the
-outputs are written (:func:`_write_all`), a gain fit (:func:`_fit`),
-where the manifest goes and whether it records the seed (the rule beside
-``_MANIFESTS``, which :func:`write_run` applies), and a portfolio config's
-asset keys (``_ASSET_KEYS``).
+a :class:`_Run`: its results, with any values it resolved in place of its
+flags'. Four things are decided in one place each: how the outputs are
+written (:func:`_write_all`), a gain fit (:func:`_fit`), what the manifest
+records and where it goes (the rule beside ``_UNRECORDED``, which
+:func:`write_run` applies), and a portfolio config's asset keys
+(``_ASSET_KEYS``).
 """
 
 from __future__ import annotations
@@ -37,30 +37,15 @@ TOY_PRESET = {"mu": -0.1, "sigma": 0.15, "v0": 1.0, "target_std": 0.3, "stages":
 TSLA_PRESET = {"target_std": 0.08, "v0": 1.0}
 THREE_STOCK_PRESET = {"target_stds": (0.08, 0.01, 0.02), "v0": 100.0}
 
-# Each kind of run's manifest: its command name and the parameters it
-# records, looked up in the values the run resolved and then in its flags.
-# Fits are exact and sample nothing, so they resolve n_paths to None.
-_MODEL_PARAMETERS = ("mu", "sigma", "prices", "price_column")
-_MANIFESTS = {
-    "curve": ("curve", (*_MODEL_PARAMETERS, "v0", "stage", "grid", "k_max", "n_paths")),
-    "optimize": (
-        "optimize",
-        (*_MODEL_PARAMETERS, "v0", "stage", "target_std", "tol", "k_max", "n_paths"),
-    ),
-    "simulate": ("simulate", (*_MODEL_PARAMETERS, "alpha", "k_gain", "v0", "stage", "n_paths")),
-    "backtest": (
-        "backtest",
-        ("train_prices", "test_prices", "price_column", "target_std", "v0", "tol", "n_paths"),
-    ),
-    "portfolio": ("backtest", ("portfolio_config", "price_column", "v0", "tol", "n_paths")),
-    "toy": ("repro toy", ("mu", "sigma", "v0", "target_std", "stages")),
-    "tsla": ("repro tsla", ("train_prices", "test_prices", "price_column", "target_std", "v0")),
-}
-# A manifest sits at <stem>.manifest.json, the stem being the run's --out or
-# output prefix, else at manifest.json in --out-dir. It records the resolved
-# seed when the run reads a price file or samples paths: when it sets one of
-# the _SEEDED_BY values.
+# A manifest records the command (repro's with its preset) and, as its
+# parameters, every parsed flag as the run resolved it (fits sample nothing,
+# so they resolve n_paths to None), except the seed, which has its own key,
+# and the output flags, whose files it lists. It sits at <stem>.manifest.json,
+# the stem being --out or --out-prefix, else at manifest.json in --out-dir, and
+# records the seed when the run reads a price file or samples paths: when it
+# sets one of the _SEEDED_BY values.
 _STEMS = ("out", "out_prefix")
+_UNRECORDED = ("seed", *_STEMS, "out_dir", "trajectory_out")
 _SEEDED_BY = ("prices", "train_prices", "portfolio_config", "n_paths")
 
 
@@ -68,10 +53,9 @@ _SEEDED_BY = ("prices", "train_prices", "portfolio_config", "n_paths")
 class _Run:
     """What a command computed, for the write step to write and record."""
 
-    manifest: str  # a key of _MANIFESTS
     outputs: list[tuple[str, Callable]]  # (path, write) pairs, listed in the manifest
     message: str
-    values: dict = field(default_factory=dict)  # manifest values that replace the flags'
+    values: dict = field(default_factory=dict)  # resolved values that replace the flags'
 
 
 def _write_json(path, payload) -> None:
@@ -147,15 +131,15 @@ def _write_all(writes, out_dir=None) -> None:
 
 def write_run(args, run: _Run) -> None:
     """Write the run's outputs and its manifest as one step, then print the summary line."""
-    command, names = _MANIFESTS[run.manifest]
     values = {**vars(args), **run.values}
+    command = " ".join(values.pop(name) for name in ("command", "preset") if name in values)
     stem = next((values[name] for name in _STEMS if values.get(name) is not None), None)
     manifest_path = (
         f"{stem}.manifest.json" if stem is not None else os.path.join(args.out_dir, "manifest.json")
     )
     manifest = {
         "command": command,
-        "parameters": {name: values[name] for name in names},
+        "parameters": {name: value for name, value in values.items() if name not in _UNRECORDED},
         "seed": args.seed if any(values.get(name) for name in _SEEDED_BY) else None,
         "outputs": [str(path) for path, _ in run.outputs],
         "tool_version": __version__,
@@ -220,17 +204,16 @@ def _resolve_model(args, prices, price_column, stage=None, check=None) -> _Model
 def _fit(args, prices, price_column, target_std, v0, stage=None):
     """The closed-form fit under ``target_std``: (model, optimizer.OptimalGainResult).
 
-    The tolerance is --tol, else the solver's default, set on ``args`` for
-    the manifest. The solve's domain checks run before a price file's
+    The tolerance is --tol; repro has no such flag and fits at the solver's
+    default. The solve's domain checks run before a price file's
     support bounds are checked, so that a flat or one-signed PMF is refused
     for its drift or volatility first.
     """
-    if getattr(args, "tol", None) is None:
-        args.tol = optimizer.DEFAULT_TOL
-    check = partial(optimizer._check_solve_domain, target_std=target_std, tol=args.tol)
+    tol = getattr(args, "tol", optimizer.DEFAULT_TOL)
+    check = partial(optimizer._check_solve_domain, target_std=target_std, tol=tol)
     fit = _resolve_model(args, prices, price_column, stage, check)
     return fit, optimizer.solve_optimal_gain(
-        fit.mu, fit.sigma2, v0, fit.stage, fit.k_max, target_std, tol=args.tol
+        fit.mu, fit.sigma2, v0, fit.stage, fit.k_max, target_std, tol=tol
     )
 
 
@@ -245,7 +228,6 @@ def curve(args) -> _Run:
     fit = _resolve_model(args, args.prices, args.price_column, args.stage)
     curve = optimizer.build_curve(fit.mu, fit.sigma2, args.v0, fit.stage, fit.k_max, args.grid)
     return _Run(
-        manifest="curve",
         outputs=[(args.out, curve.write_csv)],
         message=f"wrote {args.out} ({args.grid} points, stage {args.stage})",
         values={"n_paths": None},
@@ -255,7 +237,6 @@ def curve(args) -> _Run:
 def optimize(args) -> _Run:
     fit, res = _fit(args, args.prices, args.price_column, args.target_std, args.v0, args.stage)
     return _Run(
-        manifest="optimize",
         outputs=[(args.out, partial(_write_json, payload=_result_payload(res)))],
         message=(
             f"k_star={res.k_star:.6f} achieved_std={res.achieved_std:.6f} "
@@ -282,7 +263,6 @@ def simulate(args) -> _Run:
         sample = returns.sample_path(model, args.stage, args.seed)
         outputs.append((args.trajectory_out, dynamics.simulate(config, sample).write_csv))
     return _Run(
-        manifest="simulate",
         outputs=outputs,
         message=f"mean={est.mean:.6f} std={est.std:.6f} (n={est.n_paths}, seed={est.seed})",
     )
@@ -343,7 +323,6 @@ def backtest(args) -> _Run:
         args, args.train_prices, args.test_prices, args.out_prefix, args.target_std, args.v0
     )
     return _Run(
-        manifest="backtest",
         outputs=outputs,
         message=(
             f"k_star={summary['fit']['k_star']:.6f} "
@@ -472,7 +451,6 @@ def _backtest_portfolio(args, config_path, v0: float, assets: list[dict], out_pr
         "seed": args.seed,
     }
     return _Run(
-        manifest="portfolio",
         outputs=[
             (f"{out_prefix}_trajectory.csv", partial(traj.write_csv, labels=names)),
             (f"{out_prefix}_summary.json", partial(_write_json, payload=summary)),
@@ -481,9 +459,7 @@ def _backtest_portfolio(args, config_path, v0: float, assets: list[dict], out_pr
             f"k_star={[round(r.k_star, 4) for r in results]} "
             f"terminal_gain={terminal_gain:.4f} max_leverage={summary['max_leverage_ratio']:.4f}"
         ),
-        values={
-            "n_paths": None, "portfolio_config": config_path, "v0": v0, "out_prefix": out_prefix
-        },
+        values={"n_paths": None, "v0": v0},
     )
 
 
@@ -506,7 +482,6 @@ def _repro_toy(args) -> _Run:
         (os.path.join(args.out_dir, "toy_results.json"), partial(_write_json, payload=results))
     )
     return _Run(
-        manifest="toy",
         outputs=outputs,
         message="\n".join(
             f"stage {sol['stage']:3d}: k_star={sol['k_star']:.3f} "
@@ -518,26 +493,26 @@ def _repro_toy(args) -> _Run:
 
 
 def repro(args) -> _Run:
-    if args.preset == "toy":
+    preset = args.preset
+    if preset == "toy":
         if args.train_prices or args.test_prices:
             raise InvalidParameterError(
                 "repro toy takes no price files: --train-prices and --test-prices "
                 "apply to tsla and three-stock"
             )
         return _repro_toy(args)
-    n_files = 1 if args.preset == "tsla" else 3
+    n_files = 1 if preset == "tsla" else 3
     if len(args.train_prices or ()) != n_files or len(args.test_prices or ()) != n_files:
         raise InvalidParameterError(
-            f"repro {args.preset} needs --train-prices and --test-prices "
+            f"repro {preset} needs --train-prices and --test-prices "
             f"{'once' if n_files == 1 else 'three times'} each"
         )
-    if args.preset == "tsla":
+    if preset == "tsla":
         p = TSLA_PRESET
         train, test = args.train_prices[0], args.test_prices[0]
         prefix = os.path.join(args.out_dir, "tsla")
         summary, outputs = _backtest_single(args, train, test, prefix, p["target_std"], p["v0"])
         return _Run(
-            manifest="tsla",
             outputs=outputs,
             message=(
                 f"k_star={summary['fit']['k_star']:.4f} "
@@ -561,4 +536,5 @@ def repro(args) -> _Run:
     run = _backtest_portfolio(args, config_path, p["v0"], assets, prefix)
     config = {"v0": p["v0"], "assets": assets}
     run.outputs.insert(0, (config_path, partial(_write_json, payload=config)))
+    run.values = p  # repro has no --n-paths to resolve
     return run

@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import analytics
+from .defaults import DEFAULT_TOL
 from .errors import (
     InternalConsistencyError,
     InvalidParameterError,
@@ -36,7 +37,6 @@ from .errors import (
 from .montecarlo import DEFAULT_N_PATHS, McGainEstimator, _check_draw
 from .returns import EmpiricalPMF, ReturnModel, _frozen_array, _write_csv
 
-DEFAULT_TOL = 1e-9
 DEFAULT_MC_TOL = 1e-3
 MIN_MC_PATHS = 1_000
 _MAX_BISECTIONS = 200
@@ -106,7 +106,7 @@ def build_curve(
     """
     # Every domain check is monotone in the gain, so passing k_max passes [0, k_max].
     analytics.check_domain(stage, 2, 0.5, v0, k_max, 1.0, mu, sigma2)
-    analytics._check_integer("grid_size", grid_size, 2)
+    analytics._check_integer("grid_size", grid_size, 2, ceiling=analytics._MAX_DOUBLES)
     k = int(stage)
 
     def at(k_gain: float) -> tuple[float, float]:
@@ -131,7 +131,7 @@ def build_curve_empirical(
     inherits the monotone shape of the exact one instead of jittering.
     """
     analytics.check_domain(stage, 2)
-    analytics._check_integer("grid_size", grid_size, 2)
+    analytics._check_integer("grid_size", grid_size, 2, ceiling=analytics._MAX_DOUBLES)
     estimator = McGainEstimator(model, stage, n_paths, seed)
     mean_std = attrgetter("mean", "std")
     return _trace_curve(

@@ -443,19 +443,21 @@ class TestReproCommand:
             files += ["--train-prices", str(train), "--test-prices", str(test)]
         out_dir = tmp_path / "out"
         assert cli.main(["repro", "three-stock", *files, "--out-dir", str(out_dir)]) == 0
-        manifest = json.loads((out_dir / "three_stock.manifest.json").read_text())
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["command"] == "repro three-stock"
+        assert manifest["parameters"]["train_prices"] == files[1::4]
+        assert manifest["parameters"]["test_prices"] == files[3::4]
         config = str(out_dir / "three_stock_config.json")
         assert manifest["outputs"] == [
             config,
             str(out_dir / "three_stock_trajectory.csv"),
             str(out_dir / "three_stock_summary.json"),
         ]
-        assert manifest["parameters"]["portfolio_config"] == config
         written = json.loads((out_dir / "three_stock_config.json").read_text())
         assert written["v0"] == 100.0
         assert [a["target_std"] for a in written["assets"]] == [0.08, 0.01, 0.02]
         assert sorted(p.name for p in out_dir.iterdir()) == sorted(
-            ["three_stock.manifest.json", *(os.path.basename(p) for p in manifest["outputs"])]
+            ["manifest.json", *(os.path.basename(p) for p in manifest["outputs"])]
         )
 
 
@@ -1113,6 +1115,44 @@ class TestRequestsTooLargeForMemory:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestCountsPastAnyArray:
+    """A count no double or array can hold is refused where it enters, and exits 3.
+
+    numpy raises ValueError, not MemoryError, once an array's byte count
+    passes sys.maxsize, and a stage past double range overflows the closed
+    form's k * theta; the checks refuse both first, with a one-line error.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, refusal",
+        [
+            (["optimize", "--target-std", "0.01", "--stage", str(10**400)], "stage must be <="),
+            (["curve", "--stage", str(10**400)], "stage must be <="),
+            (["curve", "--stage", "10", "--grid", str(2**60)], "grid_size must be <="),
+            (["simulate", "--stage", "10", "--k-gain", "0.5", "--n-paths", str(2**60)],
+             "n_paths * stage must be <="),
+            (["simulate", "--stage", str(2**59), "--k-gain", "0.5", "--n-paths", "2"],
+             "n_paths * stage must be <="),
+            (["simulate", "--stage", str(2**63 - 1), "--k-gain", "0.5", "--n-paths", "2"],
+             "n_paths * stage must be <="),
+        ],
+        ids=["optimize-stage", "curve-stage", "curve-grid", "simulate-paths",
+             "simulate-stage", "simulate-stage-past-int64"],
+    )
+    def test_exits_3(self, tmp_path, capsys, argv, refusal):
+        moments = ["--mu", "0.01", "--sigma", "0.02"]
+        assert cli.main([*argv, *moments, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {refusal}")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_seed_has_no_ceiling(self, tmp_path):
+        argv = ["simulate", "--mu", "0.01", "--sigma", "0.02", "--stage", "10", "--k-gain", "0.5",
+                "--n-paths", "100", "--seed", str(10**400), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+
+
 # The CLI surface as it stood before the parser was built from a flag table:
 # per (subcommand, help), every action's class, option strings, default,
 # type, required flag, choices and help, in order.
@@ -1164,7 +1204,7 @@ CLI_SURFACE = {
          'target stage k (default: train length)'),
         ('_StoreAction', ['--k-max'], None, float, False, None,
          'override the gain ceiling (moment flags only; refused with --prices)'),
-        ('_StoreAction', ['--tol'], None, float, False, None,
+        ('_StoreAction', ['--tol'], 1e-09, float, False, None,
          None),
         ('_StoreAction', ['--n-paths'], None, int, False, None,
          'ignored: fits are exact from the return moments; paths apply to simulate only'),
@@ -1214,7 +1254,7 @@ CLI_SURFACE = {
          "price column name (default 'adj_close')"),
         ('_StoreAction', ['--v0'], 1.0, float, False, None,
          None),
-        ('_StoreAction', ['--tol'], None, float, False, None,
+        ('_StoreAction', ['--tol'], 1e-09, float, False, None,
          None),
         ('_StoreAction', ['--n-paths'], None, int, False, None,
          'ignored: fits are exact from the return moments; paths apply to simulate only'),
@@ -1603,3 +1643,101 @@ class TestPresetsAreTheirBacktests:
         for suffix in ("_trajectory.csv", "_summary.json"):
             written = (out / f"three_stock{suffix}").read_bytes()
             assert written == (tmp_path / f"bt{suffix}").read_bytes()
+
+
+def _subcommand_flags(command):
+    """``command``'s flags by destination: (option string, whether it appends)."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        a.dest: (a.option_strings[0], isinstance(a, argparse._AppendAction))
+        for a in sub.choices[command]._actions
+        if a.option_strings
+    }
+
+
+def _argv_from_manifest(manifest):
+    """The command, each recorded parameter that is one of its flags, and the seed."""
+    argv = manifest["command"].split()
+    flags = _subcommand_flags(argv[0])
+    for name, value in manifest["parameters"].items():
+        if name in flags and value is not None:
+            flag, appends = flags[name]
+            for item in value if appends and isinstance(value, list) else [value]:
+                argv += [flag, str(item)]
+    if manifest["seed"] is not None:
+        argv += ["--seed", str(manifest["seed"])]
+    return argv
+
+
+def _exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:  # a usage error
+        return exc.code
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+THREE_FILES = [
+    flag
+    for i in range(3)
+    for flag in ("--train-prices", f"train{i}.csv", "--test-prices", f"test{i}.csv")
+]
+
+
+class TestManifestRegeneratesItsRun:
+    """A run's manifest alone, with its inputs and output flags, rebuilds the run byte for byte."""
+
+    @staticmethod
+    def _write_inputs(root):
+        for i, (vol, drift) in enumerate([(0.035, -0.0008), (0.015, 0.0012), (0.019, 0.0009)]):
+            train = _heavy_tailed_prices(70 + i, vol=vol, drift=drift)
+            test = _heavy_tailed_prices(75 + i, n_returns=80, vol=vol, drift=drift)
+            _write_prices(root / f"train{i}.csv", train)
+            _write_prices(root / f"test{i}.csv", test)
+        assets = [
+            {"train_prices": f"train{i}.csv", "test_prices": f"test{i}.csv", "target_std": target}
+            for i, target in enumerate((0.08, 0.01, 0.02))
+        ]
+        (root / "portfolio.json").write_text(json.dumps({"v0": 3.0, "assets": assets}))
+
+    @pytest.mark.parametrize(
+        "argv, outputs, manifest",
+        [
+            (["curve", *TOY_FLAGS, "--stage", "30", "--grid", "20"], ["--out", "c.csv"],
+             "c.csv.manifest.json"),
+            (["curve", "--prices", "train0.csv", "--stage", "30", "--grid", "20", "--seed", "3"],
+             ["--out", "c.csv"], "c.csv.manifest.json"),
+            (["optimize", "--prices", "train0.csv", "--target-std", "0.05", "--seed", "3"],
+             ["--out", "fit.json"], "fit.json.manifest.json"),
+            (["simulate", "--prices", "train0.csv", "--k-gain", "0.5", "--stage", "20",
+              "--n-paths", "500", "--seed", "3"],
+             ["--out", "sim.json", "--trajectory-out", "traj.csv"], "sim.json.manifest.json"),
+            (["backtest", "--train-prices", "train0.csv", "--test-prices", "test0.csv",
+              "--target-std", "0.08", "--v0", "2"], ["--out-prefix", "bt"], "bt.manifest.json"),
+            (["backtest", "--portfolio-config", "portfolio.json", "--seed", "3"],
+             ["--out-prefix", "bt"], "bt.manifest.json"),
+            (["repro", "toy"], ["--out-dir", "out"], "out/manifest.json"),
+            (["repro", "tsla", *THREE_FILES[:4], "--seed", "3"], ["--out-dir", "out"],
+             "out/manifest.json"),
+            (["repro", "three-stock", *THREE_FILES, "--seed", "3"], ["--out-dir", "out"],
+             "out/manifest.json"),
+        ],
+        ids=["curve-moments", "curve-prices", "optimize-prices", "simulate-trajectory",
+             "backtest", "backtest-portfolio", "repro-toy", "repro-tsla", "repro-three-stock"],
+    )
+    def test_rerun_from_manifest_is_identical(
+        self, tmp_path, monkeypatch, argv, outputs, manifest
+    ):
+        first, second = tmp_path / "a", tmp_path / "b"
+        for root in (first, second):
+            root.mkdir()
+            self._write_inputs(root)
+        monkeypatch.chdir(first)
+        assert cli.main([*argv, *outputs]) == 0
+        rebuilt = _argv_from_manifest(json.loads((first / manifest).read_text()))
+        monkeypatch.chdir(second)
+        assert _exit_code([*rebuilt, *outputs]) == 0, rebuilt
+        assert _tree(second) == _tree(first)
