@@ -63,12 +63,14 @@ class RpeCheck(NamedTuple):
     positive: bool
 
 
-# The most doubles a count may ask for. Near sys.maxsize bytes numpy refuses an
-# array with ValueError, not MemoryError; no memory holds half as many anyway.
+# The most doubles a count may ask for, and the one ceiling of every count, stage included:
+# near sys.maxsize bytes numpy raises ValueError, and no memory holds half as many anyway.
 _MAX_DOUBLES = sys.maxsize // 16
 
 
-def _check_integer(name: str, value, floor: int, too_small=InvalidParameterError, ceiling=None):
+def _check_integer(
+    name: str, value, floor: int, too_small=InvalidParameterError, ceiling=_MAX_DOUBLES
+):
     """The one rule for counts and seeds: an integer (numpy's, never a bool) in [floor, ceiling]."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
@@ -90,16 +92,16 @@ def check_domain(
 ) -> None:
     """Refuse inputs outside the controller's admissible domain.
 
-    The one check behind every public entry point: an integer ``stage`` of
-    at least ``min_stage`` (unless that is None) within double range, a
-    split alpha in [0, 1], a finite v0 > 0, a finite drift mu > -1, a
-    ceiling k_max in (0, 1], a gain in [0, k_max] with k_gain*mu <= 1, and a
-    finite sigma2 >= 0, checked in that order. Every comparison is written
-    so that NaN fails it. The defaults pass, so a caller names only what it has.
+    The one check behind every public entry point: an integer ``stage`` in
+    [``min_stage``, ``_MAX_DOUBLES``] (unless ``min_stage`` is None), a split
+    alpha in [0, 1], a finite v0 > 0, a finite drift mu > -1, a ceiling k_max
+    in (0, 1], a gain in [0, k_max] with k_gain*mu <= 1, a finite sigma2 >= 0,
+    and k_gain^2 * (sigma2 + mu^2) <= 1, in that order. A NaN fails the first
+    check that reads it. The defaults pass, so a caller names only what it has.
     """
     if min_stage is not None:
         too_small = StageTooSmallError if min_stage > 1 else InvalidParameterError
-        _check_integer("stage", stage, min_stage, too_small, ceiling=sys.float_info.max)
+        _check_integer("stage", stage, min_stage, too_small)
     if not 0.0 <= alpha <= 1.0:
         raise InvalidParameterError(f"alpha must be in [0, 1], got {alpha}")
     if not 0.0 < v0 < math.inf:
@@ -116,6 +118,9 @@ def check_domain(
         )
     if not 0.0 <= sigma2 < math.inf:
         raise InvalidParameterError(f"sigma2 must be nonnegative and finite, got {sigma2}")
+    room = 1.0 - k_gain * k_gain * (sigma2 + mu * mu)
+    if room < -1e-12:  # beyond rounding of a gain on the boundary
+        raise InadmissibleGainError(f"k_gain^2 * (sigma2 + mu^2) = {1.0 - room} exceeds 1")
 
 
 def _out_of_range(moment: str, stage: int, k_gain: float) -> MomentOverflowError:
@@ -146,21 +151,14 @@ def _phi(n: int, t: float, log_x: float = 0.0) -> float:
 
 
 def _moments(alpha: float, k_gain: float, k: int, mu: float, sigma2: float) -> tuple[float, float]:
-    """(E[G], var(G)) at v0 = 1 for validated inputs: the formulas above, evaluated once.
+    """(E[G], var(G)) at v0 = 1 for inputs check_domain admits: the formulas above, once.
 
-    sigma2 = 0 asks for the mean alone, and the variance is then exactly 0. A
-    power past double range is refused as an overflow of the variance; when
-    no variance is evaluated, the mean comes back as inf instead.
+    It refuses only a power past double range, as an overflow of the variance;
+    with sigma2 = 0 the variance is exactly 0 and a mean past range comes back as inf.
     """
     theta, beta = k_gain * mu, 1.0 - alpha
     up, down = 1.0 + theta, 1.0 - theta
-    # With sigma2 = 0 the domain's |K*mu| <= 1 already passes this check.
-    second_moment_term = 1.0 - k_gain * k_gain * (sigma2 + mu * mu)
-    if second_moment_term < -1e-12:  # beyond rounding of a gain on the boundary
-        raise InadmissibleGainError(
-            f"k_gain^2 * (sigma2 + mu^2) = {1.0 - second_moment_term} exceeds 1"
-        )
-    spread = min(k_gain * k_gain * sigma2, up * down)  # within that rounding, E[PQ] = 0
+    spread = min(k_gain * k_gain * sigma2, up * down)  # within check_domain's slack, E[PQ] = 0
     log_up, log_down = math.log1p(theta), math.log1p(-theta) if theta < 1.0 else -math.inf
     mean, var = math.inf, 0.0  # a mean past double range stays inf; whoever reads it refuses it
     near = -0.5 < k * theta < 0.5  # near balance the powers cancel, and phi does not

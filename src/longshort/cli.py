@@ -31,11 +31,11 @@ success, 2 usage error, 3 domain or precondition error (bad input, such as a
 number that is not finite, a negative --sigma or seed, a flag that conflicts
 with --prices or with --portfolio-config; an output path that cannot be
 written: an empty path, a file that is a directory, two outputs naming one
-file, or a write that the OS refuses, such as into a missing directory; or
-a request too large for memory, such as 10**15 paths, or for any array,
-such as 2**60 paths), 4 internal-consistency violation (a bug, not bad
-input). Outputs are staged beside their paths, under names as long as
-theirs, and renamed into place once all are written, so a refused run
+file, or a write that the OS refuses, such as into a missing directory; or a
+request too large for memory, such as 10**15 paths, or a count past 2**59 - 1,
+such as 2**60 paths or a 2**59 stage), 4 internal-consistency violation (a
+bug, not bad input). Outputs are staged beside their paths, under names as
+long as theirs, and renamed into place once all are written, so a refused run
 leaves earlier outputs as they were and removes a --out-dir it created.
 
 The default seed is 0, overridable by the LONGSHORT_SEED environment

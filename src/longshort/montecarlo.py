@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .analytics import _MAX_DOUBLES, GainLossStats, _check_integer, check_domain
+from .analytics import GainLossStats, _check_integer, check_domain
 from .defaults import DEFAULT_N_PATHS
 from .errors import EnumerationTooLargeError, SimulationOverflowError
 from .returns import EmpiricalPMF, ReturnModel, _path_chunks, gain_ceiling
@@ -63,9 +63,8 @@ class McEstimate:
 def _check_draw(stage, n_paths, seed, min_stage: int = 1, min_paths: int = 2) -> None:
     check_domain(stage, min_stage)
     _check_integer("n_paths", n_paths, min_paths)
-    _check_integer("seed", seed, 0)
-    # A bank holds, and a stream draws, n_paths * stage doubles.
-    _check_integer("n_paths * stage", int(n_paths) * int(stage), 0, ceiling=_MAX_DOUBLES)
+    _check_integer("seed", seed, 0, ceiling=None)
+    _check_integer("n_paths * stage", int(n_paths) * int(stage), 0)  # doubles in a bank or stream
 
 
 def _check_probe(model: ReturnModel, alpha: float, k_gain: float, v0: float) -> None:

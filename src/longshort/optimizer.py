@@ -106,7 +106,7 @@ def build_curve(
     """
     # Every domain check is monotone in the gain, so passing k_max passes [0, k_max].
     analytics.check_domain(stage, 2, 0.5, v0, k_max, 1.0, mu, sigma2)
-    analytics._check_integer("grid_size", grid_size, 2, ceiling=analytics._MAX_DOUBLES)
+    analytics._check_integer("grid_size", grid_size, 2)
     k = int(stage)
 
     def at(k_gain: float) -> tuple[float, float]:
@@ -131,7 +131,7 @@ def build_curve_empirical(
     inherits the monotone shape of the exact one instead of jittering.
     """
     analytics.check_domain(stage, 2)
-    analytics._check_integer("grid_size", grid_size, 2, ceiling=analytics._MAX_DOUBLES)
+    analytics._check_integer("grid_size", grid_size, 2)
     estimator = McGainEstimator(model, stage, n_paths, seed)
     mean_std = attrgetter("mean", "std")
     return _trace_curve(
@@ -216,14 +216,14 @@ def solve_optimal_gain(
 ) -> OptimalGainResult:
     """Largest-gain solution of max E[G] s.t. std(G) <= target, closed form.
 
-    Feasible targets lie strictly between 0 and s_max = std at k_max; at the
-    solution the std constraint binds, and the expected gain is positive
-    because mu != 0. The fit's std lies in [target_std - tol * v0, target_std]:
-    ``tol`` is relative to the account size, so scaling v0 and the target
-    together scales the fit and leaves K* where it was. A probe whose std
-    leaves double range lies above every finite target, so long horizons fit
-    wherever the std at K* is finite; only the fit's own expected gain must
-    stay in range.
+    Feasible targets lie strictly between 0 and s_max = std at k_max, and the
+    expected gain is positive because mu != 0. The fit's std is at or below
+    target_std, within ``tol * v0`` of it unless the bisection bracket closes
+    first (at 1e-15 * k_max, as at long horizons). ``tol`` is relative to the
+    account size, so scaling v0 and the target together scales the fit and
+    leaves K* where it was. A probe whose std leaves double range lies above
+    every finite target, so long horizons fit wherever the std at K* is finite;
+    only the fit's own expected gain must stay in range.
     """
     _check_solve_domain(mu, sigma2, stage, target_std, tol)
     # Every domain check is monotone in the gain, so passing k_max passes [0, k_max].

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytics import _MAX_DOUBLES, _check_integer, check_domain
+from .analytics import _check_integer, check_domain
 from .defaults import DEFAULT_PRICE_COLUMN
 from .errors import (
     EmptyReturnsError,
@@ -319,8 +319,8 @@ def sample_path(model: ReturnModel | EmpiricalPMF, n: int, seed: int) -> np.ndar
     cannot carry the two-sided support bounds a model certifies, but they can
     still be sampled. ``n`` is an integer >= 1 and ``seed`` one >= 0.
     """
-    _check_integer("n", n, 1, ceiling=_MAX_DOUBLES)
-    _check_integer("seed", seed, 0)
+    _check_integer("n", n, 1)
+    _check_integer("seed", seed, 0, ceiling=None)
     pmf = model.pmf if isinstance(model, ReturnModel) else model
     _, block = next(_path_chunks(pmf, 1, n, seed))
     out = block.reshape(n)

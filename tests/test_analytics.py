@@ -9,6 +9,7 @@ tests/data/make_kernel_oracle.py).
 """
 
 import importlib.util
+import itertools
 import json
 import math
 import sys
@@ -21,9 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from longshort import (
+    DomainError,
+    GainLossStats,
     InadmissibleGainError,
     InvalidParameterError,
     MomentOverflowError,
+    RpeCheck,
     StageTooSmallError,
     check_robust_growth,
     check_rpe,
@@ -443,3 +447,46 @@ class TestStageType:
     def test_others_are_refused(self, stage):
         with pytest.raises(InvalidParameterError, match="stage must be an integer"):
             expected_gain(0.5, 0.5, stage, 0.05)
+
+
+class TestWholeDomain:
+    """Every public closed-form call over a fixed grid of the admissible domain, stages
+    up to the count ceiling 2**59 - 1, returns finite numbers or raises a DomainError;
+    a stage past the ceiling is refused by every one of them."""
+
+    GAINS = (0.0, 5e-324, 1e-300, 1e-16, 1e-8, 1e-3, 0.1, 0.5, 1.0)
+    SPLITS = (0.0, 0.3, 0.5, 1.0)
+    V0S = (1e-300, 1.0, 1e300)
+    MOMENTS = ((-0.1, 0.0225), (0.01, 0.0004), (-3e-5, 1e-4), (0.5, 0.25), (1.0, 0.0))
+
+    @classmethod
+    def _calls(cls, stage):
+        for k_gain, (mu, sigma2), v0 in itertools.product(cls.GAINS, cls.MOMENTS, cls.V0S):
+            for alpha in cls.SPLITS:
+                yield expected_gain, (alpha, k_gain, stage, mu, v0)
+                yield variance_gain, (alpha, k_gain, stage, mu, sigma2, v0)
+                yield std_gain, (alpha, k_gain, stage, mu, sigma2, v0)
+                yield gain_stats, (alpha, k_gain, stage, mu, sigma2, v0)
+            yield check_rpe, (k_gain, stage, mu, v0)
+            yield check_robust_growth, (k_gain, stage, mu, v0)
+
+    @pytest.mark.parametrize("stage", [0, 1, 2, 10, 1000, 10**5, 2**53, 2**59 - 2, 2**59 - 1])
+    def test_finite_or_refused(self, stage):
+        calls = list(self._calls(stage))
+        assert len(calls) == 2430
+        for function, args in calls:
+            try:
+                result = function(*args)
+            except DomainError:
+                continue
+            if isinstance(result, GainLossStats):
+                numbers = (result.mean, result.variance, result.std)
+            else:  # a bare moment, an RpeCheck's value, or check_robust_growth's bool
+                numbers = (result.value if isinstance(result, RpeCheck) else result,)
+            assert all(math.isfinite(x) for x in numbers), (function.__name__, args, result)
+
+    @pytest.mark.parametrize("stage", [2**59, 10**200], ids=["2**59", "10**200"])
+    def test_past_the_ceiling_refused(self, stage):
+        for function, args in self._calls(stage):
+            with pytest.raises(InvalidParameterError, match="stage must be <="):
+                function(*args)

@@ -1130,14 +1130,17 @@ class TestCountsPastAnyArray:
             (["curve", "--stage", str(10**400)], "stage must be <="),
             (["curve", "--stage", "10", "--grid", str(2**60)], "grid_size must be <="),
             (["simulate", "--stage", "10", "--k-gain", "0.5", "--n-paths", str(2**60)],
-             "n_paths * stage must be <="),
+             "n_paths must be <="),
             (["simulate", "--stage", str(2**59), "--k-gain", "0.5", "--n-paths", "2"],
-             "n_paths * stage must be <="),
+             "stage must be <="),
             (["simulate", "--stage", str(2**63 - 1), "--k-gain", "0.5", "--n-paths", "2"],
-             "n_paths * stage must be <="),
+             "stage must be <="),
+            (["optimize", "--target-std", "0.01", "--stage", str(10**308)], "stage must be <="),
+            (["curve", "--stage", str(2**59)], "stage must be <="),
         ],
         ids=["optimize-stage", "curve-stage", "curve-grid", "simulate-paths",
-             "simulate-stage", "simulate-stage-past-int64"],
+             "simulate-stage", "simulate-stage-past-int64", "optimize-stage-in-double-range",
+             "curve-stage-at-ceiling"],
     )
     def test_exits_3(self, tmp_path, capsys, argv, refusal):
         moments = ["--mu", "0.01", "--sigma", "0.02"]
@@ -1145,6 +1148,26 @@ class TestCountsPastAnyArray:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {refusal}")
         assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_fit_at_the_ceiling_writes_strict_json(self, tmp_path):
+        argv = ["optimize", "--mu", "0.01", "--sigma", "0.02", "--target-std", "0.01",
+                "--stage", str(2**59 - 1), "--out", str(tmp_path / "fit.json")]
+        assert cli.main(argv) == 0
+
+        def refuse(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        fit = json.loads((tmp_path / "fit.json").read_text(), parse_constant=refuse)
+        assert fit["stage"] == 2**59 - 1
+        assert 0.0 < fit["achieved_std"] <= fit["target_std"]
+
+    def test_the_second_moment_rule_refuses_before_any_point(self, tmp_path, capsys):
+        # K^2 (sigma2 + mu^2) at k_max = 1 is 25.01: refused at the ceiling, not at a grid point
+        argv = ["curve", "--mu", "0.1", "--sigma", "5", "--k-max", "1", "--stage", "10",
+                "--grid", "5", "--out", str(tmp_path / "curve.csv")]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == "error: k_gain^2 * (sigma2 + mu^2) = 25.01 exceeds 1\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_a_seed_has_no_ceiling(self, tmp_path):

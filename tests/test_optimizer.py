@@ -252,6 +252,15 @@ class TestLongHorizons:
         assert 1.0 - 1e-9 <= exact <= 1.0
         assert abs(res.achieved_std - exact) <= 1e-12 * exact
 
+    @pytest.mark.parametrize("stage", [10**12, 10**15])
+    def test_the_bracket_may_close_below_the_band(self, stage):
+        # At mu = 0.01, sigma = 0.02 the bracket narrows to 1e-15 * k_max first:
+        # the fit's std is 0.0099999464 at 10**12 and 0.0099060 at 10**15, more
+        # than tol * v0 = 1e-9 under the budget but never over it.
+        res = solve_optimal_gain(0.01, 0.0004, 1.0, stage, 1.0, 0.01)
+        assert res.achieved_std <= res.target_std
+        assert res.achieved_std == std_gain(0.5, res.k_star, stage, 0.01, 0.0004, 1.0)
+
     def test_the_fits_own_mean_must_stay_in_range(self):
         # The unit fit's mean is 11.3 times its std, so at v0 = 1.5e308 the std
         # of 1.5e308 is finite and the mean is not.
