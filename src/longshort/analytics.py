@@ -30,12 +30,7 @@ from dataclasses import dataclass
 from numbers import Integral
 from typing import NamedTuple
 
-from .errors import (
-    InadmissibleGainError,
-    InvalidParameterError,
-    MomentOverflowError,
-    StageTooSmallError,
-)
+from .errors import InvalidParameterError, MomentOverflowError
 
 
 @dataclass(frozen=True)
@@ -68,14 +63,12 @@ class RpeCheck(NamedTuple):
 _MAX_DOUBLES = sys.maxsize // 16
 
 
-def _check_integer(
-    name: str, value, floor: int, too_small=InvalidParameterError, ceiling=_MAX_DOUBLES
-):
+def _check_integer(name: str, value, floor: int, ceiling=_MAX_DOUBLES):
     """The one rule for counts and seeds: an integer (numpy's, never a bool) in [floor, ceiling]."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
     if value < floor:
-        raise too_small(f"{name} must be >= {floor}, got {value}")
+        raise InvalidParameterError(f"{name} must be >= {floor}, got {value}")
     if ceiling is not None and value > ceiling:
         raise InvalidParameterError(f"{name} must be <= {ceiling}, got {value}")
 
@@ -100,8 +93,7 @@ def check_domain(
     check that reads it. The defaults pass, so a caller names only what it has.
     """
     if min_stage is not None:
-        too_small = StageTooSmallError if min_stage > 1 else InvalidParameterError
-        _check_integer("stage", stage, min_stage, too_small)
+        _check_integer("stage", stage, min_stage)
     if not 0.0 <= alpha <= 1.0:
         raise InvalidParameterError(f"alpha must be in [0, 1], got {alpha}")
     if not 0.0 < v0 < math.inf:
@@ -111,21 +103,21 @@ def check_domain(
     if not 0.0 < k_max <= 1.0:
         raise InvalidParameterError(f"k_max must be in (0, 1], got {k_max}")
     if not 0.0 <= k_gain <= k_max:
-        raise InadmissibleGainError(f"k_gain={k_gain} outside admissible [0, {k_max}]")
+        raise InvalidParameterError(f"k_gain={k_gain} outside admissible [0, {k_max}]")
     if k_gain * mu > 1.0:
-        raise InadmissibleGainError(
+        raise InvalidParameterError(
             f"k_gain*mu = {k_gain * mu} exceeds 1; gain inadmissible for this drift"
         )
     if not 0.0 <= sigma2 < math.inf:
         raise InvalidParameterError(f"sigma2 must be nonnegative and finite, got {sigma2}")
     room = 1.0 - k_gain * k_gain * (sigma2 + mu * mu)
     if room < -1e-12:  # beyond rounding of a gain on the boundary
-        raise InadmissibleGainError(f"k_gain^2 * (sigma2 + mu^2) = {1.0 - room} exceeds 1")
+        raise InvalidParameterError(f"k_gain^2 * (sigma2 + mu^2) = {1.0 - room} exceeds 1")
 
 
-def _out_of_range(moment: str, stage: int, k_gain: float) -> MomentOverflowError:
+def _out_of_range(moment: str, stage: int, k_gain: float) -> str:
     # Python raises OverflowError when exp or expm1 leaves double range.
-    return MomentOverflowError(
+    return (
         f"the {moment} of the gain-loss leaves double range at stage {stage} "
         f"with k_gain={k_gain}"
     )
@@ -185,7 +177,7 @@ def _moments(alpha: float, k_gain: float, k: int, mu: float, sigma2: float) -> t
                 var += 2.0 * alpha * beta * _phi(k, -spread / (up * down), log_up + log_down)
     except OverflowError:
         if k and spread:
-            raise _out_of_range("variance", k, k_gain) from None
+            raise MomentOverflowError(_out_of_range("variance", k, k_gain)) from None
     return mean, var
 
 
@@ -194,7 +186,7 @@ def _scaled(value: float, scale: float, moment: str, stage: int, k_gain: float) 
     # can leave double range here. A zero stays exact where the scale overflows.
     scaled = scale * value if value else value
     if math.isinf(scaled):
-        raise _out_of_range(moment, stage, k_gain)
+        raise MomentOverflowError(_out_of_range(moment, stage, k_gain))
     return scaled
 
 
@@ -277,8 +269,9 @@ def check_robust_growth(k_gain: float, stage: int, mu: float, v0: float = 1.0) -
 
     True for every admissible gain and every mu > -1; a False result on valid
     inputs would contradict the growth property of the balanced controller.
+    It reads stage + 1, so its ceiling is one below every other stage's.
     """
-    check_domain(stage, 1)
+    _check_integer("stage", stage, 1, _MAX_DOUBLES - 1)
     here = expected_gain(0.5, k_gain, stage, mu, v0)
     there = expected_gain(0.5, k_gain, stage + 1, mu, v0)
     return there >= here

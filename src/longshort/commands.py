@@ -23,11 +23,9 @@ from typing import Callable, NamedTuple
 
 from . import __version__, analytics, dynamics, optimizer, portfolio, returns
 from .errors import (
-    ConfigKeyError,
     DomainError,
     InputFileError,
     InvalidParameterError,
-    LengthMismatchError,
     OutputFileError,
     PortfolioAssetError,
 )
@@ -359,18 +357,18 @@ def _config_value(path, where: str, mapping: dict, key: str, kind: str, default=
     """
     if key not in mapping:
         if default is _REQUIRED:
-            raise ConfigKeyError(f"{path}: {where}missing key {key!r}")
+            raise InputFileError(f"{path}: {where}missing key {key!r}")
         return default
     value = mapping[key]
     types, noun = _JSON_TYPES[kind]
     if isinstance(value, bool) or not isinstance(value, types):
-        raise ConfigKeyError(f"{path}: {where}key {key!r} must be {noun}, got {value!r}")
+        raise InputFileError(f"{path}: {where}key {key!r} must be {noun}, got {value!r}")
     if kind != "number":
         return value
     try:
         return float(value)
     except OverflowError:
-        raise ConfigKeyError(
+        raise InputFileError(
             f"{path}: {where}key {key!r} must be a number within double range"
         ) from None
 
@@ -385,13 +383,13 @@ def _read_portfolio_config(path, args) -> tuple[float, list[dict]]:
     except ValueError as exc:  # a JSON, Unicode or integer-length error
         raise InputFileError(f"{path}: malformed portfolio config ({exc})") from None
     if not isinstance(spec, dict):
-        raise ConfigKeyError(f"{path}: expected a JSON object, got {spec!r}")
+        raise InputFileError(f"{path}: expected a JSON object, got {spec!r}")
     v0 = _config_value(path, "", spec, "v0", "number", args.v0)
     assets = []
     for i, asset in enumerate(_config_value(path, "", spec, "assets", "list")):
         where = f"asset {i}: "
         if not isinstance(asset, dict):
-            raise ConfigKeyError(f"{path}: {where}expected a JSON object, got {asset!r}")
+            raise InputFileError(f"{path}: {where}expected a JSON object, got {asset!r}")
         read = partial(_config_value, path, where, asset)
         assets.append({
             key: read(key, kind, getattr(args, key) if default is _FLAG else default)
@@ -427,7 +425,7 @@ def _backtest_portfolio(args, config_path, v0: float, assets: list[dict], out_pr
     # Every asset is fitted at one stage, so the training series must agree.
     stages = sorted({fit.stage for fit in fits})
     if len(stages) != 1:
-        raise LengthMismatchError(
+        raise InvalidParameterError(
             f"{config_path}: training series have differing numbers of returns {stages}"
         )
     config = portfolio.PortfolioConfig(

@@ -22,11 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import check_domain
-from .errors import (
-    InvalidParameterError,
-    ReturnOutOfBoundsError,
-    SimulationOverflowError,
-)
+from .errors import DomainError, InvalidParameterError
 from .returns import ReturnModel, _frozen_array, _write_csv
 
 
@@ -108,12 +104,12 @@ def _check_path(k_gain: float, path: np.ndarray) -> None:
     x_min = float(np.fmin.reduce(path, axis=None, initial=np.inf))
     x_max = float(np.fmax.reduce(path, axis=None, initial=-np.inf))
     if x_min <= -1.0:
-        raise ReturnOutOfBoundsError("returns must be strictly above -1")
+        raise InvalidParameterError("returns must be strictly above -1")
     # 1 + K*x and 1 - K*x are monotone in x under IEEE rounding, so the
     # extreme returns decide survivability for every return between them.
     if 1.0 + k_gain * x_min < 0.0 or 1.0 - k_gain * x_max < 0.0:
         worst = k_gain * max(-x_min, x_max)
-        raise ReturnOutOfBoundsError(
+        raise InvalidParameterError(
             f"|k_gain * x| reaches {worst}, breaking account nonnegativity"
         )
 
@@ -143,7 +139,7 @@ def simulate(config: ControllerConfig, path) -> AccountTrajectory:
     # An account that leaves double range stays inf or NaN at every later
     # stage, so the terminal values show whether any value overflowed.
     if not (math.isfinite(v_l) and math.isfinite(v_s)):
-        raise SimulationOverflowError(
+        raise DomainError(
             f"account value overflowed double precision on a path of length {n}"
         )
 
@@ -175,7 +171,7 @@ def _terminal_gains(alpha: float, k_gain: float, v0: float, x: np.ndarray) -> np
             accounts += step
     v_total = accounts[0] + accounts[1]
     if not np.all(np.isfinite(v_total)):
-        raise SimulationOverflowError("account value overflowed double precision")
+        raise DomainError("account value overflowed double precision")
     v_total -= v0
     return v_total
 

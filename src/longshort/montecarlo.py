@@ -41,7 +41,7 @@ import numpy as np
 from . import dynamics
 from .analytics import GainLossStats, _check_integer, check_domain
 from .defaults import DEFAULT_N_PATHS
-from .errors import EnumerationTooLargeError, SimulationOverflowError
+from .errors import DomainError, InvalidParameterError
 from .returns import EmpiricalPMF, ReturnModel, _path_chunks, gain_ceiling
 
 ENUMERATION_CAP = 10_000_000
@@ -79,7 +79,7 @@ def _summarise(gains: np.ndarray, seed: int, stage: int) -> McEstimate:
         variance = float(gains.var(ddof=1))
     for name, value in (("mean", mean), ("variance", variance)):
         if not math.isfinite(value):
-            raise SimulationOverflowError(
+            raise DomainError(
                 f"the sample {name} of the gain-loss leaves double range at stage {stage}"
             )
     std = math.sqrt(variance)
@@ -163,7 +163,7 @@ def estimate_exact_small(
     check_domain(stage, 0, alpha, v0, k_gain, k_max)
     n_atoms, stage = pmf.n_atoms, int(stage)  # a numpy power would wrap past the cap
     if n_atoms**stage > ENUMERATION_CAP:
-        raise EnumerationTooLargeError(
+        raise InvalidParameterError(
             f"{n_atoms}^{stage} sequences exceed the cap of {ENUMERATION_CAP}"
         )
 

@@ -25,14 +25,11 @@ import numpy as np
 from . import analytics
 from .defaults import DEFAULT_TOL
 from .errors import (
+    DomainError,
     InternalConsistencyError,
     InvalidParameterError,
     MomentOverflowError,
-    NonMonotoneEstimateError,
-    TargetNonpositiveError,
     TargetTooLargeError,
-    ZeroDriftError,
-    ZeroVolatilityError,
 )
 from .montecarlo import DEFAULT_N_PATHS, McGainEstimator, _check_draw
 from .returns import EmpiricalPMF, ReturnModel, _frozen_array, _write_csv
@@ -193,14 +190,14 @@ def _check_solve_domain(
 ) -> None:
     analytics.check_domain(stage, 2)
     if mu == 0.0:
-        raise ZeroDriftError(
+        raise InvalidParameterError(
             "mu = 0: the balanced expected gain is identically zero, so no gain "
             "is better than any other"
         )
     if sigma2 <= 0.0:
-        raise ZeroVolatilityError("sigma2 = 0: std(G) is identically zero")
+        raise InvalidParameterError("sigma2 = 0: std(G) is identically zero")
     if not target_std > 0.0:
-        raise TargetNonpositiveError(f"target_std must be positive, got {target_std}")
+        raise InvalidParameterError(f"target_std must be positive, got {target_std}")
     if not 0.0 <= tol < math.inf:
         raise InvalidParameterError(f"tol must be nonnegative and finite, got {tol}")
 
@@ -270,5 +267,5 @@ def solve_optimal_gain_empirical(
     return _solve(
         lambda k: estimator.estimate(0.5, k, v0).std, mu, v0, model.k_max, target_std,
         DEFAULT_MC_TOL, stage, "target_std={target_std} >= estimated s_max={s_max}",
-        NonMonotoneEstimateError,
+        DomainError,
     )

@@ -19,12 +19,7 @@ import numpy as np
 from . import dynamics
 from .analytics import check_domain
 from .defaults import DEFAULT_N_PATHS
-from .errors import (
-    DomainError,
-    InvalidParameterError,
-    LengthMismatchError,
-    PortfolioAssetError,
-)
+from .errors import DomainError, InvalidParameterError, PortfolioAssetError
 from .montecarlo import _check_draw
 from .optimizer import MIN_MC_PATHS, OptimalGainResult, solve_optimal_gain_empirical
 from .returns import EmpiricalPMF, ReturnModel, _frozen_array, _write_csv
@@ -101,13 +96,13 @@ def run_portfolio(config: PortfolioConfig, paths: Sequence) -> PortfolioTrajecto
     only each asset's gain-loss column outlives its trajectory.
     """
     if len(paths) != config.n_assets:
-        raise LengthMismatchError(
+        raise InvalidParameterError(
             f"got {len(paths)} paths for {config.n_assets} assets"
         )
     arrays = [np.asarray(p, dtype=float) for p in paths]
     lengths = {a.size for a in arrays}
     if len(lengths) != 1:
-        raise LengthMismatchError(f"paths have differing lengths {sorted(lengths)}")
+        raise InvalidParameterError(f"paths have differing lengths {sorted(lengths)}")
 
     n = arrays[0].size + 1
     total_value, committed = np.zeros(n), np.zeros(n)

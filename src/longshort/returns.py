@@ -32,18 +32,7 @@ import numpy as np
 
 from .analytics import _check_integer, check_domain
 from .defaults import DEFAULT_PRICE_COLUMN
-from .errors import (
-    EmptyReturnsError,
-    InputFileError,
-    InvalidBoundsError,
-    InvalidParameterError,
-    InvalidPmfError,
-    MissingColumnError,
-    NonPositivePriceError,
-    PriceParseError,
-    ReturnBelowNegOneError,
-    TooShortError,
-)
+from .errors import InputFileError, InvalidParameterError
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -99,20 +88,24 @@ class EmpiricalPMF:
         weights = np.asarray(self.weights, dtype=float)
         # First: NaN fails every comparison below, so it would pass them all.
         if not (np.all(np.isfinite(values)) and np.all(np.isfinite(weights))):
-            raise InvalidPmfError("every value and weight must be finite")
+            raise InvalidParameterError("every value and weight must be finite")
         if values.ndim != 1 or weights.ndim != 1 or values.size != weights.size:
-            raise InvalidPmfError("values and weights must be 1-d arrays of equal length")
+            raise InvalidParameterError("values and weights must be 1-d arrays of equal length")
         if values.size == 0:
-            raise EmptyReturnsError("a PMF needs at least one atom")
+            raise InvalidParameterError("a PMF needs at least one atom")
         if np.any(values <= -1.0):
-            raise ReturnBelowNegOneError("PMF support must lie strictly above -1")
+            raise InvalidParameterError("PMF support must lie strictly above -1")
         if np.any(np.diff(values) <= 0.0):
-            raise InvalidPmfError("values must be sorted strictly ascending (merge duplicates)")
+            raise InvalidParameterError(
+                "values must be sorted strictly ascending (merge duplicates)"
+            )
         if np.any(weights <= 0.0):
-            raise InvalidPmfError("every weight must be positive")
+            raise InvalidParameterError("every weight must be positive")
         total = float(weights.sum())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise InvalidPmfError(f"weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL}")
+            raise InvalidParameterError(
+                f"weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL}"
+            )
         object.__setattr__(self, "values", _frozen_array(values))
         object.__setattr__(self, "weights", _frozen_array(weights))
 
@@ -160,7 +153,7 @@ class ReturnModel:
     def __post_init__(self):
         x_min, x_max = float(self.pmf.values[0]), float(self.pmf.values[-1])
         if not (-1.0 < x_min < 0.0 < x_max < np.inf):
-            raise InvalidBoundsError(
+            raise InvalidParameterError(
                 f"bounds must satisfy -1 < x_min < 0 < x_max < inf, "
                 f"got x_min={x_min}, x_max={x_max}"
             )
@@ -205,9 +198,9 @@ class PriceSeries:
     def __post_init__(self):
         prices = np.asarray(self.prices, dtype=float)
         if prices.ndim != 1 or prices.size < 2:
-            raise TooShortError(f"{self.ticker}: need at least 2 prices, got {prices.size}")
+            raise InvalidParameterError(f"{self.ticker}: need at least 2 prices, got {prices.size}")
         if np.any(prices <= 0.0) or not np.all(np.isfinite(prices)):
-            raise NonPositivePriceError(f"{self.ticker}: all prices must be finite and positive")
+            raise InvalidParameterError(f"{self.ticker}: all prices must be finite and positive")
         object.__setattr__(self, "prices", _frozen_array(prices))
 
     def __len__(self) -> int:
@@ -237,9 +230,9 @@ def pmf_from_returns(returns: Sequence[float] | np.ndarray) -> EmpiricalPMF:
     """
     arr = np.asarray(returns, dtype=float)
     if arr.size == 0:
-        raise EmptyReturnsError("cannot build a PMF from zero returns")
+        raise InvalidParameterError("cannot build a PMF from zero returns")
     if np.any(arr <= -1.0):
-        raise ReturnBelowNegOneError("returns must be strictly above -1")
+        raise InvalidParameterError("returns must be strictly above -1")
     values, counts = np.unique(arr, return_counts=True)
     return EmpiricalPMF(values, counts / arr.size)
 
@@ -344,7 +337,7 @@ def load_prices_csv(path, column: str = DEFAULT_PRICE_COLUMN) -> PriceSeries:
             header = next(reader, None)
             if header is None or column not in header:
                 have = ", ".join(header or [])
-                raise MissingColumnError(f"{path}: no column {column!r} (have: {have})")
+                raise InputFileError(f"{path}: no column {column!r} (have: {have})")
             last = {name: j for j, name in enumerate(header)}
             price_at = last[column]
             date_col = next((c for c in header if c.lower() == "date"), None)
@@ -361,15 +354,15 @@ def load_prices_csv(path, column: str = DEFAULT_PRICE_COLUMN) -> PriceSeries:
                     price = float(row[price_at])
                 except (IndexError, ValueError):
                     raw = row[price_at] if price_at < len(row) else None
-                    raise PriceParseError(
+                    raise InputFileError(
                         f"{path}: row {i}, column {column!r}: cannot parse {raw!r}"
                     ) from None
                 if price <= 0.0:
-                    raise NonPositivePriceError(f"{path}: row {i}: price {price!r} is not positive")
+                    raise InvalidParameterError(f"{path}: row {i}: price {price!r} is not positive")
                 prices.append(price)
                 if date_at is not None:
                     if date_at >= len(row):
-                        raise PriceParseError(f"{path}: row {i}, column {date_col!r}: no date")
+                        raise InputFileError(f"{path}: row {i}, column {date_col!r}: no date")
                     date = row[date_at]
                     if previous_date is not None and previous_date >= date:
                         dates_increase = False

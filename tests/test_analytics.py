@@ -24,11 +24,9 @@ from hypothesis import strategies as st
 from longshort import (
     DomainError,
     GainLossStats,
-    InadmissibleGainError,
     InvalidParameterError,
     MomentOverflowError,
     RpeCheck,
-    StageTooSmallError,
     check_robust_growth,
     check_rpe,
     expected_gain,
@@ -71,9 +69,13 @@ class TestExpectedGain:
             expected_gain(0.5, 0.5, -1, 0.1)
         with pytest.raises(InvalidParameterError):
             expected_gain(0.5, 0.5, 2, 0.1, v0=0.0)
-        with pytest.raises(InadmissibleGainError):
+        with pytest.raises(InvalidParameterError, match=(
+            r"^k_gain=1\.1 outside admissible \[0, 1\.0\]$"
+        )):
             expected_gain(0.5, 1.1, 2, 0.1)
-        with pytest.raises(InadmissibleGainError):
+        with pytest.raises(InvalidParameterError, match=(
+            r"^k_gain\*mu = 1\.2 exceeds 1; gain inadmissible for this drift$"
+        )):
             expected_gain(0.5, 1.0, 2, 1.2)  # k_gain * mu > 1
 
 
@@ -100,7 +102,9 @@ class TestVarianceGain:
             variance_gain(0.5, 0.5, 2, 0.0, -0.01)
 
     def test_second_moment_admissibility(self):
-        with pytest.raises(InadmissibleGainError):
+        with pytest.raises(InvalidParameterError, match=(
+            r"^k_gain\^2 \* \(sigma2 \+ mu\^2\) = 1\.31 exceeds 1$"
+        )):
             variance_gain(0.5, 1.0, 2, 0.9, 0.5)  # K^2 (s2 + mu^2) > 1
 
     def test_large_v0_scales_or_overflows(self):
@@ -162,7 +166,7 @@ class TestCheckRpe:
         assert not res.positive
 
     def test_stage_too_small(self):
-        with pytest.raises(StageTooSmallError):
+        with pytest.raises(InvalidParameterError, match="^stage must be >= 2, got 1$"):
             check_rpe(0.5, 1, 0.1)
 
     def test_small_gain_long_horizon_stays_positive(self):
@@ -213,7 +217,7 @@ class TestCounterexampleSearch:
         assert expected_gain(alpha, 1.0, stage, witness.theta) == witness.gain_value
 
     def test_preconditions(self):
-        with pytest.raises(StageTooSmallError):
+        with pytest.raises(InvalidParameterError, match="^stage must be >= 2, got 1$"):
             find_rpe_counterexample(0.25, 1)
 
 
@@ -375,20 +379,20 @@ class TestOneDomainCheck:
         ]
 
     @pytest.mark.parametrize(
-        "bad, error",
+        "bad, refusal",
         [
-            ({"alpha": math.nan}, InvalidParameterError),
-            ({"alpha": 1.5}, InvalidParameterError),
-            ({"v0": math.nan}, InvalidParameterError),
-            ({"v0": math.inf}, InvalidParameterError),
-            ({"v0": 0.0}, InvalidParameterError),
-            ({"k_gain": math.nan}, InadmissibleGainError),
-            ({"k_gain": 1.5}, InadmissibleGainError),
+            ({"alpha": math.nan}, r"^alpha must be in \[0, 1\], got nan$"),
+            ({"alpha": 1.5}, r"^alpha must be in \[0, 1\], got 1\.5$"),
+            ({"v0": math.nan}, "^v0 must be positive and finite, got nan$"),
+            ({"v0": math.inf}, "^v0 must be positive and finite, got inf$"),
+            ({"v0": 0.0}, r"^v0 must be positive and finite, got 0\.0$"),
+            ({"k_gain": math.nan}, r"^k_gain=nan outside admissible \[0, 1\.0\]$"),
+            ({"k_gain": 1.5}, r"^k_gain=1\.5 outside admissible \[0, 1\.0\]$"),
         ],
     )
-    def test_every_entry_point_refuses(self, bad, error):
+    def test_every_entry_point_refuses(self, bad, refusal):
         for call in self._entry_points(**bad):
-            with pytest.raises(error):
+            with pytest.raises(InvalidParameterError, match=refusal):
                 call()
 
     def test_order_is_alpha_then_v0_then_gain(self):
@@ -477,7 +481,10 @@ class TestWholeDomain:
         for function, args in calls:
             try:
                 result = function(*args)
-            except DomainError:
+            except DomainError as exc:
+                # A refusal of the stage names the stage the caller passed.
+                if str(exc).startswith("stage must be"):
+                    assert str(exc).endswith(f"got {stage}"), (function.__name__, args, exc)
                 continue
             if isinstance(result, GainLossStats):
                 numbers = (result.mean, result.variance, result.std)

@@ -10,16 +10,17 @@ from hypothesis import strategies as st
 from longshort import (
     AccountTrajectory,
     ControllerConfig,
-    InadmissibleGainError,
+    DomainError,
     InvalidParameterError,
     ReturnModel,
-    ReturnOutOfBoundsError,
-    SimulationOverflowError,
     audit_cash_financing,
     simulate,
 )
 from longshort.dynamics import _terminal_gains
 from longshort.returns import _CSV_BLOCK_ROWS, _write_csv, gain_ceiling
+
+
+OVERFLOW = "^account value overflowed double precision on a path of length 1200$"
 
 
 def _config(alpha=0.5, k_gain=0.5, v0=1.0, k_max=1.0):
@@ -70,11 +71,17 @@ class TestControllerConfig:
         assert cfg.alpha == 0.25
 
     def test_inadmissible_gain(self):
-        with pytest.raises(InadmissibleGainError):
+        with pytest.raises(InvalidParameterError, match=(
+            r"^k_gain=1\.2 outside admissible \[0, 1\.0\]$"
+        )):
             _config(k_gain=1.2)
-        with pytest.raises(InadmissibleGainError):
+        with pytest.raises(InvalidParameterError, match=(
+            r"^k_gain=-0\.1 outside admissible \[0, 1\.0\]$"
+        )):
             _config(k_gain=-0.1)
-        with pytest.raises(InadmissibleGainError):
+        with pytest.raises(InvalidParameterError, match=(
+            r"^k_gain=0\.6 outside admissible \[0, 0\.5\]$"
+        )):
             ControllerConfig(alpha=0.5, k_gain=0.6, v0=1.0, k_max=0.5)
 
     def test_parameter_domains(self):
@@ -159,13 +166,15 @@ class TestSimulate:
         assert np.all(traj.v_short >= 0.0)
 
     def test_return_out_of_bounds(self):
-        with pytest.raises(ReturnOutOfBoundsError):
+        with pytest.raises(InvalidParameterError, match=(
+            r"^\|k_gain \* x\| reaches 1\.25, breaking account nonnegativity$"
+        )):
             simulate(_config(k_gain=0.5, k_max=0.5), [0.1, 2.5])  # 1 - 0.5*2.5 < 0
-        with pytest.raises(ReturnOutOfBoundsError):
+        with pytest.raises(InvalidParameterError, match="^returns must be strictly above -1$"):
             simulate(_config(k_gain=0.5), [-1.0])
 
     def test_overflow_raises(self):
-        with pytest.raises(SimulationOverflowError):
+        with pytest.raises(DomainError, match=OVERFLOW):
             simulate(_config(alpha=1.0, k_gain=1.0), np.full(1200, 0.9))
 
     def test_short_account_can_hit_zero_and_stay(self):
@@ -223,7 +232,7 @@ class TestReplayBitwise:
 
     @pytest.mark.parametrize("alpha, x", [(1.0, 0.9), (0.0, -0.9), (0.5, 0.9)])
     def test_overflow_still_raises(self, alpha, x):
-        with pytest.raises(SimulationOverflowError):
+        with pytest.raises(DomainError, match=OVERFLOW):
             simulate(_config(alpha=alpha, k_gain=1.0), np.full(1200, x))
 
 

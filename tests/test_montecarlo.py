@@ -1,6 +1,7 @@
 """Tests for the Monte-Carlo estimator and the exact enumeration oracle."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,8 +9,6 @@ import pytest
 
 from longshort import (
     EmpiricalPMF,
-    EnumerationTooLargeError,
-    InadmissibleGainError,
     InvalidParameterError,
     LongShortError,
     McGainEstimator,
@@ -22,6 +21,11 @@ from longshort import (
 )
 from longshort import dynamics, montecarlo, returns
 from longshort.returns import CHUNK_ROWS, GUIDE_BUCKETS, _atom_lookup, gain_ceiling
+
+
+def _outside(k_gain, k_max):
+    """The refusal of a gain past the ceiling, as a pattern matching it whole."""
+    return f"^{re.escape(f'k_gain={k_gain} outside admissible [0, {k_max}]')}$"
 
 
 @pytest.fixture
@@ -72,7 +76,7 @@ class TestEstimateGainStats:
                 lambda: estimate_exact_small(model.pmf, 0.5, k_gain, 1.0, 3),
             ]
             for call in calls:
-                with pytest.raises(InadmissibleGainError):
+                with pytest.raises(InvalidParameterError, match=_outside(k_gain, 0.5)):
                     call()
 
     def test_the_ceiling_keeps_every_atom_survivable(self):
@@ -104,15 +108,19 @@ class TestEstimateGainStats:
             k_max = gain_ceiling(max(1.0, x_max))
             for source in sources:
                 estimate_exact_small(source, 0.5, k_max, 1.0, 1)
-                with pytest.raises(InadmissibleGainError):
-                    estimate_exact_small(source, 0.5, math.nextafter(k_max, 2.0), 1.0, 1)
+                past = math.nextafter(k_max, 2.0)
+                # a pattern for each gain would compile 34k times
+                with pytest.raises(InvalidParameterError) as refusal:
+                    estimate_exact_small(source, 0.5, past, 1.0, 1)
+                assert str(refusal.value) == f"k_gain={past} outside admissible [0, {k_max}]"
         assert models > 14_000
         # No atom above 1: the ceiling is 1, for a point mass and a one-sided PMF.
         for values in ([0.3], [-0.5, -0.2]):
             pmf = EmpiricalPMF(np.array(values), np.full(len(values), 1.0 / len(values)))
             estimate_exact_small(pmf, 0.5, 1.0, 1.0, 2)
-            with pytest.raises(InadmissibleGainError):
-                estimate_exact_small(pmf, 0.5, math.nextafter(1.0, 2.0), 1.0, 2)
+            past = math.nextafter(1.0, 2.0)
+            with pytest.raises(InvalidParameterError, match=_outside(past, 1.0)):
+                estimate_exact_small(pmf, 0.5, past, 1.0, 2)
 
     def test_preconditions(self, two_point_model):
         with pytest.raises(InvalidParameterError):
@@ -361,7 +369,7 @@ class TestEstimateRefusals:
 
     @pytest.mark.parametrize("k_gain", [-0.1, 1.0 + 1e-12, float("nan")])
     def test_gain_outside_admissible_range(self, estimator, k_gain):
-        with pytest.raises(InadmissibleGainError):
+        with pytest.raises(InvalidParameterError, match=_outside(k_gain, 1.0)):
             estimator.estimate(0.5, k_gain, 1.0)
 
     def test_edges_accepted(self, estimator):
@@ -428,7 +436,8 @@ class TestExactEnumeration:
 
     def test_cap_enforced(self):
         model = ReturnModel(EmpiricalPMF(np.linspace(-0.2, 0.3, 10), np.full(10, 1.0 / 10)))
-        with pytest.raises(EnumerationTooLargeError):
+        refusal = rf"^10\^8 sequences exceed the cap of {montecarlo.ENUMERATION_CAP}$"
+        with pytest.raises(InvalidParameterError, match=refusal):
             estimate_exact_small(model, 0.5, 0.5, 1.0, 8)  # 10^8 sequences
 
     def test_stage_zero(self):

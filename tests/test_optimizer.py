@@ -9,22 +9,20 @@ acceptance suite.
 import csv
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from longshort import (
+    DomainError,
     InternalConsistencyError,
     InvalidParameterError,
+    McGainEstimator,
     MeanStdCurve,
     MomentOverflowError,
-    NonMonotoneEstimateError,
     ReturnModel,
-    StageTooSmallError,
-    TargetNonpositiveError,
     TargetTooLargeError,
-    ZeroDriftError,
-    ZeroVolatilityError,
     build_curve,
     build_curve_empirical,
     expected_gain,
@@ -33,11 +31,16 @@ from longshort import (
     solve_optimal_gain_empirical,
     std_gain,
 )
+from longshort import analytics, cli
 from longshort.optimizer import _bisect_std
 from longshort.returns import _CSV_BLOCK_ROWS
 from test_dynamics import AWKWARD_FLOATS, BLOCK_EDGES, awkward_columns
 
 TOY = dict(mu=-0.1, sigma2=0.0225, v0=1.0, k_max=1.0)
+ZERO_DRIFT = (
+    r"^mu = 0: the balanced expected gain is identically zero, so no gain is better than any other$"
+)
+ZERO_VOLATILITY = r"^sigma2 = 0: std\(G\) is identically zero$"
 
 
 class TestBuildCurve:
@@ -71,7 +74,7 @@ class TestBuildCurve:
         assert curve.means[idx - 1] < target_mean <= curve.means[idx]
 
     def test_stage_and_grid_validated(self):
-        with pytest.raises(StageTooSmallError):
+        with pytest.raises(InvalidParameterError, match="^stage must be >= 2, got 1$"):
             build_curve(**TOY, stage=1, grid_size=10)
         with pytest.raises(InvalidParameterError):
             build_curve(**TOY, stage=10, grid_size=1)
@@ -185,13 +188,13 @@ class TestSolveOptimalGain:
         assert res.k_star == pytest.approx(1.0, abs=1e-3)
 
     def test_error_taxonomy(self):
-        with pytest.raises(StageTooSmallError):
+        with pytest.raises(InvalidParameterError, match="^stage must be >= 2, got 1$"):
             solve_optimal_gain(**TOY, stage=1, target_std=0.1)
-        with pytest.raises(ZeroDriftError):
+        with pytest.raises(InvalidParameterError, match=ZERO_DRIFT):
             solve_optimal_gain(mu=0.0, sigma2=0.04, v0=1.0, k_max=1.0, stage=10, target_std=0.1)
-        with pytest.raises(ZeroVolatilityError):
+        with pytest.raises(InvalidParameterError, match=ZERO_VOLATILITY):
             solve_optimal_gain(mu=0.1, sigma2=0.0, v0=1.0, k_max=1.0, stage=10, target_std=0.1)
-        with pytest.raises(TargetNonpositiveError):
+        with pytest.raises(InvalidParameterError, match="^target_std must be positive, got 0.0$"):
             solve_optimal_gain(**TOY, stage=10, target_std=0.0)
 
     @pytest.mark.parametrize("tol", [-1.0, -1e-300, float("inf"), float("-inf"), float("nan")])
@@ -273,8 +276,10 @@ class TestLongHorizons:
 class TestBisectionHelper:
     def test_non_monotone_function_detected(self):
         bump = lambda k: 1.0 - (k - 0.5) ** 2  # noqa: E731 -- rises then falls
-        with pytest.raises(NonMonotoneEstimateError):
-            _bisect_std(bump, 1.0, bump(1.0), 0.9, 1e-12, NonMonotoneEstimateError)
+        with pytest.raises(DomainError, match=(
+            r"^std at K=0\.5 is 1\.0, outside bracket \[0\.0, 0\.75\]$"
+        )):
+            _bisect_std(bump, 1.0, bump(1.0), 0.9, 1e-12, DomainError)
 
     def test_exception_class_is_injected(self):
         bump = lambda k: 1.0 - (k - 0.5) ** 2  # noqa: E731
@@ -291,14 +296,54 @@ class TestBisectionHelper:
     def test_infinite_ceiling_keeps_the_monotone_check(self):
         # With s_max = +inf the slack scales with the target, not with s_max.
         bump = lambda k: min(k, 1.0 - k) if k < 0.9 else math.inf  # noqa: E731
-        with pytest.raises(NonMonotoneEstimateError):
-            _bisect_std(bump, 1.0, math.inf, 0.9, 1e-12, NonMonotoneEstimateError)
+        with pytest.raises(DomainError, match=(
+            r"^std at K=0\.75 is 0\.25, outside bracket \[0\.5, inf\]$"
+        )):
+            _bisect_std(bump, 1.0, math.inf, 0.9, 1e-12, DomainError)
 
     def test_converges_on_monotone_function(self):
         k, val, iters = _bisect_std(lambda x: x**3, 2.0, 8.0, 1.0, 1e-12, AssertionError)
         assert k == pytest.approx(1.0, abs=1e-10)
         assert val == pytest.approx(1.0, abs=1e-12)
         assert iters < 60
+
+
+class TestNonMonotoneStd:
+    """A std that leaves the bisection bracket is a bug in the exact solve, whose std is
+    proved increasing (exit 4), and sampling noise in the Monte-Carlo one (exit 3)."""
+
+    # std 1 at K = k_max = 1 and 2 below it: the first midpoint leaves [0, 1]
+    REFUSAL = "std at K=0.5 is 2.0, outside bracket [0.0, 1.0]"
+
+    @pytest.fixture
+    def bumped(self, monkeypatch):
+        def moments(alpha, k_gain, k, mu, sigma2):
+            return 0.0, 1.0 if k_gain == 1.0 else 4.0
+
+        monkeypatch.setattr(analytics, "_moments", moments)
+
+    def test_exact_solve_is_an_internal_consistency_violation(self, bumped):
+        with pytest.raises(InternalConsistencyError) as refusal:
+            solve_optimal_gain(**TOY, stage=10, target_std=0.5)
+        assert str(refusal.value) == self.REFUSAL
+
+    def test_the_cli_exits_4(self, bumped, tmp_path, capsys):
+        out = tmp_path / "fit.json"
+        moments = ["--mu", "-0.1", "--sigma", "0.15", "--k-max", "1.0", "--stage", "10"]
+        assert cli.main(["optimize", *moments, "--target-std", "0.5", "--out", str(out)]) == 4
+        assert capsys.readouterr().err == f"internal consistency violation: {self.REFUSAL}\n"
+        assert not out.exists()
+
+    def test_monte_carlo_solve_is_a_domain_error(self, monkeypatch):
+        def estimate(estimator, alpha, k_gain, v0):
+            return SimpleNamespace(std=1.0 if k_gain == estimator.model.k_max else 2.0)
+
+        monkeypatch.setattr(McGainEstimator, "estimate", estimate)
+        pmf = ReturnModel.from_moments(-0.05, 0.1).pmf  # k_max = 1
+        with pytest.raises(DomainError) as refusal:
+            solve_optimal_gain_empirical(pmf, 1.0, 10, 0.5, n_paths=1_000, seed=0)
+        assert type(refusal.value) is DomainError
+        assert str(refusal.value) == self.REFUSAL
 
 
 class TestSolveEmpirical:
@@ -327,12 +372,12 @@ class TestSolveEmpirical:
 
     def test_degenerate_pmf_raises_zero_volatility(self):
         point_mass = pmf_from_returns([0.05, 0.05, 0.05])
-        with pytest.raises(ZeroVolatilityError):
+        with pytest.raises(InvalidParameterError, match=ZERO_VOLATILITY):
             solve_optimal_gain_empirical(point_mass, 1.0, 10, 0.05, n_paths=2000, seed=0)
 
     def test_zero_drift_pmf(self):
         pmf = pmf_from_returns([-0.1, 0.1])
-        with pytest.raises(ZeroDriftError):
+        with pytest.raises(InvalidParameterError, match=ZERO_DRIFT):
             solve_optimal_gain_empirical(pmf, 1.0, 10, 0.05, n_paths=2000, seed=0)
 
     def test_min_paths_enforced(self):

@@ -10,7 +10,6 @@ import pytest
 from longshort import (
     ControllerConfig,
     InvalidParameterError,
-    LengthMismatchError,
     PortfolioAssetError,
     PortfolioConfig,
     PortfolioTrajectory,
@@ -140,9 +139,9 @@ class TestRunPortfolio:
     def test_length_mismatch(self):
         cfg = PortfolioConfig(assets=((MODEL_A, 0.3), (MODEL_B, 0.4)), v0=1.0)
         paths = [_paths(4, 1, 10)[0], _paths(5, 1, 11)[0]]
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(InvalidParameterError, match=r"^paths have differing lengths \[10, 11\]$"):
             run_portfolio(cfg, paths)
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(InvalidParameterError, match="^got 1 paths for 2 assets$"):
             run_portfolio(cfg, paths[:1])
 
     def test_asset_error_tagging(self):

@@ -10,18 +10,10 @@ from hypothesis import strategies as st
 
 from longshort import (
     EmpiricalPMF,
-    EmptyReturnsError,
     InputFileError,
-    InvalidBoundsError,
     InvalidParameterError,
-    InvalidPmfError,
-    MissingColumnError,
-    NonPositivePriceError,
-    PriceParseError,
     PriceSeries,
-    ReturnBelowNegOneError,
     ReturnModel,
-    TooShortError,
     load_prices_csv,
     pmf_from_returns,
     returns_from_prices,
@@ -47,13 +39,14 @@ class TestReturnsFromPrices:
         assert np.allclose(out, expected, rtol=0, atol=0)
 
     def test_nonpositive_price_rejected(self):
-        with pytest.raises(NonPositivePriceError):
+        refusal = "^t: all prices must be finite and positive$"
+        with pytest.raises(InvalidParameterError, match=refusal):
             PriceSeries("t", np.array([100.0, 0.0, 50.0]))
-        with pytest.raises(NonPositivePriceError):
+        with pytest.raises(InvalidParameterError, match=refusal):
             PriceSeries("t", np.array([100.0, -3.0]))
 
     def test_too_short_rejected(self):
-        with pytest.raises(TooShortError):
+        with pytest.raises(InvalidParameterError, match="^t: need at least 2 prices, got 1$"):
             PriceSeries("t", np.array([100.0]))
 
     def test_dates_validated(self, tmp_path):
@@ -68,7 +61,7 @@ class TestReturnsFromPrices:
         with pytest.raises(InvalidParameterError):
             load_prices_csv(f, column="close")
         f.write_text("close,date\n1,2019-01-02\n2\n")  # a row short of the date column
-        with pytest.raises(PriceParseError):
+        with pytest.raises(InputFileError, match=r"t\.csv: row 3, column 'date': no date$"):
             load_prices_csv(f, column="close")
 
 
@@ -92,15 +85,16 @@ class TestPmfFromReturns:
         assert np.allclose(pmf.weights, 1.0 / 125)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyReturnsError):
+        with pytest.raises(InvalidParameterError, match="^cannot build a PMF from zero returns$"):
             pmf_from_returns([])
-        with pytest.raises(EmptyReturnsError, match="at least one atom"):
+        with pytest.raises(InvalidParameterError, match="^a PMF needs at least one atom$"):
             EmpiricalPMF(np.array([]), np.array([]))
 
     def test_total_loss_rejected(self):
-        with pytest.raises(ReturnBelowNegOneError):
+        refusal = "^returns must be strictly above -1$"
+        with pytest.raises(InvalidParameterError, match=refusal):
             pmf_from_returns([0.1, -1.0])
-        with pytest.raises(ReturnBelowNegOneError):
+        with pytest.raises(InvalidParameterError, match=refusal):
             pmf_from_returns([-1.5])
 
     def test_canonical_equality(self):
@@ -124,15 +118,20 @@ class TestPmfFromReturns:
         assert float(pmf.weights.sum()) == pytest.approx(1.0, abs=1e-12)
 
     def test_invalid_pmf_shapes(self):
-        with pytest.raises(InvalidPmfError):
+        with pytest.raises(InvalidParameterError, match=(
+            r"^values must be sorted strictly ascending \(merge duplicates\)$"
+        )):
             EmpiricalPMF(np.array([0.1, 0.1]), np.array([0.5, 0.5]))  # duplicate values
-        with pytest.raises(InvalidPmfError):
+        with pytest.raises(InvalidParameterError, match=(
+            r"^weights sum to 0\.9, expected 1 within 1e-12$"
+        )):
             EmpiricalPMF(np.array([-0.1, 0.1]), np.array([0.5, 0.4]))  # sum != 1
-        with pytest.raises(InvalidPmfError):
+        with pytest.raises(InvalidParameterError, match="^every weight must be positive$"):
             EmpiricalPMF(np.array([-0.1, 0.1]), np.array([1.1, -0.1]))  # negative weight
-        with pytest.raises(InvalidPmfError, match="1-d arrays of equal length"):
+        shapes = "^values and weights must be 1-d arrays of equal length$"
+        with pytest.raises(InvalidParameterError, match=shapes):
             EmpiricalPMF(np.array([[-0.1, 0.1]]), np.array([[0.5, 0.5]]))  # 2-d
-        with pytest.raises(InvalidPmfError, match="1-d arrays of equal length"):
+        with pytest.raises(InvalidParameterError, match=shapes):
             EmpiricalPMF(np.array([-0.1, 0.1]), np.array([0.5, 0.25, 0.25]))  # unequal lengths
 
     @pytest.mark.parametrize(
@@ -146,11 +145,11 @@ class TestPmfFromReturns:
     )
     def test_non_finite_pmf_refused(self, values, weights):
         # NaN fails every comparison, so only an explicit check refuses it.
-        with pytest.raises(InvalidPmfError, match="finite"):
+        with pytest.raises(InvalidParameterError, match="^every value and weight must be finite$"):
             EmpiricalPMF(np.array(values), np.array(weights))
 
     def test_non_finite_return_refused(self):
-        with pytest.raises(InvalidPmfError, match="finite"):
+        with pytest.raises(InvalidParameterError, match="^every value and weight must be finite$"):
             pmf_from_returns([0.1, -0.2, math.nan])
 
 
@@ -167,9 +166,10 @@ class TestReturnModel:
         assert model.k_max == 0.5
 
     def test_one_sided_support_rejected(self):
-        with pytest.raises(InvalidBoundsError):
+        bounds = r"^bounds must satisfy -1 < x_min < 0 < x_max < inf, got x_min="
+        with pytest.raises(InvalidParameterError, match=bounds + "0.01, x_max=0.02$"):
             ReturnModel.from_pmf(pmf_from_returns([0.01, 0.02]))
-        with pytest.raises(InvalidBoundsError):
+        with pytest.raises(InvalidParameterError, match=bounds + "-0.02, x_max=-0.01$"):
             ReturnModel.from_pmf(pmf_from_returns([-0.02, -0.01]))
 
     @pytest.mark.parametrize("sigma2", [math.nan, math.inf])
@@ -178,7 +178,9 @@ class TestReturnModel:
         # near the top of double range overflows it; a NaN atom, which would
         # make it NaN, is refused with the PMF, so it never reaches a model.
         if math.isnan(sigma2):
-            with pytest.raises(InvalidPmfError, match="finite"):
+            with pytest.raises(InvalidParameterError, match=(
+                "^every value and weight must be finite$"
+            )):
                 EmpiricalPMF(np.array([-0.5, math.nan, 0.5]), np.full(3, 1.0 / 3))
             return
         pmf = EmpiricalPMF(np.array([-0.5, 1e200]), np.full(2, 0.5))
@@ -220,12 +222,13 @@ class TestReturnModel:
 
     def test_bounds_invariant(self):
         for x_down, x_up in ((0.1, 0.2), (-0.1, 0.0)):
-            with pytest.raises(InvalidBoundsError, match=(
+            with pytest.raises(InvalidParameterError, match=(
                 r"^bounds must satisfy -1 < x_min < 0 < x_max < inf, "
                 rf"got x_min={x_down}, x_max={x_up}$"
             )):
                 ReturnModel.two_point(x_down, x_up)
-        with pytest.raises(ReturnBelowNegOneError):  # the PMF refuses x_min = -1 first
+        # the PMF refuses x_min = -1 first
+        with pytest.raises(InvalidParameterError, match="^PMF support must lie strictly above -1$"):
             ReturnModel.two_point(-1.0, 0.2)
 
 
@@ -297,19 +300,25 @@ class TestLoadPricesCsv:
     def test_zero_price(self, tmp_path):
         f = tmp_path / "bad.csv"
         f.write_text("date,close\n2019-01-02,100\n2019-01-03,0\n")
-        with pytest.raises(NonPositivePriceError):
+        with pytest.raises(InvalidParameterError, match=(
+            r"bad\.csv: row 3: price 0\.0 is not positive$"
+        )):
             load_prices_csv(f, column="close")
 
     def test_missing_column(self, tmp_path):
         f = tmp_path / "cols.csv"
         f.write_text("date,adj_close\n2019-01-02,100\n2019-01-03,101\n")
-        with pytest.raises(MissingColumnError):
+        with pytest.raises(InputFileError, match=(
+            r"cols\.csv: no column 'close' \(have: date, adj_close\)$"
+        )):
             load_prices_csv(f, column="close")
 
     def test_parse_error_reports_row_and_column(self, tmp_path):
         f = tmp_path / "garbled.csv"
         f.write_text("date,close\n2019-01-02,100\n2019-01-03,oops\n")
-        with pytest.raises(PriceParseError, match=r"row 3.*'close'"):
+        with pytest.raises(InputFileError, match=(
+            r"garbled\.csv: row 3, column 'close': cannot parse 'oops'$"
+        )):
             load_prices_csv(f, column="close")
 
     def test_default_column(self, tmp_path):
@@ -322,7 +331,9 @@ class TestLoadPricesCsv:
         f = tmp_path / "gap.csv"
         f.write_text("date,close\n2019-01-02,100\n\n2019-01-03,101\n2019-01-04,x\n")
         # file line 5, but the blank line is not a row: row 4 as counted over rows
-        with pytest.raises(PriceParseError, match=r"row 4, column 'close'"):
+        with pytest.raises(InputFileError, match=(
+            r"gap\.csv: row 4, column 'close': cannot parse 'x'$"
+        )):
             load_prices_csv(f, column="close")
         f.write_text("date,close\n2019-01-02,100\n\n2019-01-03,101\n")
         series = load_prices_csv(f, column="close")
@@ -335,13 +346,17 @@ class TestLoadPricesCsv:
     def test_short_row_is_parse_error(self, tmp_path):
         f = tmp_path / "short.csv"
         f.write_text("date,close\n2019-01-02,100\n2019-01-03\n")
-        with pytest.raises(PriceParseError, match=r"row 3, column 'close': cannot parse None"):
+        with pytest.raises(InputFileError, match=(
+            r"short\.csv: row 3, column 'close': cannot parse None$"
+        )):
             load_prices_csv(f, column="close")
 
     def test_row_short_of_date_is_parse_error(self, tmp_path):
         f = tmp_path / "short_date.csv"
         f.write_text("close,date\n100,2019-01-02\n101\n")
-        with pytest.raises(PriceParseError, match=r"row 3, column 'date'"):
+        with pytest.raises(InputFileError, match=(
+            r"short_date\.csv: row 3, column 'date': no date$"
+        )):
             load_prices_csv(f, column="close")
 
     def test_unreadable_file_is_input_file_error(self, tmp_path):
@@ -355,7 +370,9 @@ class TestLoadPricesCsv:
     def test_first_offending_row_reported(self, tmp_path):
         f = tmp_path / "two_faults.csv"
         f.write_text("close\n100\n-1\n102\nnope\n")
-        with pytest.raises(NonPositivePriceError, match=r"row 3: price -1.0 is not positive"):
+        with pytest.raises(InvalidParameterError, match=(
+            r"two_faults\.csv: row 3: price -1\.0 is not positive$"
+        )):
             load_prices_csv(f, column="close")
 
     def test_duplicated_column_last_wins(self, tmp_path):
@@ -381,10 +398,14 @@ class TestLoadPricesCsv:
             assert str(exc_info.value) == "order: dates must be strictly increasing"
         # A later row's fault and the series' own checks are refused first.
         f.write_text("date,close\n2019-01-03,100\n2019-01-02,101\n2019-01-04,x\n")
-        with pytest.raises(PriceParseError, match=r"row 4, column 'close'"):
+        with pytest.raises(InputFileError, match=(
+            r"order\.csv: row 4, column 'close': cannot parse 'x'$"
+        )):
             load_prices_csv(f, column="close")
         f.write_text("date,close\n2019-01-03,100\n2019-01-02,nan\n")
-        with pytest.raises(NonPositivePriceError, match="finite and positive"):
+        with pytest.raises(InvalidParameterError, match=(
+            "^order: all prices must be finite and positive$"
+        )):
             load_prices_csv(f, column="close")
 
     def test_load_holds_little_beyond_the_prices(self, tmp_path):

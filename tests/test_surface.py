@@ -18,7 +18,6 @@ from longshort import (
     InvalidParameterError,
     McGainEstimator,
     ReturnModel,
-    StageTooSmallError,
     build_curve,
     build_curve_empirical,
     estimate_exact_small,
@@ -97,8 +96,8 @@ class TestOneIntegerRule:
     def test_below_the_floor_is_refused_by_name(self, entry):
         floor = FLOORS[entry]
         argument = entry.split(":")[1]
-        error = StageTooSmallError if argument == "stage" and floor > 1 else InvalidParameterError
-        with pytest.raises(error, match=f"^{argument} must be >= {floor}, got {floor - 1}$"):
+        refusal = f"^{argument} must be >= {floor}, got {floor - 1}$"
+        with pytest.raises(InvalidParameterError, match=refusal):
             _call(entry, floor - 1)
 
     @pytest.mark.parametrize("entry", list(FLOORS))
@@ -112,7 +111,9 @@ class TestOneIntegerRule:
 
     def test_a_numpy_stage_cannot_wrap_past_the_enumeration_cap(self):
         # 2**np.int64(64) wraps to 0; the stage is read as an int before the cap.
-        with pytest.raises(longshort.EnumerationTooLargeError):
+        with pytest.raises(InvalidParameterError, match=(
+            r"^2\^64 sequences exceed the cap of 10000000$"
+        )):
             estimate_exact_small(MODEL, 0.5, 0.5, 1.0, np.int64(64))
 
 
@@ -168,14 +169,57 @@ def _signature(obj) -> str:
     ))
 
 
+# Each error type, with its parent.
+ERRORS = {
+    "DomainError": "LongShortError",
+    "InputFileError": "DomainError",
+    "InternalConsistencyError": "LongShortError",
+    "InvalidParameterError": "DomainError",
+    "LongShortError": "Exception",
+    "MomentOverflowError": "DomainError",
+    "OutputFileError": "DomainError",
+    "PortfolioAssetError": "DomainError",
+    "TargetTooLargeError": "DomainError",
+}
+
+# Former error types, each with the type now raised in its place and the same message.
+DROPPED = {
+    "ConfigKeyError": "InputFileError",
+    "EmptyReturnsError": "InvalidParameterError",
+    "EnumerationTooLargeError": "InvalidParameterError",
+    "InadmissibleGainError": "InvalidParameterError",
+    "InvalidBoundsError": "InvalidParameterError",
+    "InvalidPmfError": "InvalidParameterError",
+    "LengthMismatchError": "InvalidParameterError",
+    "MissingColumnError": "InputFileError",
+    "NonMonotoneEstimateError": "DomainError",
+    "NonPositivePriceError": "InvalidParameterError",
+    "PriceParseError": "InputFileError",
+    "ReturnBelowNegOneError": "InvalidParameterError",
+    "ReturnOutOfBoundsError": "InvalidParameterError",
+    "SimulationOverflowError": "DomainError",
+    "StageTooSmallError": "InvalidParameterError",
+    "TargetNonpositiveError": "InvalidParameterError",
+    "TooShortError": "InvalidParameterError",
+    "ZeroDriftError": "InvalidParameterError",
+    "ZeroVolatilityError": "InvalidParameterError",
+}
+
+
 def test_library_surface_unchanged():
-    surface = {}
+    surface, errors = {}, {}
     for name in longshort.__all__:
         obj = getattr(longshort, name)
-        if isinstance(obj, type) and issubclass(obj, Exception) and "__init__" not in vars(obj):
-            continue
+        if isinstance(obj, type) and issubclass(obj, Exception):
+            errors[name] = obj.__base__.__name__
+            if "__init__" not in vars(obj):
+                continue
         if callable(obj):
             surface[name] = _signature(obj)
     assert list(surface) == list(SIGNATURES)
     for name, signature in SIGNATURES.items():
         assert surface[name] == signature, name
+    assert errors == ERRORS
+    for name, replacement in DROPPED.items():
+        assert not hasattr(longshort, name), name
+        assert replacement in ERRORS
