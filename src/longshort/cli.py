@@ -58,7 +58,6 @@ from .errors import DomainError, InternalConsistencyError, InvalidParameterError
 SEED_ENV_VAR = "LONGSHORT_SEED"
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_INTERNAL = 4
 

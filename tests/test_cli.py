@@ -1517,6 +1517,45 @@ class TestRefusedInputs:
         )
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "prices",
+        [
+            [100.0] * 40,  # constant prices: every return is 0
+            [2.0**i for i in range(40)],  # constant growth: every return is exactly 1
+            [100.0, 101.0],  # two rows: one return
+            [100.0 + i for i in range(40)],  # every return positive
+        ],
+        ids=["constant-prices", "constant-growth", "two-rows", "all-returns-positive"],
+    )
+    def test_degenerate_price_file_is_refused_for_its_support(self, tmp_path, capsys, prices):
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        _write_prices(train, prices)
+        _write_prices(test, _geometric_prices(2, 40))
+        config = tmp_path / "portfolio.json"
+        asset = {"train_prices": str(train), "test_prices": str(test), "target_std": 0.05}
+        config.write_text(json.dumps({"assets": [asset]}))
+        out = ["--out", str(tmp_path / "out")]
+        single = ["--train-prices", str(train), "--test-prices", str(test), "--target-std", "0.05"]
+        portfolio = ["--portfolio-config", str(config)]
+        runs = {
+            "curve": ["curve", "--prices", str(train), "--stage", "10", *out],
+            "optimize": ["optimize", "--prices", str(train), "--target-std", "0.05", *out],
+            "simulate": ["simulate", "--prices", str(train), "--stage", "10", "--k-gain", "0.5",
+                         *out],
+            "backtest": ["backtest", *single, "--out-prefix", str(tmp_path / "b")],
+            "portfolio": ["backtest", *portfolio, "--out-prefix", str(tmp_path / "p")],
+        }
+        errors = {}
+        for name, argv in runs.items():
+            assert cli.main(argv) == 3, name
+            errors[name] = capsys.readouterr().err
+        line = errors["curve"]
+        assert line.startswith("error: bounds must satisfy -1 < x_min < 0 < x_max < inf, got ")
+        portfolio_line = line.replace("error: ", "error: asset 0: ", 1)
+        assert errors == {**dict.fromkeys(runs, line), "portfolio": portfolio_line}
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert written == ["portfolio.json", "test.csv", "train.csv"]
+
 
 class TestLongHorizons:
     """A curve whose closed form leaves double range is a typed refusal (exit 3), not a
@@ -1633,7 +1672,19 @@ class TestNegativeExponentNumbers:
 
 
 class TestPresetsAreTheirBacktests:
-    """repro tsla and three-stock write what the backtests they bundle write."""
+    """Each repro preset writes what the commands it bundles write."""
+
+    def test_toy_is_curve_and_optimize(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["repro", "toy", "--out-dir", str(out)]) == 0
+        solutions = json.loads((out / "toy_results.json").read_text())["solutions"]
+        for stage, solution in zip(commands.TOY_PRESET["stages"], solutions, strict=True):
+            moments = [*TOY_FLAGS, "--stage", str(stage)]
+            curve, fit = tmp_path / f"curve{stage}.csv", tmp_path / f"fit{stage}.json"
+            assert cli.main(["curve", *moments, "--grid", "200", "--out", str(curve)]) == 0
+            assert cli.main(["optimize", *moments, "--target-std", "0.3", "--out", str(fit)]) == 0
+            assert (out / f"toy_curve_k{stage}.csv").read_bytes() == curve.read_bytes()
+            assert solution == {**json.loads(fit.read_text()), "stage": stage}
 
     def test_tsla_is_the_single_asset_backtest(self, tmp_path):
         train, test = tmp_path / "a.csv", tmp_path / "b.csv"
