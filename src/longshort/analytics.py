@@ -256,7 +256,7 @@ def find_rpe_counterexample(alpha: float, stage: int) -> RpeCounterexample | Non
     if alpha == 0.5:
         return None
     theta = 1.0 if alpha < 0.5 else -0.5
-    while abs(theta) > 1e-300:
+    while theta:
         value = _moments(alpha, 1.0, k, theta, 0.0)[0]  # unit gain: mu = theta
         if value < 0.0:
             return RpeCounterexample(alpha=alpha, theta=theta, stage=k, gain_value=value)

@@ -167,7 +167,8 @@ def _resolve_model(args, prices, price_column, stage=None) -> _Model:
     is read; the stage defaults to its number of returns. Its PMF is refused
     for its support, before a fit reads its drift, volatility or stage. Moment
     flags need a stage, both moments and a nonnegative sigma; k_max defaults
-    to the gain ceiling at x_max = mu + sigma.
+    to the gain ceiling at x_max = mu + sigma. They name no law: the fits read
+    (mu, sigma2) and k_max alone, and only ``simulate`` builds one from them.
     """
     moments = {name: getattr(args, name, None) for name in ("mu", "sigma", "k_max")}
     if prices is None:
@@ -242,6 +243,8 @@ def optimize(args) -> _Run:
 
 
 def simulate(args) -> _Run:
+    """Monte-Carlo gain statistics; moment flags are sampled as the two-point law
+    {mu - sigma, mu + sigma}, refused unless -1 < mu - sigma < 0 < mu + sigma."""
     fit = _resolve_model(args, args.prices, args.price_column, args.stage)
     model = fit.model
     if model is None:
@@ -249,7 +252,8 @@ def simulate(args) -> _Run:
     est = estimate_gain_stats(
         model, args.alpha, args.k_gain, args.v0, args.stage, args.n_paths, args.seed
     )
-    payload = {**asdict(est), "alpha": args.alpha, "k_gain": args.k_gain, "v0": args.v0}
+    payload = {**asdict(est), "std": est.std, "std_error_of_mean": est.std_error_of_mean,
+               "alpha": args.alpha, "k_gain": args.k_gain, "v0": args.v0}
     outputs = [(args.out, partial(_write_json, payload=payload))]
     if args.trajectory_out is not None:
         config = dynamics.ControllerConfig.for_model(

@@ -99,10 +99,13 @@ def _check_path(k_gain: float, path: np.ndarray) -> None:
     # Survivability guard: factors 1 + K*x and 1 - K*x must stay nonnegative.
     # This is the strongest check expressible from the config alone; staying
     # within the bounds that produced k_max is the caller's obligation. The
-    # path's extremes decide it; fmin/fmax skip NaN, which fails every
-    # comparison, and an empty path has extremes +inf and -inf, which pass.
-    x_min = float(np.fmin.reduce(path, axis=None, initial=np.inf))
-    x_max = float(np.fmax.reduce(path, axis=None, initial=-np.inf))
+    # path's extremes decide it once every return is finite: NaN, and 0 * inf
+    # at K = 0, fail every comparison. An empty path has extremes +inf and
+    # -inf, which pass.
+    if not np.isfinite(path).all():
+        raise InvalidParameterError("returns must be finite")
+    x_min = float(path.min(initial=np.inf))
+    x_max = float(path.max(initial=-np.inf))
     if x_min <= -1.0:
         raise InvalidParameterError("returns must be strictly above -1")
     # 1 + K*x and 1 - K*x are monotone in x under IEEE rounding, so the

@@ -49,15 +49,16 @@ ENUMERATION_CAP = 10_000_000
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Sampled gain-loss statistics plus the inputs needed to reproduce them."""
+    """Sample mean and variance of the gain-loss, the inputs that reproduce them, and the
+    std and the standard error of the mean derived from them."""
 
     mean: float
     variance: float
-    std: float
-    std_error_of_mean: float
     n_paths: int
     seed: int
     stage: int
+    std = property(lambda self: math.sqrt(self.variance))
+    std_error_of_mean = property(lambda self: self.std / math.sqrt(self.n_paths))
 
 
 def _check_draw(stage, n_paths, seed, min_stage: int = 1, min_paths: int = 2) -> None:
@@ -82,16 +83,7 @@ def _summarise(gains: np.ndarray, seed: int, stage: int) -> McEstimate:
             raise DomainError(
                 f"the sample {name} of the gain-loss leaves double range at stage {stage}"
             )
-    std = math.sqrt(variance)
-    return McEstimate(
-        mean=mean,
-        variance=variance,
-        std=std,
-        std_error_of_mean=std / math.sqrt(gains.size),
-        n_paths=int(gains.size),
-        seed=int(seed),
-        stage=int(stage),
-    )
+    return McEstimate(mean, variance, int(gains.size), int(seed), int(stage))
 
 
 class McGainEstimator:

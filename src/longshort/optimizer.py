@@ -36,7 +36,6 @@ from .returns import EmpiricalPMF, ReturnModel, _frozen_array, _write_csv
 
 DEFAULT_MC_TOL = 1e-3
 MIN_MC_PATHS = 1_000
-_MAX_BISECTIONS = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,17 +145,18 @@ def _bisect_std(
 ) -> tuple[float, float, int]:
     """Bisect the increasing map K -> std(G) for a std in [target_std - tol, target_std].
 
-    If the bracket closes first, its feasible end ``lo`` is the answer. A
-    midpoint outside [std(lo), std(hi)] means the map is not monotone on the
-    bracket, which triggers ``non_monotone_error``.
+    The loop ends at the band, or when no double lies strictly between the
+    bracket's ends; then its feasible end ``lo`` is the answer. Halving from
+    lo = 0 steps the exponent down once per probe, so no bisection outlasts
+    about 1,100 probes. A midpoint outside [std(lo), std(hi)] means the map
+    is not monotone on the bracket, which triggers ``non_monotone_error``.
     """
     lo, hi = 0.0, k_max
     s_lo, s_hi = 0.0, s_max
     # An s_max past double range is +inf; the slack then scales with the target.
     slack = 1e-12 * max(1.0, s_max if s_max < math.inf else target_std)
     iterations = 0
-    while iterations < _MAX_BISECTIONS and (hi - lo) > 1e-15 * k_max:
-        mid = 0.5 * (lo + hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         s_mid = std_at(mid)
         iterations += 1
         if s_mid < s_lo - slack or s_mid > s_hi + slack:
@@ -215,8 +215,8 @@ def solve_optimal_gain(
 
     Feasible targets lie strictly between 0 and s_max = std at k_max, and the
     expected gain is positive because mu != 0. The fit's std is at or below
-    target_std, within ``tol * v0`` of it unless the bisection bracket closes
-    first (at 1e-15 * k_max, as at long horizons). ``tol`` is relative to the
+    target_std, and within ``tol * v0`` of it unless two adjacent doubles
+    straddle that band (as they may at ``tol = 0``). ``tol`` is relative to the
     account size, so scaling v0 and the target together scales the fit and
     leaves K* where it was. A probe whose std leaves double range lies above
     every finite target, so long horizons fit wherever the std at K* is finite;

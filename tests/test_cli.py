@@ -519,6 +519,17 @@ class TestInputFiles:
         assert capsys.readouterr().err == f"error: {err}\n"
         assert list(tmp_path.iterdir()) == [path]
 
+    def test_an_infinite_test_return_is_refused_by_name(self, tmp_path, capsys):
+        # 1e300 / 1e-300 - 1 is inf: the replay refuses it as a return, not as a gain
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        _write_prices(train, _geometric_prices(1, 40))
+        _write_prices(test, ["1e-300", "1e300", "1e300"])
+        argv = ["backtest", "--train-prices", str(train), "--test-prices", str(test),
+                "--target-std", "0.001", "--out-prefix", str(tmp_path / "bt")]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == "error: returns must be finite\n"
+        assert sorted(tmp_path.iterdir()) == [test, train]
+
     def test_missing_price_file(self, tmp_path, capsys):
         missing = tmp_path / "nope.csv"
         rc = cli.main(
@@ -1160,7 +1171,7 @@ class TestCountsPastAnyArray:
 
         fit = json.loads((tmp_path / "fit.json").read_text(), parse_constant=refuse)
         assert fit["stage"] == 2**59 - 1
-        assert 0.0 < fit["achieved_std"] <= fit["target_std"]
+        assert fit["target_std"] - 1e-9 <= fit["achieved_std"] <= fit["target_std"]
 
     def test_the_second_moment_rule_refuses_before_any_point(self, tmp_path, capsys):
         # K^2 (sigma2 + mu^2) at k_max = 1 is 25.01: refused at the ceiling, not at a grid point
@@ -1354,6 +1365,29 @@ class TestRefusedInputs:
             "error: supply either --prices or both --mu and --sigma\n"
         )
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "mu, sigma, refusal",
+        [("0.3", "0.1", "bounds must satisfy -1 < x_min < 0 < x_max < inf, got "
+                        "x_min=0.19999999999999998, x_max=0.4"),
+         ("0.5", "1.6", "PMF support must lie strictly above -1")],
+        ids=["no-loss", "below-minus-one"],
+    )
+    @pytest.mark.parametrize("command", ["optimize", "curve", "simulate"])
+    def test_only_simulate_reads_a_law_from_moment_flags(
+        self, tmp_path, capsys, command, mu, sigma, refusal
+    ):
+        # The fits read (mu, sigma2) and k_max alone; simulate samples {mu - sigma, mu + sigma},
+        # here {0.2, 0.4}, which never loses, or {-1.1, 2.1}, which loses more than everything.
+        rest = {
+            "optimize": ["--target-std", "0.01"],
+            "curve": ["--grid", "5"],
+            "simulate": ["--k-gain", "0.1", "--n-paths", "100"],
+        }[command]
+        argv = [command, "--mu", mu, "--sigma", sigma, "--stage", "10", *rest]
+        rc = cli.main([*argv, "--out", str(tmp_path / "out")])
+        want = (3, f"error: {refusal}\n") if command == "simulate" else (0, "")
+        assert (rc, capsys.readouterr().err) == want
 
     def test_single_asset_backtest_needs_all_three_flags(self, tmp_path, capsys):
         train = tmp_path / "train.csv"

@@ -173,6 +173,17 @@ class TestSimulate:
         with pytest.raises(InvalidParameterError, match="^returns must be strictly above -1$"):
             simulate(_config(k_gain=0.5), [-1.0])
 
+    @pytest.mark.parametrize(
+        "k_gain, path",
+        [(0.5, [0.1, np.nan, 0.1]), (0.0, [0.1, np.inf]), (0.5, [0.1, np.inf])],
+        ids=["nan", "inf-at-zero-gain", "inf"],
+    )
+    def test_a_non_finite_return_is_refused_by_name(self, k_gain, path):
+        # NaN fails every bound test, and at K = 0 so does 0 * inf = NaN: neither
+        # may reach the recursion, where it would read as an account overflow.
+        with pytest.raises(InvalidParameterError, match="^returns must be finite$"):
+            simulate(_config(k_gain=k_gain), path)
+
     def test_overflow_raises(self):
         with pytest.raises(DomainError, match=OVERFLOW):
             simulate(_config(alpha=1.0, k_gain=1.0), np.full(1200, 0.9))

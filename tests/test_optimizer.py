@@ -206,6 +206,12 @@ class TestSolveOptimalGain:
         res = solve_optimal_gain(**TOY, stage=10, target_std=0.1, tol=0.0)
         assert res.achieved_std == pytest.approx(0.1, rel=1e-14)
 
+    def test_zero_tol_stops_at_the_last_double_under_the_budget(self):
+        res = solve_optimal_gain(**TOY, stage=90, target_std=0.3, tol=0.0)
+        above = std_gain(0.5, math.nextafter(res.k_star, 1.0), 90, TOY["mu"], TOY["sigma2"])
+        assert res.achieved_std <= 0.3 < above
+        assert res.iterations <= 1_100
+
     @pytest.mark.parametrize("v0", [1e-12, 1e-9, 1e3, 1e200])
     def test_tol_is_relative_to_v0(self, v0):
         # The stop |std - s| <= tol * v0 makes a fit scale-free: at a tiny v0 an
@@ -217,11 +223,13 @@ class TestSolveOptimalGain:
         assert abs(scaled.k_star - unit.k_star) <= 1e-9
         assert scaled.achieved_std == pytest.approx(0.1 * v0, rel=2e-8)
 
-    @pytest.mark.parametrize("target", [0.3, 1e-6])
-    def test_fit_stays_within_budget(self, target):
-        res = solve_optimal_gain(**TOY, stage=90, target_std=target)
+    # The std grows as K^2 near 0, so a tiny budget still trades: at 1e-100, K* = 1.07e-50.
+    @pytest.mark.parametrize("stage, target", [(90, 0.3), (90, 1e-6), (10, 1e-100), (10, 1e-150)])
+    def test_fit_stays_within_budget(self, stage, target):
+        res = solve_optimal_gain(**TOY, stage=stage, target_std=target)
+        assert res.k_star > 0.0 and res.iterations <= 1_100
         assert target - 1e-9 <= res.achieved_std <= target
-        assert res.achieved_std == std_gain(0.5, res.k_star, 90, TOY["mu"], TOY["sigma2"])
+        assert res.achieved_std == std_gain(0.5, res.k_star, stage, TOY["mu"], TOY["sigma2"])
 
     def test_target_too_large_reports_ceiling(self):
         s_max = std_gain(0.5, 1.0, 10, TOY["mu"], TOY["sigma2"])
@@ -255,13 +263,13 @@ class TestLongHorizons:
         assert 1.0 - 1e-9 <= exact <= 1.0
         assert abs(res.achieved_std - exact) <= 1e-12 * exact
 
-    @pytest.mark.parametrize("stage", [10**12, 10**15])
-    def test_the_bracket_may_close_below_the_band(self, stage):
-        # At mu = 0.01, sigma = 0.02 the bracket narrows to 1e-15 * k_max first:
-        # the fit's std is 0.0099999464 at 10**12 and 0.0099060 at 10**15, more
-        # than tol * v0 = 1e-9 under the budget but never over it.
+    @pytest.mark.parametrize("stage", [10**9, 10**12, 10**14, 10**15, 2**59 - 1])
+    def test_long_horizons_reach_the_band(self, stage):
+        # At mu = 0.01, sigma = 0.02, K* falls to 2.3e-15 at the top stage; the bisection
+        # halves on until the std lands within tol * v0 = 1e-9 of the budget.
         res = solve_optimal_gain(0.01, 0.0004, 1.0, stage, 1.0, 0.01)
-        assert res.achieved_std <= res.target_std
+        assert res.k_star > 0.0 and res.iterations <= 1_100
+        assert 0.01 - 1e-9 <= res.achieved_std <= 0.01
         assert res.achieved_std == std_gain(0.5, res.k_star, stage, 0.01, 0.0004, 1.0)
 
     def test_the_fits_own_mean_must_stay_in_range(self):

@@ -125,7 +125,7 @@ SIGNATURES = {
     "ControllerConfig": "(alpha, k_gain, v0, k_max)",
     "EmpiricalPMF": "(values, weights)",
     "GainLossStats": "(mean, variance, stage)",
-    "McEstimate": "(mean, variance, std, std_error_of_mean, n_paths, seed, stage)",
+    "McEstimate": "(mean, variance, n_paths, seed, stage)",
     "McGainEstimator": "(model, stage, n_paths, seed)",
     "MeanStdCurve": "(k_grid, stds, means)",
     "OptimalGainResult": "(k_star, achieved_std, expected_gain, target_std, stage, iterations)",
