@@ -221,10 +221,19 @@ def std_gain(
 def gain_stats(
     alpha: float, k_gain: float, stage: int, mu: float, sigma2: float, v0: float = 1.0
 ) -> GainLossStats:
-    """Bundle mean/variance/std at one stage."""
-    mean = expected_gain(alpha, k_gain, stage, mu, v0)
-    var = variance_gain(alpha, k_gain, stage, mu, sigma2, v0)
-    return GainLossStats(mean=mean, variance=var, stage=int(stage))
+    """Bundle mean/variance/std at one stage: one domain check, one kernel call.
+
+    A mean past double range is refused before a variance past range.
+    """
+    check_domain(stage, 0, alpha, v0, k_gain, 1.0, mu, sigma2)
+    k = int(stage)
+    try:
+        mean, var = _moments(alpha, k_gain, k, mu, sigma2)
+    except MomentOverflowError:  # its refusal drops the mean, which is refused first
+        _scaled(_moments(alpha, k_gain, k, mu, 0.0)[0], v0, "expected gain", k, k_gain)
+        raise
+    mean = _scaled(mean, v0, "expected gain", k, k_gain)
+    return GainLossStats(mean=mean, variance=_scaled(var, v0 * v0, "variance", k, k_gain), stage=k)
 
 
 def check_rpe(k_gain: float, stage: int, mu: float, v0: float = 1.0) -> RpeCheck:

@@ -29,7 +29,9 @@ paths and, as parameters, every other flag the run parsed, as it resolved
 them, so that the manifest alone reruns it byte-for-byte. Exit codes: 0
 success, 2 usage error, 3 domain or precondition error (bad input, such as a
 number that is not finite, a negative --sigma or seed, a flag that conflicts
-with --prices or with --portfolio-config; an output path that cannot be
+with --prices or with --portfolio-config, a budget whose target_std / v0 is
+below sqrt(sys.float_info.min), about 1.49e-154, or two portfolio assets
+with one label; an output path that cannot be
 written: an empty path, a file that is a directory, two outputs naming one
 file, or a write that the OS refuses, such as into a missing directory; or a
 request too large for memory, such as 10**15 paths, or a count past 2**59 - 1,

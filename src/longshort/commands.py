@@ -375,9 +375,9 @@ def _config_value(path, where: str, mapping: dict, key: str, kind: str, default=
 
 
 def _read_portfolio_config(path, args) -> tuple[float, list[dict]]:
-    """(v0, assets) from a portfolio JSON file, every key present and typed."""
+    """(v0, assets) from a portfolio JSON file, every key present and typed; a BOM is skipped."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             spec = json.load(fh)
     except OSError as exc:
         raise InputFileError(f"{path}: cannot read portfolio config ({exc.strerror})") from None
@@ -403,7 +403,8 @@ def _backtest_portfolio(args, config_path, v0: float, assets: list[dict], out_pr
     """Fit every asset with capital v0/m on its training file, then replay the test files.
 
     A refusal raised for one asset is tagged with its index, as in
-    ``portfolio.optimize_portfolio``.
+    ``portfolio.optimize_portfolio``. Each asset's label, its name or else its
+    training file's stem, heads its trajectory column, so no two may be equal.
     """
     if not assets:
         raise InvalidParameterError(f"{config_path}: no assets listed")
@@ -419,7 +420,12 @@ def _backtest_portfolio(args, config_path, v0: float, assets: list[dict], out_pr
         except DomainError as exc:
             raise PortfolioAssetError(i, str(exc)) from exc
         name = asset.get("name")
-        names.append(fit.ticker if name is None else name)
+        name = fit.ticker if name is None else name
+        if name in names:  # the trajectory header would repeat it, and a reader keeps one
+            raise InputFileError(
+                f"{config_path}: assets {names.index(name)} and {i} share the label {name!r}"
+            )
+        names.append(name)
         fits.append(fit)
         results.append(res)
         test_paths.append(returns.returns_from_prices(test))

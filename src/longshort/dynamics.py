@@ -28,12 +28,15 @@ from .returns import ReturnModel, _frozen_array, _write_csv
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """An (alpha, k_gain) controller with initial account v0.
+    """An (alpha, k_gain) controller with initial account v0, admitted here and nowhere else.
 
     ``k_max`` is derived from the return model's upper support bound as
-    min(1, 1/x_max); build configs through :meth:`for_model` rather than
-    passing it free-form. Gains in [0, k_max] keep both sub-accounts
-    nonnegative on in-bounds paths and keep every trade cash-financed.
+    min(1, fl(1/x_max)); build configs through :meth:`for_model` rather than
+    passing it free-form. Gains in [0, k_max] keep every trade cash-financed,
+    and every return the model draws survives: it lies in [x_min, x_max], so
+    fl(K*x) <= fl(K*x_max) <= 1 and fl(K*x) >= fl(K*x_min) >= x_min > -1 keep
+    both factors 1 + K*x and 1 - K*x nonnegative, and no drawn return needs a
+    look. A realized path may leave that support; :func:`simulate` checks it.
     """
 
     alpha: float
@@ -149,18 +152,18 @@ def simulate(config: ControllerConfig, path) -> AccountTrajectory:
     return AccountTrajectory(_frozen_array(v_long), _frozen_array(v_short), k_gain, config.v0)
 
 
-def _terminal_gains(alpha: float, k_gain: float, v0: float, x: np.ndarray) -> np.ndarray:
-    """Terminal gain-loss for a batch of paths, one per row, on already-checked inputs.
+def _terminal_gains(config: ControllerConfig, x: np.ndarray) -> np.ndarray:
+    """Terminal gain-loss for a batch of paths, one per row, drawn from the config's model.
 
-    The caller checks the gain and the paths' survivability first; the
-    Monte-Carlo estimators do it once per probe, against the model's ceiling.
-    Each step computes ``v + x * (K * v)`` with the same roundings as
-    :func:`simulate`, so each row's gain equals simulate's bit for bit. The
-    steps write into reused buffers; a stage-major (Fortran order) ``x``
-    makes every column read contiguous. The long and short accounts are the
-    two rows of one array, so each stage costs three numpy calls whatever
-    the number of paths.
+    The config admits the gain and, with it, every path its model draws, so
+    no return is checked here. Each step computes ``v + x * (K * v)`` with
+    the same roundings as :func:`simulate`, so each row's gain equals
+    simulate's bit for bit. The steps write into reused buffers; a
+    stage-major (Fortran order) ``x`` makes every column read contiguous.
+    The long and short accounts are the two rows of one array, so each stage
+    costs three numpy calls whatever the number of paths.
     """
+    alpha, k_gain, v0 = config.alpha, config.k_gain, config.v0
     rows = x.shape[0]
     accounts = np.empty((2, rows))
     accounts[0] = alpha * v0

@@ -24,11 +24,10 @@ draws live in buffers allocated once per draw, so the working set is about
 25 bytes per block entry whatever the number of paths; 512-row blocks keep
 it at 1.5 MiB for 125 stages, and smaller blocks cost time in the per-stage
 recursion without saving much more. Paths are stage-major; a gain probe,
-banked or streamed, checks its gain once against the model's ceiling k_max,
-which keeps every atom of the PMF survivable, so no drawn return needs a
-look; it then runs the batched account recursion
-``dynamics._terminal_gains``, so its gains match
-:func:`longshort.dynamics.simulate` bit for bit.
+banked or streamed, admits its controller as a
+:class:`longshort.dynamics.ControllerConfig` for the model and runs the
+batched account recursion ``dynamics._terminal_gains`` on it, so its gains
+match :func:`longshort.dynamics.simulate` bit for bit.
 """
 
 from __future__ import annotations
@@ -68,12 +67,6 @@ def _check_draw(stage, n_paths, seed, min_stage: int = 1, min_paths: int = 2) ->
     _check_integer("n_paths * stage", int(n_paths) * int(stage), 0)  # doubles in a bank or stream
 
 
-def _check_probe(model: ReturnModel, alpha: float, k_gain: float, v0: float) -> None:
-    # Every drawn return lies in [x_min, x_max], and K <= k_max = min(1, fl(1/x_max))
-    # gives fl(K*x_max) <= 1 and fl(K*x_min) >= x_min > -1: every atom survives.
-    check_domain(alpha=alpha, v0=v0, k_gain=k_gain, k_max=model.k_max)
-
-
 def _summarise(gains: np.ndarray, seed: int, stage: int) -> McEstimate:
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         mean = float(gains.mean())
@@ -91,8 +84,7 @@ class McGainEstimator:
 
     The bank is stage-major (one contiguous column per stage) and read-only.
     ``stage`` >= 1, ``n_paths`` >= 2 and ``seed`` >= 0 are integers. Every
-    probe checks its gain against the model's ceiling k_max, as
-    :func:`estimate_gain_stats` does.
+    probe admits its controller for the model, as :func:`estimate_gain_stats` does.
     """
 
     def __init__(self, model: ReturnModel, stage: int, n_paths: int, seed: int):
@@ -107,9 +99,8 @@ class McGainEstimator:
         self.paths.flags.writeable = False
 
     def estimate(self, alpha: float, k_gain: float, v0: float) -> McEstimate:
-        _check_probe(self.model, alpha, k_gain, v0)
-        gains = dynamics._terminal_gains(alpha, k_gain, v0, self.paths)
-        return _summarise(gains, self.seed, self.stage)
+        config = dynamics.ControllerConfig.for_model(self.model, alpha=alpha, k_gain=k_gain, v0=v0)
+        return _summarise(dynamics._terminal_gains(config, self.paths), self.seed, self.stage)
 
 
 def estimate_gain_stats(
@@ -129,12 +120,10 @@ def estimate_gain_stats(
     the ``n_paths`` terminal gains, never the bank.
     """
     _check_draw(stage, n_paths, seed)
-    _check_probe(model, alpha, k_gain, v0)
+    config = dynamics.ControllerConfig.for_model(model, alpha=alpha, k_gain=k_gain, v0=v0)
     gains = np.empty(int(n_paths))
     for start, block in _path_chunks(model.pmf, int(n_paths), int(stage), int(seed)):
-        gains[start : start + block.shape[0]] = dynamics._terminal_gains(
-            alpha, k_gain, v0, block
-        )
+        gains[start : start + block.shape[0]] = dynamics._terminal_gains(config, block)
     return _summarise(gains, seed, stage)
 
 

@@ -16,6 +16,7 @@ defined.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable
@@ -36,6 +37,7 @@ from .returns import EmpiricalPMF, ReturnModel, _frozen_array, _write_csv
 
 DEFAULT_MC_TOL = 1e-3
 MIN_MC_PATHS = 1_000
+_MIN_RELATIVE_STD = math.sqrt(sys.float_info.min)  # the smallest target_std / v0 a fit takes
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,7 +188,7 @@ def _solve(std_at, mu, v0, k_max, target_std, tol, stage, too_large, error) -> O
 
 
 def _check_solve_domain(
-    mu: float, sigma2: float, stage: int, target_std: float, tol: float
+    mu: float, sigma2: float, stage: int, v0: float, target_std: float, tol: float
 ) -> None:
     analytics.check_domain(stage, 2)
     if mu == 0.0:
@@ -200,6 +202,13 @@ def _check_solve_domain(
         raise InvalidParameterError(f"target_std must be positive, got {target_std}")
     if not 0.0 <= tol < math.inf:
         raise InvalidParameterError(f"tol must be nonnegative and finite, got {tol}")
+    analytics.check_domain(v0=v0)
+    # The variance grows as K^4 near 0: below this budget it underflows, and a fit reads std 0.
+    if target_std / v0 < _MIN_RELATIVE_STD:
+        raise InvalidParameterError(
+            f"target_std / v0 = {target_std / v0} is below {_MIN_RELATIVE_STD}, "
+            "where the fit's variance underflows double precision"
+        )
 
 
 def solve_optimal_gain(
@@ -222,7 +231,7 @@ def solve_optimal_gain(
     every finite target, so long horizons fit wherever the std at K* is finite;
     only the fit's own expected gain must stay in range.
     """
-    _check_solve_domain(mu, sigma2, stage, target_std, tol)
+    _check_solve_domain(mu, sigma2, stage, v0, target_std, tol)
     # Every domain check is monotone in the gain, so passing k_max passes [0, k_max].
     analytics.check_domain(stage, 2, 0.5, v0, k_max, 1.0, mu, sigma2)
     k = int(stage)
@@ -261,7 +270,7 @@ def solve_optimal_gain_empirical(
     _check_draw(stage, n_paths, seed, 2, MIN_MC_PATHS)
     mu = pmf.mean()
     sigma2 = pmf.variance()
-    _check_solve_domain(mu, sigma2, stage, target_std, DEFAULT_MC_TOL)
+    _check_solve_domain(mu, sigma2, stage, v0, target_std, DEFAULT_MC_TOL)
     model = ReturnModel.from_pmf(pmf)
     estimator = McGainEstimator(model, stage, n_paths, seed)
     return _solve(

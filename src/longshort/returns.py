@@ -331,10 +331,11 @@ def load_prices_csv(path, column: str = DEFAULT_PRICE_COLUMN) -> PriceSeries:
     (as strings); they are checked and not kept. Rows are kept in file order.
     As with ``csv.DictReader``, blank lines are skipped and not counted as
     rows, and when a header name repeats, its last column is the one read.
-    A row too short to reach the price or date column is refused.
+    A row too short to reach the price or date column is refused. A leading
+    UTF-8 byte-order mark is skipped, so it never joins the first column's name.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or column not in header:

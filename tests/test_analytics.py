@@ -35,6 +35,7 @@ from longshort import (
     std_gain,
     variance_gain,
 )
+from longshort import analytics
 
 
 class TestExpectedGain:
@@ -147,6 +148,41 @@ class TestStdGain:
         assert stats.mean == 0.0
         assert stats.std == math.sqrt(stats.variance)
         assert stats.stage == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [(0.5, 0.5, 2, 0.0, 0.04), (0.3, 0.7, 90, -0.1, 0.0225, 2.5), (1.0, 1.0, 0, 0.2, 0.1)],
+    )
+    def test_gain_stats_checks_once_and_reads_the_kernel_once(self, monkeypatch, args):
+        calls = []
+
+        def counted(name):
+            inner = getattr(analytics, name)
+
+            def call(*a, **kw):
+                calls.append(name)
+                return inner(*a, **kw)
+
+            return call
+
+        for name in ("check_domain", "_moments"):
+            monkeypatch.setattr(analytics, name, counted(name))
+        stats = gain_stats(*args)
+        assert calls == ["check_domain", "_moments"]
+        monkeypatch.undo()
+        assert stats.mean == expected_gain(*args[:4], *args[5:])
+        assert stats.variance == variance_gain(*args)
+
+    @pytest.mark.parametrize(
+        "args, moment",
+        [
+            ((0.5, 1.0, 10**6, 0.5, 0.25), "expected gain"),  # both past range: the mean first
+            ((0.5, 1.0, 2_000, 1e-3, 0.9), "variance"),  # only the variance past range
+        ],
+    )
+    def test_gain_stats_refuses_the_mean_before_the_variance(self, args, moment):
+        with pytest.raises(MomentOverflowError, match=f"^the {moment} of the gain-loss"):
+            gain_stats(*args)
 
 
 class TestCheckRpe:

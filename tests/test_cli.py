@@ -125,6 +125,16 @@ class TestOptimizeCommand:
         payload = json.loads(out.read_text())
         assert 1e-7 - 1e-9 <= payload["achieved_std"] <= 1e-7
 
+    @pytest.mark.parametrize("target", ["1e-200", "1e-300"])
+    def test_budget_whose_variance_underflows_is_refused(self, tmp_path, capsys, target):
+        argv = ["optimize", *TOY_FLAGS, "--stage", "10", "--target-std", target]
+        assert cli.main([*argv, "--out", str(tmp_path / "r.json")]) == 3
+        assert capsys.readouterr().err == (
+            f"error: target_std / v0 = {float(target)} is below {optimizer._MIN_RELATIVE_STD}, "
+            "where the fit's variance underflows double precision\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_nonpositive_target_rejected(self, tmp_path, capsys):
         rc = cli.main(
             ["optimize", *TOY_FLAGS, "--stage", "30", "--target-std", "0",
@@ -614,6 +624,56 @@ class TestInputFiles:
         assert err == (
             f"error: {tmp_path / 'portfolio.json'}: asset 1: expected a JSON object, got 'tsla'\n"
         )
+
+    def test_a_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        # A mark that joined the first column's name would hide `date` from the date
+        # check and `adj_close` from the fit, and make the JSON config malformed.
+        bom = "\ufeff"
+        dates = bom + "date,adj_close\n2019-01-03,100\n2019-01-02,101\n2019-01-01,99\n"
+        (tmp_path / "dates.csv").write_text(dates + "2019-01-04,102\n", encoding="utf-8")
+        argv = ["optimize", "--target-std", "0.001", "--out", str(tmp_path / "r.json")]
+        assert cli.main([*argv, "--prices", str(tmp_path / "dates.csv")]) == 3
+        assert capsys.readouterr().err == "error: dates: dates must be strictly increasing\n"
+        prices = _geometric_prices(1, 40)
+        marked, plain = tmp_path / "marked.csv", tmp_path / "plain.csv"
+        rows = "".join(f"{p!r}\n" for p in prices.tolist())
+        plain.write_text("adj_close\n" + rows, encoding="utf-8")
+        marked.write_text(bom + plain.read_text(encoding="utf-8"), encoding="utf-8")
+        assert cli.main([*argv, "--prices", str(marked)]) == 0
+        fit = (tmp_path / "r.json").read_text()
+        assert cli.main([*argv, "--prices", str(plain)]) == 0
+        assert (tmp_path / "r.json").read_text() == fit
+        config = json.dumps({"assets": [{**self._asset(tmp_path), "target_std": 1e-4}]})
+        rc, err = self._portfolio(tmp_path, capsys, None, text=bom + config)
+        assert (rc, err) == (0, "")
+        summary = (tmp_path / "p_summary.json").read_text()
+        assert self._portfolio(tmp_path, capsys, None, text=config) == (0, "")
+        assert (tmp_path / "p_summary.json").read_text() == summary
+
+    @pytest.mark.parametrize("names", [(None, None), ("x", "x"), (None, "train")])
+    def test_asset_labels_must_be_distinct(self, tmp_path, capsys, names):
+        # A repeated label heads two trajectory columns, and a CSV reader keeps the last.
+        asset = {**self._asset(tmp_path), "target_std": 1e-4}
+        assets = [asset if name is None else {**asset, "name": name} for name in names]
+        rc, err = self._portfolio(tmp_path, capsys, {"assets": [{**asset, "name": "a"}, *assets]})
+        assert rc == 3
+        label = names[0] or "train"
+        assert err == (
+            f"error: {tmp_path / 'portfolio.json'}: assets 1 and 2 share the label {label!r}\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "portfolio.json", "test.csv", "train.csv"
+        ]
+
+    def test_three_stock_labels_must_be_distinct(self, tmp_path, capsys):
+        asset = self._asset(tmp_path)
+        files = ["--train-prices", asset["train_prices"], "--test-prices", asset["test_prices"]]
+        out_dir = tmp_path / "out"
+        assert cli.main(["repro", "three-stock", *files * 3, "--out-dir", str(out_dir)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {out_dir / 'three_stock_config.json'}: assets 0 and 1 share the label 'train'\n"
+        )
+        assert not out_dir.exists()
 
     def test_config_with_no_assets(self, tmp_path, capsys):
         rc, err = self._portfolio(tmp_path, capsys, {"assets": []})

@@ -251,9 +251,10 @@ class TestTerminalGains:
     def test_matches_simulate_bitwise(self):
         rng = np.random.default_rng(3)
         paths = rng.uniform(-0.3, 0.4, size=(40, 17))
-        gains = _terminal_gains(0.3, 0.7, 2.5, paths)
+        config = _config(alpha=0.3, k_gain=0.7, v0=2.5)
+        gains = _terminal_gains(config, paths)
         for row, expected in zip(paths, gains):
-            traj = simulate(_config(alpha=0.3, k_gain=0.7, v0=2.5), row)
+            traj = simulate(config, row)
             assert traj.gain_loss[-1] == expected
 
 

@@ -193,7 +193,8 @@ class TestBankMatchesChoice:
             cdf = model.pmf.weights.cumsum()
             assert np.bincount((cdf * GUIDE_BUCKETS).astype(int)).max() >= 20
         for k_gain in (0.0, 0.1 * model.k_max, model.k_max):
-            gains = dynamics._terminal_gains(0.5, k_gain, 1.0, reference)
+            config = dynamics.ControllerConfig.for_model(model, alpha=0.5, k_gain=k_gain, v0=1.0)
+            gains = dynamics._terminal_gains(config, reference)
             variance = float(gains.var(ddof=1))
             est = estimator.estimate(0.5, k_gain, 1.0)
             assert est.mean == float(gains.mean())

@@ -8,6 +8,8 @@ acceptance suite.
 
 import csv
 import math
+import re
+import sys
 import tracemalloc
 from types import SimpleNamespace
 
@@ -230,6 +232,22 @@ class TestSolveOptimalGain:
         assert res.k_star > 0.0 and res.iterations <= 1_100
         assert target - 1e-9 <= res.achieved_std <= target
         assert res.achieved_std == std_gain(0.5, res.k_star, stage, TOY["mu"], TOY["sigma2"])
+
+    # Below sqrt(float_info.min) the variance underflows, and a fit would read std 0.
+    # Both solvers share the refusal, relative to v0.
+    @pytest.mark.parametrize("target, v0", [(1e-200, 1.0), (1e-300, 1.0), (1e-100, 1e60)])
+    def test_budget_whose_variance_underflows_is_refused(self, target, v0):
+        bound = re.escape(f"is below {math.sqrt(sys.float_info.min)}, where the fit's variance")
+        pmf = ReturnModel.from_moments(TOY["mu"], 0.15).pmf
+        with pytest.raises(InvalidParameterError, match=f"^target_std / v0 = .* {bound}"):
+            solve_optimal_gain(TOY["mu"], TOY["sigma2"], v0, 10, TOY["k_max"], target)
+        with pytest.raises(InvalidParameterError, match=f"^target_std / v0 = .* {bound}"):
+            solve_optimal_gain_empirical(pmf, v0, 10, target, n_paths=1_000)
+
+    def test_the_smallest_budget_fits(self):
+        target = math.sqrt(sys.float_info.min)
+        res = solve_optimal_gain(**TOY, stage=10, target_std=target)
+        assert 0.0 < res.achieved_std <= target and res.k_star > 0.0
 
     def test_target_too_large_reports_ceiling(self):
         s_max = std_gain(0.5, 1.0, 10, TOY["mu"], TOY["sigma2"])
