@@ -40,24 +40,20 @@ bug, not bad input). Outputs are staged beside their paths, under names as
 long as theirs, and renamed into place once all are written, so a refused run
 leaves earlier outputs as they were and removes a --out-dir it created.
 
-The default seed is 0, overridable by the LONGSHORT_SEED environment
-variable and then by --seed; a negative seed is refused (exit 3) before any
-file is read. Commands given ``--prices`` or price files record the resolved
-seed even where nothing is sampled.
+The seed is --seed, default 0; a negative seed is refused (exit 3) before
+any file is read. Commands given ``--prices`` or price files record the seed
+even where nothing is sampled.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 
 from . import __version__
 from .defaults import DEFAULT_N_PATHS, DEFAULT_PRICE_COLUMN, DEFAULT_TOL
 from .errors import DomainError, InternalConsistencyError, InvalidParameterError
-
-SEED_ENV_VAR = "LONGSHORT_SEED"
 
 EXIT_OK = 0
 EXIT_DOMAIN = 3
@@ -79,7 +75,7 @@ _FLAGS = {
         "help": f"price column name (default {DEFAULT_PRICE_COLUMN!r})",
     },
     "--v0": {"type": float, "default": 1.0, "help": "initial account value"},
-    "--seed": {"type": int, "help": "RNG seed (default 0 or $LONGSHORT_SEED)"},
+    "--seed": {"type": int, "default": 0, "help": "RNG seed (default 0)"},
     "--k-max": {
         "type": float,
         "help": "override the gain ceiling (moment flags only; refused with --prices)",
@@ -164,26 +160,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(flag: int | None) -> int:
-    """The run's seed: --seed, else $LONGSHORT_SEED, else 0; refused below 0."""
-    if flag is not None:
-        seed, source = flag, "--seed"
-    else:
-        raw = os.environ.get(SEED_ENV_VAR, "0")
-        try:
-            seed, source = int(raw), SEED_ENV_VAR
-        except ValueError:
-            raise InvalidParameterError(f"{SEED_ENV_VAR}={raw!r} is not an integer") from None
-    if seed < 0:
-        raise InvalidParameterError(f"{source} must be nonnegative, got {seed}")
-    return seed
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.seed = _resolve_seed(args.seed)
+        if args.seed < 0:
+            raise InvalidParameterError(f"--seed must be nonnegative, got {args.seed}")
         # The library, and numpy with it, loads only once a command runs.
         from . import commands
 

@@ -405,6 +405,8 @@ def _backtest_portfolio(args, config_path, v0: float, assets: list[dict], out_pr
     A refusal raised for one asset is tagged with its index, as in
     ``portfolio.optimize_portfolio``. Each asset's label, its name or else its
     training file's stem, heads its trajectory column, so no two may be equal.
+    Every asset is fitted at one stage and replayed in step, so each asset's
+    training and test files must hold as many returns as asset 0's.
     """
     if not assets:
         raise InvalidParameterError(f"{config_path}: no assets listed")
@@ -425,16 +427,21 @@ def _backtest_portfolio(args, config_path, v0: float, assets: list[dict], out_pr
             raise InputFileError(
                 f"{config_path}: assets {names.index(name)} and {i} share the label {name!r}"
             )
+        test_path = returns.returns_from_prices(test)
+        if i and fit.stage != fits[0].stage:
+            raise InvalidParameterError(
+                f"{config_path}: assets 0 and {i} have {fits[0].stage} and {fit.stage} "
+                "training returns"
+            )
+        if i and test_path.size != test_paths[0].size:
+            raise InvalidParameterError(
+                f"{config_path}: assets 0 and {i} have {test_paths[0].size} and {test_path.size} "
+                "test returns"
+            )
         names.append(name)
         fits.append(fit)
         results.append(res)
-        test_paths.append(returns.returns_from_prices(test))
-    # Every asset is fitted at one stage, so the training series must agree.
-    stages = sorted({fit.stage for fit in fits})
-    if len(stages) != 1:
-        raise InvalidParameterError(
-            f"{config_path}: training series have differing numbers of returns {stages}"
-        )
+        test_paths.append(test_path)
     config = portfolio.PortfolioConfig(
         assets=tuple((fit.model, res.k_star) for fit, res in zip(fits, results)),
         v0=v0,
@@ -451,7 +458,7 @@ def _backtest_portfolio(args, config_path, v0: float, assets: list[dict], out_pr
         "terminal_return": terminal_gain / v0,
         "max_leverage_ratio": float(traj.leverage.max()),
         "v0": v0,
-        "train_stages": stages[0],
+        "train_stages": fits[0].stage,
         "test_stages": traj.n_stages,
         "seed": args.seed,
     }

@@ -174,14 +174,14 @@ def _bisect_std(
     return lo, s_lo, iterations
 
 
-def _solve(std_at, mu, v0, k_max, target_std, tol, stage, too_large, error) -> OptimalGainResult:
+def _solve(std_at, mu, v0, k_max, target_std, tol, stage, error) -> OptimalGainResult:
     """Refuse a target at or above s_max = ``std_at(k_max)``, else bisect ``std_at`` for it.
 
     The fit's expected gain is the closed form at drift ``mu``, exact for independent draws.
     """
     s_max = std_at(k_max)
     if target_std >= s_max:
-        raise TargetTooLargeError(too_large.format(target_std=target_std, s_max=s_max), s_max=s_max)
+        raise TargetTooLargeError(f"target_std={target_std} >= s_max={s_max}", s_max=s_max)
     k_star, achieved, iterations = _bisect_std(std_at, k_max, s_max, target_std, tol * v0, error)
     mean = analytics.expected_gain(0.5, k_star, stage, mu, v0)
     return OptimalGainResult(k_star, achieved, mean, target_std, int(stage), iterations)
@@ -243,11 +243,7 @@ def solve_optimal_gain(
             return math.inf
         return v0 * math.sqrt(variance)
 
-    return _solve(
-        std_at, mu, v0, k_max, target_std, tol, stage,
-        "target_std={target_std} >= s_max={s_max}; cap at k_max explicitly "
-        "if running at the ceiling is intended", InternalConsistencyError,
-    )
+    return _solve(std_at, mu, v0, k_max, target_std, tol, stage, InternalConsistencyError)
 
 
 def solve_optimal_gain_empirical(
@@ -275,6 +271,5 @@ def solve_optimal_gain_empirical(
     estimator = McGainEstimator(model, stage, n_paths, seed)
     return _solve(
         lambda k: estimator.estimate(0.5, k, v0).std, mu, v0, model.k_max, target_std,
-        DEFAULT_MC_TOL, stage, "target_std={target_std} >= estimated s_max={s_max}",
-        DomainError,
+        DEFAULT_MC_TOL, stage, DomainError,
     )

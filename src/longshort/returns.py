@@ -233,6 +233,8 @@ def pmf_from_returns(returns: Sequence[float] | np.ndarray) -> EmpiricalPMF:
         raise InvalidParameterError("cannot build a PMF from zero returns")
     if np.any(arr <= -1.0):
         raise InvalidParameterError("returns must be strictly above -1")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidParameterError("returns must be finite")
     values, counts = np.unique(arr, return_counts=True)
     return EmpiricalPMF(values, counts / arr.size)
 

@@ -410,8 +410,12 @@ class TestBacktestCommand:
              "--n-paths", "200", "--out-prefix", str(prefix)]
         )
         assert rc == 3
-        assert "[60, 89]" in capsys.readouterr().err
-        assert not (tmp_path / "uneven_summary.json").exists()
+        assert capsys.readouterr().err == (
+            f"error: {config_path}: assets 0 and 1 have 89 and 60 training returns\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "portfolio.json", "test0.csv", "test1.csv", "train0.csv", "train1.csv"
+        ]
 
 
 class TestReproCommand:
@@ -540,6 +544,21 @@ class TestInputFiles:
         assert capsys.readouterr().err == "error: returns must be finite\n"
         assert sorted(tmp_path.iterdir()) == [test, train]
 
+    @pytest.mark.parametrize("command", ["optimize", "backtest"])
+    def test_an_infinite_training_return_is_refused_by_name(self, tmp_path, capsys, command):
+        # 1e300 / 1e-10 - 1 is inf: the fit refuses it as a return, not as a PMF atom
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        _write_prices(train, ["1e-10", "1e300", "1e300"])
+        _write_prices(test, _geometric_prices(2, 40))
+        argv = {
+            "optimize": ["optimize", "--prices", str(train), "--out", str(tmp_path / "out")],
+            "backtest": ["backtest", "--train-prices", str(train), "--test-prices", str(test),
+                         "--out-prefix", str(tmp_path / "bt")],
+        }[command]
+        assert cli.main([*argv, "--target-std", "0.01"]) == 3
+        assert capsys.readouterr().err == "error: returns must be finite\n"
+        assert sorted(tmp_path.iterdir()) == [test, train]
+
     def test_missing_price_file(self, tmp_path, capsys):
         missing = tmp_path / "nope.csv"
         rc = cli.main(
@@ -665,6 +684,22 @@ class TestInputFiles:
             "portfolio.json", "test.csv", "train.csv"
         ]
 
+    def test_asset_test_lengths_must_agree(self, tmp_path, capsys):
+        # The assets are replayed in step.
+        asset = {**self._asset(tmp_path), "target_std": 1e-4}
+        short = tmp_path / "short.csv"
+        _write_prices(short, _geometric_prices(3, 30))
+        rc, err = self._portfolio(tmp_path, capsys, {"assets": [
+            asset, {**asset, "name": "b", "test_prices": str(short)},
+        ]})
+        assert rc == 3
+        assert err == (
+            f"error: {tmp_path / 'portfolio.json'}: assets 0 and 1 have 39 and 29 test returns\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "portfolio.json", "short.csv", "test.csv", "train.csv"
+        ]
+
     def test_three_stock_labels_must_be_distinct(self, tmp_path, capsys):
         asset = self._asset(tmp_path)
         files = ["--train-prices", asset["train_prices"], "--test-prices", asset["test_prices"]]
@@ -682,36 +717,37 @@ class TestInputFiles:
         assert [p.name for p in tmp_path.iterdir()] == ["portfolio.json"]
 
 
-class TestSeedEnvOverride:
-    def test_env_var_supplies_default_seed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "123")
-        out = tmp_path / "est.json"
-        rc = cli.main(
-            ["simulate", *TOY_FLAGS, "--k-gain", "0.2", "--stage", "5",
-             "--n-paths", "2000", "--out", str(out)]
-        )
-        assert rc == 0
-        assert json.loads(out.read_text())["seed"] == 123
-
-    def test_flag_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "123")
-        out = tmp_path / "est.json"
-        rc = cli.main(
-            ["simulate", *TOY_FLAGS, "--k-gain", "0.2", "--stage", "5",
-             "--n-paths", "2000", "--seed", "7", "--out", str(out)]
-        )
-        assert rc == 0
-        assert json.loads(out.read_text())["seed"] == 7
-
-    def test_env_var_that_is_not_an_integer(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "abc")
-        out = tmp_path / "est.json"
-        rc = cli.main(
-            ["simulate", *TOY_FLAGS, "--k-gain", "0.2", "--stage", "5", "--out", str(out)]
-        )
-        assert rc == 3
-        assert capsys.readouterr().err == "error: LONGSHORT_SEED='abc' is not an integer\n"
-        assert list(tmp_path.iterdir()) == []
+class TestSeedComesFromTheCommandLine:
+    @pytest.mark.parametrize("command", ["simulate", "optimize --prices", "backtest", "repro"])
+    def test_environment_does_not_change_a_run(self, tmp_path, monkeypatch, capsys, command):
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        _write_prices(train, _heavy_tailed_prices(7))
+        _write_prices(test, _heavy_tailed_prices(8, n_returns=60))
+        argv = {
+            "simulate": ["simulate", *TOY_FLAGS, "--k-gain", "0.2", "--stage", "5",
+                         "--n-paths", "2000", "--trajectory-out", "path.csv", "--out", "est.json"],
+            "optimize --prices": ["optimize", "--prices", str(train), "--target-std", "0.01",
+                                  "--out", "est.json"],
+            "backtest": ["backtest", "--train-prices", str(train), "--test-prices", str(test),
+                         "--target-std", "0.01"],
+            "repro": ["repro", "tsla", "--train-prices", str(train), "--test-prices", str(test)],
+        }[command]
+        runs = []
+        for name, seed in (("plain", None), ("with_variable", "123")):
+            run_dir = tmp_path / name
+            run_dir.mkdir()
+            monkeypatch.chdir(run_dir)
+            if seed is not None:
+                monkeypatch.setenv("LONGSHORT_SEED", seed)
+            assert cli.main(argv) == 0
+            files = {
+                p.relative_to(run_dir).as_posix(): p.read_bytes()
+                for p in sorted(run_dir.rglob("*")) if p.is_file()
+            }
+            runs.append((capsys.readouterr(), files))
+        assert runs[0] == runs[1]
+        manifest = next(body for name, body in runs[0][1].items() if name.endswith("manifest.json"))
+        assert json.loads(manifest)["seed"] == 0
 
 
 def _heavy_tailed_prices(seed, n_returns=125, vol=0.035, drift=-0.0008, clip=0.45):
@@ -1264,8 +1300,8 @@ CLI_SURFACE = {
          "price column name (default 'adj_close')"),
         ('_StoreAction', ['--v0'], 1.0, float, False, None,
          'initial account value'),
-        ('_StoreAction', ['--seed'], None, int, False, None,
-         'RNG seed (default 0 or $LONGSHORT_SEED)'),
+        ('_StoreAction', ['--seed'], 0, int, False, None,
+         'RNG seed (default 0)'),
         ('_StoreAction', ['--stage'], None, int, True, None,
          'target stage k'),
         ('_StoreAction', ['--grid'], 200, int, False, None,
@@ -1290,8 +1326,8 @@ CLI_SURFACE = {
          "price column name (default 'adj_close')"),
         ('_StoreAction', ['--v0'], 1.0, float, False, None,
          'initial account value'),
-        ('_StoreAction', ['--seed'], None, int, False, None,
-         'RNG seed (default 0 or $LONGSHORT_SEED)'),
+        ('_StoreAction', ['--seed'], 0, int, False, None,
+         'RNG seed (default 0)'),
         ('_StoreAction', ['--target-std'], None, float, True, None,
          None),
         ('_StoreAction', ['--stage'], None, int, False, None,
@@ -1318,8 +1354,8 @@ CLI_SURFACE = {
          "price column name (default 'adj_close')"),
         ('_StoreAction', ['--v0'], 1.0, float, False, None,
          'initial account value'),
-        ('_StoreAction', ['--seed'], None, int, False, None,
-         'RNG seed (default 0 or $LONGSHORT_SEED)'),
+        ('_StoreAction', ['--seed'], 0, int, False, None,
+         'RNG seed (default 0)'),
         ('_StoreAction', ['--alpha'], 0.5, float, False, None,
          None),
         ('_StoreAction', ['--k-gain'], None, float, True, None,
@@ -1352,7 +1388,7 @@ CLI_SURFACE = {
          None),
         ('_StoreAction', ['--n-paths'], None, int, False, None,
          'ignored: fits are exact from the return moments; paths apply to simulate only'),
-        ('_StoreAction', ['--seed'], None, int, False, None,
+        ('_StoreAction', ['--seed'], 0, int, False, None,
          None),
         ('_StoreAction', ['--out-prefix'], 'backtest', None, False, None,
          None),
@@ -1368,7 +1404,7 @@ CLI_SURFACE = {
          'price CSV (repeatable)'),
         ('_StoreAction', ['--price-column'], 'adj_close', None, False, None,
          "price column name (default 'adj_close')"),
-        ('_StoreAction', ['--seed'], None, int, False, None,
+        ('_StoreAction', ['--seed'], 0, int, False, None,
          None),
         ('_StoreAction', ['--out-dir'], 'repro_out', None, False, None,
          None),
@@ -1558,14 +1594,6 @@ class TestRefusedInputs:
         monkeypatch.chdir(tmp_path)
         assert cli.main([*self.SEED_ARGV[command], "--seed", "-1"]) == 3
         assert capsys.readouterr().err == "error: --seed must be nonnegative, got -1\n"
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("command", list(SEED_ARGV))
-    def test_negative_seed_variable(self, tmp_path, monkeypatch, capsys, command):
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "-3")
-        assert cli.main(self.SEED_ARGV[command]) == 3
-        assert capsys.readouterr().err == f"error: {cli.SEED_ENV_VAR} must be nonnegative, got -3\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("tol", ["-1", "-1e-300", "inf", "-inf", "nan"])

@@ -8,10 +8,12 @@ log-uniform over 1e-12 to 10, or one of the edge values 0, +-1, 5e-324 and
 ``-3e-05`` occur. Stages run from 2 to 100,000 for ``optimize`` and
 ``curve`` and to 5,000 for ``simulate``, whose cost grows with stage times
 paths; --grid runs from 2 to 50, --alpha over [0, 1] and --n-paths up to
-200; a quarter of the model runs read one of two heavy-tailed price files
+200; a quarter of the model runs read one of three heavy-tailed price files
 instead of --mu/--sigma. Backtests (one asset,
 or a portfolio config whose numbers are such values or integer literals of
-300 to 420 digits) and the three ``repro`` presets read the same two files.
+300 to 420 digits) and the three ``repro`` presets read the same three files;
+``three-stock`` and each config draw their training files without
+replacement, so that their asset labels are distinct.
 
 A second set of ``N_PRICE_CASES`` calls, drawn from ``PRICE_SEED``, reads
 drawn price files instead: random headers (duplicate and missing columns,
@@ -32,6 +34,7 @@ import json
 import math
 import random
 import traceback
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -78,9 +81,8 @@ def _json_number(rng):
 def _portfolio_config(rng, price_files, path):
     assets = [
         '{"train_prices": %s, "test_prices": %s, "target_std": %s}'
-        % (json.dumps(rng.choice(price_files)), json.dumps(rng.choice(price_files)),
-           _json_number(rng))
-        for _ in range(rng.randint(1, 3))
+        % (json.dumps(train), json.dumps(rng.choice(price_files)), _json_number(rng))
+        for train in rng.sample(price_files, rng.randint(1, 3))
     ]
     v0 = f'"v0": {_json_number(rng)}, ' if rng.random() < 0.5 else ""
     path.write_text('{%s"assets": [%s]}' % (v0, ", ".join(assets)))
@@ -93,9 +95,10 @@ def _case(rng, price_files, out_dir):
         preset = rng.choice(("toy", "tsla", "three-stock"))
         n_files = {"toy": 0, "tsla": 1, "three-stock": 3}[preset]
         argv = [command, preset]
-        for flag in ("--train-prices", "--test-prices"):
-            for _ in range(n_files):
-                argv += [flag, rng.choice(price_files)]
+        for train in rng.sample(price_files, n_files):
+            argv += ["--train-prices", train]
+        for _ in range(n_files):
+            argv += ["--test-prices", rng.choice(price_files)]
         return command, [*argv, "--out-dir", str(out_dir / "repro")]
     if command == "backtest":
         if rng.random() < 0.5:
@@ -230,39 +233,56 @@ def _price_case(rng, out_dir):
     return command, [*argv, "--out", str(out_dir / out)]
 
 
+def _kind(argv):
+    """A call's kind: its command, repro's with its preset, a config's with its asset count."""
+    if argv[0] == "repro":
+        return f"repro {argv[1]}"
+    if "--portfolio-config" in argv:
+        with open(argv[argv.index("--portfolio-config") + 1]) as fh:
+            return f"backtest of {len(json.load(fh)['assets'])} assets"
+    return argv[0]
+
+
 def _sweep(tmp_path, capsys, n_cases, draw):
-    """Run ``n_cases`` drawn calls; return the exit-code counts and the failures."""
-    codes, failures = {}, []
+    """Run ``n_cases`` drawn calls: (exit-code counts, kinds that exit 0, failures)."""
+    codes, passed, failures = Counter(), set(), []
     for i in range(n_cases):
         out_dir = tmp_path / f"case{i}"
         out_dir.mkdir()
         command, argv = draw(out_dir)
         code, trace = _run(argv)
         capsys.readouterr()
-        codes[code] = codes.get(code, 0) + 1
+        codes[code] += 1
         if code not in (0, 3):
             failures.append((code, argv, trace))
         elif code == 0:
             _check_outputs(command, argv, out_dir)
-    return codes, failures
+            passed.add(_kind(argv))
+    return codes, passed, failures
 
 
 @pytest.mark.filterwarnings("error")
 def test_exit_codes_over_the_whole_domain(tmp_path, capsys):
-    price_files = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
+    price_files = [str(tmp_path / name) for name in ("a.csv", "b.csv", "c.csv")]
     _write_heavy_tailed_prices(price_files[0], 1, 0.035, -0.0008)
     _write_heavy_tailed_prices(price_files[1], 2, 0.015, 0.0012)
+    _write_heavy_tailed_prices(price_files[2], 3, 0.025, 0.0004)
     rng = random.Random(SEED)
-    codes, failures = _sweep(tmp_path, capsys, N_CASES, lambda d: _case(rng, price_files, d))
+    codes, passed, failures = _sweep(
+        tmp_path, capsys, N_CASES, lambda d: _case(rng, price_files, d)
+    )
     assert failures == []
     # the draw reaches both outcomes, and most runs pass the parser
     assert codes.get(0, 0) >= N_CASES // 4 and codes.get(3, 0) >= N_CASES // 4, codes
+    # and it reaches the multi-asset success paths
+    assert "repro three-stock" in passed, passed
+    assert passed & {"backtest of 2 assets", "backtest of 3 assets"}, passed
 
 
 @pytest.mark.filterwarnings("error")
 def test_exit_codes_over_drawn_price_files(tmp_path, capsys):
     rng = random.Random(PRICE_SEED)
-    codes, failures = _sweep(tmp_path, capsys, N_PRICE_CASES, lambda d: _price_case(rng, d))
+    codes, _, failures = _sweep(tmp_path, capsys, N_PRICE_CASES, lambda d: _price_case(rng, d))
     assert failures == []
     # the draw reaches both outcomes
     assert codes.get(0, 0) >= N_PRICE_CASES // 10 and codes.get(3, 0) >= N_PRICE_CASES // 4, codes

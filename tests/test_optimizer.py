@@ -255,6 +255,19 @@ class TestSolveOptimalGain:
             solve_optimal_gain(**TOY, stage=10, target_std=s_max + 1.0)
         assert exc_info.value.s_max == pytest.approx(s_max)
 
+    @pytest.mark.parametrize("solver", ["closed form", "empirical"])
+    def test_target_too_large_message(self, solver):
+        target = 50.0
+        with pytest.raises(TargetTooLargeError) as exc_info:
+            if solver == "closed form":
+                solve_optimal_gain(**TOY, stage=5, target_std=target)
+            else:
+                pmf = ReturnModel.from_moments(-0.05, 0.1).pmf
+                solve_optimal_gain_empirical(pmf, 1.0, 5, target, n_paths=2000, seed=0)
+        s_max = exc_info.value.s_max
+        assert 0.0 < s_max < target
+        assert str(exc_info.value) == f"target_std={target} >= s_max={s_max}"
+
 
 class TestLongHorizons:
     """Past stage 3,395 the toy std at k_max leaves double range, so s_max is +inf

@@ -149,8 +149,9 @@ class TestPmfFromReturns:
             EmpiricalPMF(np.array(values), np.array(weights))
 
     def test_non_finite_return_refused(self):
-        with pytest.raises(InvalidParameterError, match="^every value and weight must be finite$"):
-            pmf_from_returns([0.1, -0.2, math.nan])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InvalidParameterError, match="^returns must be finite$"):
+                pmf_from_returns([0.1, -0.2, bad])
 
 
 class TestReturnModel:

@@ -52,7 +52,6 @@ def loaded_modules(tmp_path, *argv, code=None):
     script = _REPORT.format(path=str(report)) + (_RUN_CLI if code is None else code)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    env.pop("LONGSHORT_SEED", None)
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c", script, *argv],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
