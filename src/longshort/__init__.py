@@ -30,7 +30,6 @@ _EXPORTS = {
         "load_prices_csv",
         "pmf_from_returns",
         "returns_from_prices",
-        "sample_path",
     ),
     "dynamics": (
         "AccountTrajectory",
@@ -56,6 +55,7 @@ _EXPORTS = {
         "McGainEstimator",
         "estimate_exact_small",
         "estimate_gain_stats",
+        "sample_path",
     ),
     "optimizer": (
         "MeanStdCurve",

@@ -126,9 +126,12 @@ def _out_of_range(moment: str, stage: int, k_gain: float) -> str:
 def _phi(n: int, t: float, log_x: float = 0.0) -> float:
     """exp(n * log_x) * phi_n(t) for t >= -1, where phi_n(t) = (1+t)**n - 1 - n*t >= 0.
 
-    No branch cancels phi_n away: the binomial series below |n*t| = 0.01 (terms shrink
-    300-fold a step), expm1/log1p below |n*t| = 1, then exp(n * log1p(t)), never a
-    rounded 1 + t to the n-th; the scale inside keeps a huge phi_n in double range.
+    Never a rounded 1 + t to the n-th; the scale inside keeps a huge phi_n in double
+    range. Worst errors against 80-digit mpmath (seeded points, n <= 1e6): the binomial
+    series below |n*t| = 0.01 (terms shrink 300-fold a step), 3 ulps; expm1(n*log1p(t))
+    - n*t below |n*t| = 1, which cancels, 480 ulps near |n*t| = 0.01; exp(n*log1p(t))
+    above, 20 ulps, plus |exponent| * 2**-52 relative from rounding the exponent, which
+    dominates at long horizons. ROADMAP item 15 would remove the middle branch's loss.
     """
     nt = n * t
     if nt * nt < 1e-4 or n < 2:  # phi_0 = phi_1 = 0

@@ -30,7 +30,7 @@ from .errors import (
     OutputFileError,
     PortfolioAssetError,
 )
-from .montecarlo import estimate_gain_stats
+from .montecarlo import estimate_gain_stats, sample_path
 
 TOY_PRESET = {"mu": -0.1, "sigma": 0.15, "v0": 1.0, "target_std": 0.3, "stages": (10, 30, 60, 90)}
 TSLA_PRESET = {"target_std": 0.08, "v0": 1.0}
@@ -259,7 +259,7 @@ def simulate(args) -> _Run:
         config = dynamics.ControllerConfig.for_model(
             model, alpha=args.alpha, k_gain=args.k_gain, v0=args.v0
         )
-        sample = returns.sample_path(model, args.stage, args.seed)
+        sample = sample_path(model, args.stage, args.seed)
         outputs.append((args.trajectory_out, dynamics.simulate(config, sample).write_csv))
     return _Run(
         outputs=outputs,

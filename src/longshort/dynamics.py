@@ -23,7 +23,7 @@ import numpy as np
 
 from .analytics import check_domain
 from .errors import DomainError, InvalidParameterError
-from .returns import ReturnModel, _frozen_array, _write_csv
+from .returns import ReturnModel, _check_returns, _frozen_array, _write_csv
 
 
 @dataclass(frozen=True)
@@ -101,16 +101,12 @@ class CashFinancingAudit:
 def _check_path(k_gain: float, path: np.ndarray) -> None:
     # Survivability guard: factors 1 + K*x and 1 - K*x must stay nonnegative.
     # This is the strongest check expressible from the config alone; staying
-    # within the bounds that produced k_max is the caller's obligation. The
-    # path's extremes decide it once every return is finite: NaN, and 0 * inf
-    # at K = 0, fail every comparison. An empty path has extremes +inf and
-    # -inf, which pass.
-    if not np.isfinite(path).all():
-        raise InvalidParameterError("returns must be finite")
+    # within the bounds that produced k_max is the caller's obligation. Once
+    # every return is admitted (finite, above -1), the path's extremes decide
+    # it; an empty path has extremes +inf and -inf, which pass.
+    _check_returns(path)
     x_min = float(path.min(initial=np.inf))
     x_max = float(path.max(initial=-np.inf))
-    if x_min <= -1.0:
-        raise InvalidParameterError("returns must be strictly above -1")
     # 1 + K*x and 1 - K*x are monotone in x under IEEE rounding, so the
     # extreme returns decide survivability for every return between them.
     if 1.0 + k_gain * x_min < 0.0 or 1.0 - k_gain * x_max < 0.0:

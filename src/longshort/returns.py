@@ -3,17 +3,8 @@
 Prices s(k) turn into simple returns x(k) = (s(k+1) - s(k)) / s(k); observed
 returns turn into an empirical PMF placing weight count/n on each distinct
 value; a :class:`ReturnModel` wraps a PMF together with the support bounds
-and first two moments it derives from it, and can be sampled reproducibly.
-The gain ceiling those bounds fix is :func:`gain_ceiling`.
-
-A seed is one random stream. Every return path drawn with it, for a
-trajectory or for a Monte-Carlo estimate, comes from that stream through one
-sampler, ``CHUNK_ROWS`` paths at a time; :func:`sample_path` is its path 0.
-The draws equal those of ``rng.choice(n_atoms, size=(n_paths, stage),
-p=weights)``: the same uniforms are mapped to atoms through a guide table
-that returns the same indices as the cdf search ``rng.choice`` runs, only
-faster. Parallel draws would start the one stream at a path's offset
-(``PCG64.advance``) rather than split it into batches.
+and first two moments it derives from it. The gain ceiling those bounds fix
+is :func:`gain_ceiling`.
 
 All distributions here are discrete. PMF moments use the population (1/n)
 convention: the PMF is treated as the exact distribution, not as a sample
@@ -30,14 +21,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytics import _check_integer, check_domain
+from .analytics import check_domain
 from .defaults import DEFAULT_PRICE_COLUMN
 from .errors import InputFileError, InvalidParameterError
 
 WEIGHT_SUM_TOL = 1e-12
 
-CHUNK_ROWS = 512  # sampled paths drawn at a time
-GUIDE_BUCKETS = 4_096  # a power of two, so u * GUIDE_BUCKETS is exact
 _CSV_BLOCK_ROWS = 1024  # rows formatted at a time; write time is flat from 128 to 4096
 
 
@@ -213,13 +202,21 @@ def returns_from_prices(series: PriceSeries) -> np.ndarray:
     Output has length len(prices) - 1. Positive prices give returns above -1
     up to rounding; a fall to a tiny price can round to -1, and a rise
     from one can overflow to inf. ``pmf_from_returns`` and
-    ``dynamics.simulate`` refuse both.
+    ``dynamics.simulate`` refuse both by one rule, :func:`_check_returns`.
     """
     p = series.prices
     with np.errstate(over="ignore"):  # the typed refusal downstream decides, not a warning
         out = np.diff(p) / p[:-1]
     out.flags.writeable = False
     return out
+
+
+def _check_returns(x: np.ndarray) -> None:
+    """The one rule for a fit's or a replay's returns: refuse <= -1 first, then non-finite."""
+    if np.any(x <= -1.0):
+        raise InvalidParameterError("returns must be strictly above -1")
+    if not np.all(np.isfinite(x)):
+        raise InvalidParameterError("returns must be finite")
 
 
 def pmf_from_returns(returns: Sequence[float] | np.ndarray) -> EmpiricalPMF:
@@ -231,98 +228,9 @@ def pmf_from_returns(returns: Sequence[float] | np.ndarray) -> EmpiricalPMF:
     arr = np.asarray(returns, dtype=float)
     if arr.size == 0:
         raise InvalidParameterError("cannot build a PMF from zero returns")
-    if np.any(arr <= -1.0):
-        raise InvalidParameterError("returns must be strictly above -1")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidParameterError("returns must be finite")
+    _check_returns(arr)
     values, counts = np.unique(arr, return_counts=True)
     return EmpiricalPMF(values, counts / arr.size)
-
-
-def _atom_lookup(cdf: np.ndarray, size: int):
-    """``lookup(u, scratch)``: ``cdf.searchsorted(u, side="right")`` through a guide table.
-
-    Bucket ``j`` holds the uniforms in [j/G, (j+1)/G). Its guide entry counts
-    the cdf values <= j/G, a lower bound on the answer for every uniform in
-    the bucket: G is a power of two, so ``floor(u * G) / G <= u`` holds
-    exactly. Stepping up while ``cdf[idx] <= u`` then stops at the count of
-    cdf values <= u, which is the ``side="right"`` answer; it stops by
-    ``cdf[-1] == 1 > u`` at the latest. Only uniforms in a bucket that a
-    cdf value splits take a step.
-
-    ``u`` is 1-d, at most ``size`` long, and ``scratch`` is a float buffer of its
-    length that the lookup overwrites. The indices come back in a buffer allocated
-    here once, which the caller finishes with before the next lookup. Every index
-    gathered lies in range, so the gathers use ``mode="clip"``, which skips the copy
-    that numpy's bounds-checked ``take`` makes of its output. It is kept for speed:
-    on a shared 2-vCPU Xeon a 512 x 125 block over 125 atoms takes 0.19-0.38 ms,
-    ``cdf.searchsorted`` 3.3-5.1 ms, with identical indices: 0.02-0.04 s against
-    0.33-0.50 s per 50k-path draw.
-    """
-    guide = cdf.searchsorted(np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS, side="right")
-    idx_buf = np.empty(size, dtype=np.intp)
-    step_buf = np.empty(size, dtype=bool)
-
-    def lookup(u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        idx = idx_buf[: u.size]
-        bucket = scratch.view(np.intp)  # spent once the guide is read
-        np.multiply(u, GUIDE_BUCKETS, out=bucket, casting="unsafe")  # floor, as u >= 0
-        np.take(guide, bucket, out=idx, mode="clip")
-        below = np.take(cdf, idx, out=scratch, mode="clip")
-        pending = np.flatnonzero(np.less_equal(below, u, out=step_buf[: u.size]))
-        while pending.size:
-            idx[pending] += 1
-            pending = pending[cdf[idx[pending]] <= u[pending]]
-        return idx
-
-    return lookup
-
-
-def _path_chunks(pmf: EmpiricalPMF, n_paths: int, stage: int, seed):
-    """Yield ``(start, block)``: the seed's sampled paths ``start, start+1, ...``.
-
-    Consecutive ``rng.random`` calls continue the seed's one stream, so the
-    stage-major blocks are, entry for entry, the rows of ``rng.choice(n_atoms,
-    size=(n_paths, stage), p=weights)``, which draws ``rng.random`` of that
-    size and searches this same normalised cdf. Every block is the same
-    reused buffer: a consumer finishes with (or copies) it before asking for
-    the next. The uniforms and atom indices live in buffers reused the same
-    way, so drawing allocates nothing of a block's size per block.
-    """
-    values = pmf.values
-    cdf = pmf.weights.cumsum()
-    cdf /= cdf[-1]
-    size = min(CHUNK_ROWS, n_paths) * stage
-    uniforms = np.empty(size)
-    drawn = np.empty(size)
-    lookup = _atom_lookup(cdf, size)
-    rng = np.random.default_rng(seed)
-    for start in range(0, n_paths, CHUNK_ROWS):
-        rows = min(CHUNK_ROWS, n_paths - start)
-        u, flat = uniforms[: rows * stage], drawn[: rows * stage]
-        rng.random(out=u)
-        # The path-major draws overwrite their spent uniforms, then are
-        # transposed into the stage-major block.
-        picked = np.take(values, lookup(u, flat), out=u, mode="clip")
-        block = flat.reshape((rows, stage), order="F")
-        np.copyto(block, picked.reshape(rows, stage))
-        yield start, block
-
-
-def sample_path(model: ReturnModel | EmpiricalPMF, n: int, seed: int) -> np.ndarray:
-    """Draw ``n`` independent returns: path 0 of the seed's paths at stage ``n``.
-
-    Accepts a full model or a bare PMF: one-sided or point-mass distributions
-    cannot carry the two-sided support bounds a model certifies, but they can
-    still be sampled. ``n`` is an integer >= 1 and ``seed`` one >= 0.
-    """
-    _check_integer("n", n, 1)
-    _check_integer("seed", seed, 0, ceiling=None)
-    pmf = model.pmf if isinstance(model, ReturnModel) else model
-    _, block = next(_path_chunks(pmf, 1, n, seed))
-    out = block.reshape(n)
-    out.flags.writeable = False
-    return out
 
 
 def load_prices_csv(path, column: str = DEFAULT_PRICE_COLUMN) -> PriceSeries:
@@ -362,8 +270,10 @@ def load_prices_csv(path, column: str = DEFAULT_PRICE_COLUMN) -> PriceSeries:
                     raise InputFileError(
                         f"{path}: row {i}, column {column!r}: cannot parse {raw!r}"
                     ) from None
-                if price <= 0.0:
-                    raise InvalidParameterError(f"{path}: row {i}: price {price!r} is not positive")
+                if not 0.0 < price < np.inf:  # nan fails both comparisons
+                    raise InvalidParameterError(
+                        f"{path}: row {i}: price {price!r} is not finite and positive"
+                    )
                 prices.append(price)
                 if date_at is not None:
                     if date_at >= len(row):
@@ -378,8 +288,7 @@ def load_prices_csv(path, column: str = DEFAULT_PRICE_COLUMN) -> PriceSeries:
         raise InputFileError(f"{path}: malformed price file ({exc})") from None
     ticker = os.path.splitext(os.path.basename(os.fspath(path)))[0]
     series = PriceSeries(ticker=ticker, prices=np.asarray(prices))
-    # Checked after the series' own checks: a series that is too short or not
-    # finite is refused for that first, whatever its dates.
+    # Checked last: a bad row, or too few rows, is refused first, whatever the dates.
     if not dates_increase:
         raise InvalidParameterError(f"{ticker}: dates must be strictly increasing")
     return series

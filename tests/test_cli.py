@@ -559,6 +559,20 @@ class TestInputFiles:
         assert capsys.readouterr().err == "error: returns must be finite\n"
         assert sorted(tmp_path.iterdir()) == [test, train]
 
+    @pytest.mark.parametrize("role", ["train", "test"])
+    def test_fit_and_replay_refuse_a_return_by_one_rule(self, tmp_path, capsys, role):
+        # Returns -1 (a fall to 2e-308 rounds to it) and +inf (the rise from it):
+        # the fit and the replay both refuse the -1 first.
+        bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+        _write_prices(bad, ["101.1605", "2e-308", "99.9"])
+        _write_prices(good, _geometric_prices(1, 40))
+        train, test = (bad, good) if role == "train" else (good, bad)
+        argv = ["backtest", "--train-prices", str(train), "--test-prices", str(test),
+                "--target-std", "0.001", "--out-prefix", str(tmp_path / "bt")]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == "error: returns must be strictly above -1\n"
+        assert sorted(tmp_path.iterdir()) == [bad, good]
+
     def test_missing_price_file(self, tmp_path, capsys):
         missing = tmp_path / "nope.csv"
         rc = cli.main(

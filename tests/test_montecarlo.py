@@ -1,5 +1,6 @@
 """Tests for the Monte-Carlo estimator and the exact enumeration oracle."""
 
+import hashlib
 import math
 import re
 import tracemalloc
@@ -19,8 +20,9 @@ from longshort import (
     pmf_from_returns,
     variance_gain,
 )
-from longshort import dynamics, montecarlo, returns
-from longshort.returns import CHUNK_ROWS, GUIDE_BUCKETS, _atom_lookup, gain_ceiling
+from longshort import dynamics, montecarlo
+from longshort.montecarlo import CHUNK_ROWS, GUIDE_BUCKETS, _atom_lookup, sample_path
+from longshort.returns import gain_ceiling
 
 
 def _outside(k_gain, k_max):
@@ -260,7 +262,7 @@ class TestStreamMatchesBank:
         n_paths, stage = 4 * CHUNK_ROWS + 5, 7
         reference = _reference_bank(model, n_paths, stage, 4)
         starts = []
-        for start, block in returns._path_chunks(model.pmf, n_paths, stage, 4):
+        for start, block in montecarlo._path_chunks(model.pmf, n_paths, stage, 4):
             assert block.flags.f_contiguous and block.shape[0] <= CHUNK_ROWS
             assert np.array_equal(block, reference[start : start + block.shape[0]])
             starts.append(start)
@@ -271,7 +273,33 @@ class TestStreamMatchesBank:
         model = BANK_MODELS[name]()
         for seed, stage in ((0, 1), (5, 125), (2**40, 3_000)):
             bank = McGainEstimator(model, stage, 2, seed).paths
-            assert np.array_equal(returns.sample_path(model, stage, seed), bank[0])
+            assert np.array_equal(sample_path(model, stage, seed), bank[0])
+
+
+class TestFrozenStream:
+    """The seeded stream's bytes, and the estimate the recursion and the summary
+    make of them, frozen: a change to the sampler, the recursion or the summary
+    moves every seeded ``simulate`` number, and fails here first."""
+
+    def test_sample_path_bytes(self):
+        model = BANK_MODELS["equal_125"]()
+        digests = {
+            seed: hashlib.sha256(sample_path(model, 125, seed).tobytes()).hexdigest()
+            for seed in (0, 1, 2**40)
+        }
+        assert digests == {
+            0: "ff4835c9f43eb86dc2a5c0058844b3d756b4a57eb5a286ec39031f76c4fafc13",
+            1: "acff714589f2f71b70cca46b02456ef81990a871d1ab7057d16564b1aae78e6f",
+            2**40: "27a079166e0fff7fe2d80bbfb1403d5988d8a53a561ee1fa9b88a728b30b00a2",
+        }
+
+    def test_estimate_of_the_sim_tsla_shape(self):
+        model = BANK_MODELS["equal_125"]()
+        est = estimate_gain_stats(model, 0.5, 0.5 * model.k_max, 1.0, 125, 50_000, 1)
+        assert (est.mean.hex(), est.variance.hex()) == (
+            "0x1.781787fa37e1bp+0",
+            "0x1.d6c96becb9764p+1",
+        )
 
 
 def _raised(call):

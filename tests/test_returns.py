@@ -302,7 +302,16 @@ class TestLoadPricesCsv:
         f = tmp_path / "bad.csv"
         f.write_text("date,close\n2019-01-02,100\n2019-01-03,0\n")
         with pytest.raises(InvalidParameterError, match=(
-            r"bad\.csv: row 3: price 0\.0 is not positive$"
+            r"bad\.csv: row 3: price 0\.0 is not finite and positive$"
+        )):
+            load_prices_csv(f, column="close")
+
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    def test_non_finite_price_refused_at_its_row(self, tmp_path, raw):
+        f = tmp_path / f"{raw}.csv"
+        f.write_text(f"date,close\n2019-01-02,100\n2019-01-03,{raw}\n2019-01-04,101\n")
+        with pytest.raises(InvalidParameterError, match=(
+            rf"{raw}\.csv: row 3: price {raw} is not finite and positive$"
         )):
             load_prices_csv(f, column="close")
 
@@ -372,7 +381,7 @@ class TestLoadPricesCsv:
         f = tmp_path / "two_faults.csv"
         f.write_text("close\n100\n-1\n102\nnope\n")
         with pytest.raises(InvalidParameterError, match=(
-            r"two_faults\.csv: row 3: price -1\.0 is not positive$"
+            r"two_faults\.csv: row 3: price -1\.0 is not finite and positive$"
         )):
             load_prices_csv(f, column="close")
 
@@ -397,7 +406,7 @@ class TestLoadPricesCsv:
             with pytest.raises(InvalidParameterError) as exc_info:
                 load_prices_csv(f, column="close")
             assert str(exc_info.value) == "order: dates must be strictly increasing"
-        # A later row's fault and the series' own checks are refused first.
+        # A later row's fault is refused first.
         f.write_text("date,close\n2019-01-03,100\n2019-01-02,101\n2019-01-04,x\n")
         with pytest.raises(InputFileError, match=(
             r"order\.csv: row 4, column 'close': cannot parse 'x'$"
@@ -405,7 +414,7 @@ class TestLoadPricesCsv:
             load_prices_csv(f, column="close")
         f.write_text("date,close\n2019-01-03,100\n2019-01-02,nan\n")
         with pytest.raises(InvalidParameterError, match=(
-            "^order: all prices must be finite and positive$"
+            r"order\.csv: row 3: price nan is not finite and positive$"
         )):
             load_prices_csv(f, column="close")
 
